@@ -1,76 +1,22 @@
 #include "cluster/autoscaler.h"
 
 #include <cmath>
-#include <mutex>
 
 #include "core/history.h"
 #include "util/check.h"
-#include "util/parse.h"
 
 namespace whisk::cluster {
-namespace {
 
-// Declared parameters per canonical controller name, the driver keys
-// included. Cached so normalized() does not construct a probe instance on
-// every call (registrations are append-only, so a cached entry never goes
-// stale). Mutex-guarded: specs are normalized from campaign worker threads
-// too, and map node addresses are stable, so the returned reference
-// outlives the lock safely.
-const std::vector<AutoscalerParam>& declared_params(const std::string& canon) {
-  static auto* mutex = new std::mutex();
-  static auto* cache =
-      new std::map<std::string, std::vector<AutoscalerParam>>();
-  std::lock_guard<std::mutex> lock(*mutex);
-  auto it = cache->find(canon);
-  if (it == cache->end()) {
-    const auto probe =
-        AutoscalerRegistry::instance().create(canon, AutoscalerSpec{canon, {}});
-    std::vector<AutoscalerParam> all = common_autoscaler_params();
-    for (const auto& p : probe->params()) all.push_back(p);
-    it = cache->emplace(canon, std::move(all)).first;
-  }
-  return it->second;
+AutoscalerRegistry& AutoscalerTraits::registry() {
+  return AutoscalerRegistry::instance();
 }
 
-// Lowercase, duplicate-check and declared-key-validate `params` for the
-// canonical controller `canon` — the shared half of normalized() and
-// make_autoscaler() (parameter *values* are validated by constructing the
-// controller; the driver keys below).
-std::map<std::string, std::string> fold_params(
-    const std::string& canon,
-    const std::map<std::string, std::string>& params) {
-  const auto& valid = declared_params(canon);
-  std::map<std::string, std::string> out;
-  for (const auto& [raw_key, value] : params) {
-    const std::string key = util::ascii_lower(raw_key);
-    WHISK_CHECK(out.count(key) == 0,
-                ("autoscaler \"" + canon + "\" sets parameter \"" + key +
-                 "\" twice")
-                    .c_str());
-    bool known = false;
-    for (const auto& p : valid) {
-      if (p.name == key) {
-        known = true;
-        break;
-      }
-    }
-    if (!known) {
-      std::vector<std::string> names;
-      names.reserve(valid.size());
-      for (const auto& p : valid) names.push_back(p.name);
-      WHISK_CHECK(false, ("autoscaler \"" + canon +
-                          "\" does not take parameter \"" + raw_key +
-                          "\"; valid parameters: " + util::join(names))
-                             .c_str());
-    }
-    out[key] = value;
-  }
-  return out;
-}
-
-// The driver keys ride in every spec, so a bad cadence dies at parse time
-// with the other diagnostics, not when the Cluster first reads it.
-void check_driver_params(const AutoscalerSpec& spec) {
+// Constructing the controller validates the parameter *values* too, so a
+// bad value dies at parse time, not mid-sweep. The driver keys ride in
+// every spec, so a bad cadence dies here too, not when the Cluster first
+// reads it.
+void AutoscalerTraits::validate(const AutoscalerSpec& spec) {
+  (void)registry().create(spec.name, spec);
   const double tick = spec.number("tick-s", 5.0);
   WHISK_CHECK(tick > 0.0, ("autoscaler \"" + spec.name + "\": tick-s = " +
                            std::to_string(tick) + " must be > 0")
@@ -82,88 +28,13 @@ void check_driver_params(const AutoscalerSpec& spec) {
                   .c_str());
 }
 
-}  // namespace
-
-const std::vector<AutoscalerParam>& common_autoscaler_params() {
-  static const std::vector<AutoscalerParam> kCommon = {
+const std::vector<util::ParamDecl>& AutoscalerTraits::common_params() {
+  static const std::vector<util::ParamDecl> kCommon = {
       {"tick-s", "5", "seconds between controller observations"},
       {"cooldown-s", "60",
        "per-group minimum seconds between scaling actions"},
   };
   return kCommon;
-}
-
-AutoscalerSpec AutoscalerSpec::parse(std::string_view text) {
-  WHISK_CHECK(!text.empty(),
-              "empty autoscaler spec; expected \"name[?key=value[&...]]\" "
-              "like \"target-util?low=0.3&high=0.85\" (or \"none\")");
-  AutoscalerSpec spec;
-  const std::size_t q = text.find('?');
-  spec.name = std::string(text.substr(0, q));
-  WHISK_CHECK(!spec.name.empty(),
-              ("autoscaler spec \"" + std::string(text) +
-               "\" has an empty name before the '?'")
-                  .c_str());
-  if (q != std::string_view::npos) {
-    util::parse_param_list(text.substr(q + 1),
-                           "autoscaler spec \"" + std::string(text) + "\"",
-                           &spec.params);
-  }
-  return spec.normalized();
-}
-
-std::string AutoscalerSpec::to_string() const {
-  return util::render_params(name, params);
-}
-
-AutoscalerSpec AutoscalerSpec::normalized() const {
-  AutoscalerSpec out;
-  if (util::ascii_lower(name) == "none") {
-    WHISK_CHECK(params.empty(),
-                "autoscaler \"none\" takes no parameters; name a controller "
-                "(target-util, queue-depth, predictive) to configure one");
-    out.name = "none";
-    return out;
-  }
-  auto& registry = AutoscalerRegistry::instance();
-  out.name = registry.resolve(name);
-  out.params = fold_params(out.name, params);
-  // Constructing the controller validates the parameter *values* too, so a
-  // bad value dies at parse time, not mid-sweep.
-  (void)registry.create(out.name, out);
-  check_driver_params(out);
-  return out;
-}
-
-bool AutoscalerSpec::has(std::string_view key) const {
-  return params.count(util::ascii_lower(key)) != 0;
-}
-
-double AutoscalerSpec::number(std::string_view key, double fallback) const {
-  const auto it = params.find(util::ascii_lower(key));
-  if (it == params.end()) return fallback;
-  double value = 0.0;
-  if (!util::parse_finite_double(it->second, &value)) {
-    WHISK_CHECK(false, ("autoscaler \"" + name + "\" parameter " +
-                        std::string(key) + "=\"" + it->second +
-                        "\" is not a finite number")
-                           .c_str());
-  }
-  return value;
-}
-
-std::size_t AutoscalerSpec::count(std::string_view key,
-                                  std::size_t fallback) const {
-  const auto it = params.find(util::ascii_lower(key));
-  if (it == params.end()) return fallback;
-  unsigned long long value = 0;
-  if (!util::parse_whole_number(it->second, &value)) {
-    WHISK_CHECK(false, ("autoscaler \"" + name + "\" parameter " +
-                        std::string(key) + "=\"" + it->second +
-                        "\" is not a whole number >= 0")
-                           .c_str());
-  }
-  return static_cast<std::size_t>(value);
 }
 
 namespace {
@@ -189,7 +60,7 @@ class TargetUtilAutoscaler final : public Autoscaler {
     return "keeps per-group utilization (load per core) inside [low, high]; "
            "one node step per tick";
   }
-  std::vector<AutoscalerParam> params() const override {
+  std::vector<util::ParamDecl> params() const override {
     return {{"low", "0.3", "utilization below which the group shrinks"},
             {"high", "0.85", "utilization above which the group grows"}};
   }
@@ -229,7 +100,7 @@ class QueueDepthAutoscaler final : public Autoscaler {
     return "scales on queued calls per active node: above high grows, "
            "below low shrinks";
   }
-  std::vector<AutoscalerParam> params() const override {
+  std::vector<util::ParamDecl> params() const override {
     return {{"low", "0.5", "queued calls per node below which it shrinks"},
             {"high", "4", "queued calls per node above which it grows"}};
   }
@@ -274,7 +145,7 @@ class PredictiveAutoscaler final : public Autoscaler {
     return "sizes each group for the arrival-rate x E(p) demand estimate "
            "over the last window-s seconds at `target` utilization";
   }
-  std::vector<AutoscalerParam> params() const override {
+  std::vector<util::ParamDecl> params() const override {
     return {{"window-s", "30", "arrival/completion horizon in seconds"},
             {"target", "0.7", "utilization the demand is provisioned at"}};
   }
@@ -345,16 +216,15 @@ AutoscalerRegistry& AutoscalerRegistry::instance() {
 }
 
 std::unique_ptr<Autoscaler> make_autoscaler(const AutoscalerSpec& spec) {
-  // Same canonicalization and key validation as normalized(), but without
-  // its throwaway validation instance: the returned construction validates
-  // the parameter values itself. One controller object per Cluster.
+  // folded() skips normalized()'s throwaway validation instance: the
+  // returned construction validates the parameter values itself. One
+  // controller object per Cluster.
   WHISK_CHECK(spec.enabled(),
               "make_autoscaler on \"none\": check enabled() first");
-  auto& registry = AutoscalerRegistry::instance();
-  AutoscalerSpec normalized;
-  normalized.name = registry.resolve(spec.name);
-  normalized.params = fold_params(normalized.name, spec.params);
-  return registry.create(normalized.name, normalized);
+  const AutoscalerSpec folded = spec.folded();
+  return AutoscalerRegistry::instance().create(folded.name, folded);
 }
 
 }  // namespace whisk::cluster
+
+template struct whisk::util::ComponentSpec<whisk::cluster::AutoscalerTraits>;

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "sim/time.h"
+#include "util/component_spec.h"
 #include "util/registry.h"
 
 namespace whisk::core {
@@ -16,63 +17,34 @@ class RuntimeHistory;
 
 namespace whisk::cluster {
 
+class AutoscalerRegistry;
+struct AutoscalerTraits;
+
 // A closed-loop scaling controller by registry name plus named parameters —
 // the autoscaling mirror of container::KeepAliveSpec:
 //
 //   auto spec = AutoscalerSpec::parse("target-util?low=0.3&high=0.85");
 //   spec.to_string()  -> "target-util?high=0.85&low=0.3"
 //
-// Grammar: name[?key=value[&key=value]...]. Names and keys are
-// case-insensitive; parameters are stored sorted so to_string() is
-// canonical and parse(to_string()) round-trips exactly. The reserved name
-// "none" (the default) means closed-loop scaling is off and takes no
-// parameters. normalized() resolves every other name against the
-// AutoscalerRegistry and rejects unknown parameter keys with an error that
-// lists the controller's valid keys (the driver keys tick-s / cooldown-s
-// are accepted by every controller).
-struct AutoscalerSpec {
-  std::string name = "none";
-  std::map<std::string, std::string> params;
+// See util::ComponentSpec for the grammar. The reserved name "none" (the
+// default) means closed-loop scaling is off. Every controller also accepts
+// the driver keys tick-s / cooldown-s; normalized() validates the values by
+// constructing the controller and checking the driver keys.
+using AutoscalerSpec = util::ComponentSpec<AutoscalerTraits>;
 
-  [[nodiscard]] static AutoscalerSpec parse(std::string_view text);
-  [[nodiscard]] std::string to_string() const;
-
-  // Abort with a name-listing error if the controller or any parameter key
-  // is unknown; returns a copy with the name canonicalized and keys
-  // lowercased. "none" must carry no parameters.
-  [[nodiscard]] AutoscalerSpec normalized() const;
-
-  // True when the spec names a real controller (not "none").
-  [[nodiscard]] bool enabled() const { return name != "none"; }
-
-  [[nodiscard]] bool has(std::string_view key) const;
-  // Typed parameter access with a fallback for absent keys. Unparsable
-  // values abort, naming the controller, the key, and the offending value.
-  [[nodiscard]] double number(std::string_view key, double fallback) const;
-  [[nodiscard]] std::size_t count(std::string_view key,
-                                  std::size_t fallback) const;
-
-  friend bool operator==(const AutoscalerSpec& a, const AutoscalerSpec& b) {
-    return a.name == b.name && a.params == b.params;
-  }
-  friend bool operator!=(const AutoscalerSpec& a, const AutoscalerSpec& b) {
-    return !(a == b);
-  }
+struct AutoscalerTraits {
+  static constexpr std::string_view kDefaultName = "none";
+  static constexpr bool kNoneReserved = true;
+  static constexpr std::string_view kExample =
+      "\"target-util?low=0.3&high=0.85\"";
+  static AutoscalerRegistry& registry();
+  static void validate(const AutoscalerSpec& spec);
+  // The driver-level parameters every controller accepts: the observation
+  // cadence and the per-group minimum seconds between scaling actions.
+  // They ride in the spec like controller parameters but are consumed by
+  // the Cluster driver, not the controller.
+  static const std::vector<util::ParamDecl>& common_params();
 };
-
-// One declared parameter of a registered autoscaler; surfaced by the
-// unknown-key diagnostics and by `whisk_sweep --list` / autoscaler_catalog.
-struct AutoscalerParam {
-  std::string name;
-  std::string default_value;
-  std::string help;
-};
-
-// The driver-level parameters every controller accepts: the observation
-// cadence and the per-group minimum seconds between scaling actions. They
-// ride in the AutoscalerSpec like controller parameters but are consumed
-// by the Cluster driver, not the controller.
-[[nodiscard]] const std::vector<AutoscalerParam>& common_autoscaler_params();
 
 // What a controller observes about one node group at a tick. Draining,
 // drained and failed nodes are excluded — the controller reasons about the
@@ -121,7 +93,7 @@ class Autoscaler {
   // Canonical registry name ("target-util", "queue-depth", "predictive").
   [[nodiscard]] virtual std::string_view name() const = 0;
   [[nodiscard]] virtual std::string help() const = 0;
-  [[nodiscard]] virtual std::vector<AutoscalerParam> params() const {
+  [[nodiscard]] virtual std::vector<util::ParamDecl> params() const {
     return {};
   }
 
@@ -171,3 +143,5 @@ class AutoscalerRegistry final
     const AutoscalerSpec& spec);
 
 }  // namespace whisk::cluster
+
+extern template struct whisk::util::ComponentSpec<whisk::cluster::AutoscalerTraits>;

@@ -1,155 +1,19 @@
 #include "cluster/fault.h"
 
 #include <algorithm>
-#include <mutex>
 #include <utility>
 
 #include "util/check.h"
 #include "util/parse.h"
 
 namespace whisk::cluster {
-namespace {
 
-// Probe-derived facts per canonical process name, cached exactly like the
-// autoscaler's declared-params table (registrations are append-only, so a
-// cached entry never goes stale; mutex-guarded because campaign workers
-// normalize specs concurrently and map nodes give stable addresses).
-struct FaultInfo {
-  std::vector<FaultParam> params;
-  bool disruptive = false;
-  bool drops_completions = false;
-};
+FaultRegistry& FaultTraits::registry() { return FaultRegistry::instance(); }
 
-const FaultInfo& fault_info(const std::string& canon) {
-  static auto* mutex = new std::mutex();
-  static auto* cache = new std::map<std::string, FaultInfo>();
-  std::lock_guard<std::mutex> lock(*mutex);
-  auto it = cache->find(canon);
-  if (it == cache->end()) {
-    const auto probe =
-        FaultRegistry::instance().create(canon, FaultSpec{canon, {}});
-    FaultInfo info;
-    info.params = probe->params();
-    info.disruptive = probe->disruptive();
-    info.drops_completions = probe->drops_completions();
-    it = cache->emplace(canon, std::move(info)).first;
-  }
-  return it->second;
-}
-
-// Lowercase, duplicate-check and declared-key-validate `params` for the
-// canonical process `canon` — the shared half of normalized() and
-// make_fault() (parameter *values* are validated by constructing the
-// process).
-std::map<std::string, std::string> fold_params(
-    const std::string& canon,
-    const std::map<std::string, std::string>& params) {
-  const auto& valid = fault_info(canon).params;
-  std::map<std::string, std::string> out;
-  for (const auto& [raw_key, value] : params) {
-    const std::string key = util::ascii_lower(raw_key);
-    WHISK_CHECK(out.count(key) == 0, ("fault \"" + canon +
-                                      "\" sets parameter \"" + key +
-                                      "\" twice")
-                                         .c_str());
-    bool known = false;
-    for (const auto& p : valid) {
-      if (p.name == key) {
-        known = true;
-        break;
-      }
-    }
-    if (!known) {
-      std::vector<std::string> names;
-      names.reserve(valid.size());
-      for (const auto& p : valid) names.push_back(p.name);
-      WHISK_CHECK(false, ("fault \"" + canon +
-                          "\" does not take parameter \"" + raw_key +
-                          "\"; valid parameters: " + util::join(names))
-                             .c_str());
-    }
-    out[key] = value;
-  }
-  return out;
-}
-
-}  // namespace
-
-FaultSpec FaultSpec::parse(std::string_view text) {
-  WHISK_CHECK(!util::trim_ws(text).empty(),
-              "empty fault spec; expected \"name[?key=value[&...]]\" like "
-              "\"crash-restart?mtbf-s=120&mttr-s=15\" (or \"none\")");
-  FaultSpec spec;
-  const std::size_t q = text.find('?');
-  spec.name = std::string(util::trim_ws(text.substr(0, q)));
-  WHISK_CHECK(!spec.name.empty(), ("fault spec \"" + std::string(text) +
-                                   "\" has an empty name before the '?'")
-                                      .c_str());
-  if (q != std::string_view::npos) {
-    util::parse_param_list(text.substr(q + 1),
-                           "fault spec \"" + std::string(text) + "\"",
-                           &spec.params);
-  }
-  return spec.normalized();
-}
-
-std::string FaultSpec::to_string() const {
-  return util::render_params(name, params);
-}
-
-FaultSpec FaultSpec::normalized() const {
-  FaultSpec out;
-  if (util::ascii_lower(name) == "none") {
-    WHISK_CHECK(params.empty(),
-                "fault \"none\" takes no parameters; name a process "
-                "(crash-restart, flap, slow-node, lost-completion) to "
-                "configure one");
-    out.name = "none";
-    return out;
-  }
-  auto& registry = FaultRegistry::instance();
-  out.name = registry.resolve(name);
-  out.params = fold_params(out.name, params);
-  // Constructing the process validates the parameter *values* too, so a bad
-  // MTBF dies at parse time, not mid-sweep.
-  (void)registry.create(out.name, out);
-  return out;
-}
-
-bool FaultSpec::has(std::string_view key) const {
-  return params.count(util::ascii_lower(key)) != 0;
-}
-
-double FaultSpec::number(std::string_view key, double fallback) const {
-  const auto it = params.find(util::ascii_lower(key));
-  if (it == params.end()) return fallback;
-  double value = 0.0;
-  if (!util::parse_finite_double(it->second, &value)) {
-    WHISK_CHECK(false, ("fault \"" + name + "\" parameter " +
-                        std::string(key) + "=\"" + it->second +
-                        "\" is not a finite number")
-                           .c_str());
-  }
-  return value;
-}
-
-std::size_t FaultSpec::count(std::string_view key,
-                             std::size_t fallback) const {
-  const auto it = params.find(util::ascii_lower(key));
-  if (it == params.end()) return fallback;
-  unsigned long long value = 0;
-  if (!util::parse_whole_number(it->second, &value)) {
-    WHISK_CHECK(false, ("fault \"" + name + "\" parameter " +
-                        std::string(key) + "=\"" + it->second +
-                        "\" is not a whole number >= 0")
-                           .c_str());
-  }
-  return static_cast<std::size_t>(value);
-}
-
-std::string FaultSpec::text(std::string_view key) const {
-  const auto it = params.find(util::ascii_lower(key));
-  return it == params.end() ? std::string() : it->second;
+// Constructing the process validates the parameter *values* too, so a bad
+// MTBF dies at parse time, not mid-sweep.
+void FaultTraits::validate(const FaultSpec& spec) {
+  (void)registry().create(spec.name, spec);
 }
 
 std::vector<FaultSpec> parse_fault_list(std::string_view text) {
@@ -204,7 +68,7 @@ class CrashRestartFault final : public FaultProcess {
            "rate active/mtbf-s and restart (cold, in place) after "
            "~Exp(mttr-s)";
   }
-  std::vector<FaultParam> params() const override {
+  std::vector<util::ParamDecl> params() const override {
     return {{"mtbf-s", "300", "per-node mean time between failures"},
             {"mttr-s", "30", "mean time to repair (restart) a crashed node"},
             {"group", "", "restrict crashes to one deployment group"}};
@@ -283,7 +147,7 @@ class FlapFault final : public FaultProcess {
     return "one node repeatedly fails and rejoins: up ~Exp(period-s), down "
            "~Exp(down-s), `count` cycles (0 = until the run ends)";
   }
-  std::vector<FaultParam> params() const override {
+  std::vector<util::ParamDecl> params() const override {
     return {{"period-s", "60", "mean up-time between flaps"},
             {"down-s", "5", "mean down-time per flap"},
             {"count", "0", "flap cycles before stopping (0 = unlimited)"},
@@ -363,7 +227,7 @@ class SlowNodeFault final : public FaultProcess {
     return "straggler windows: a random active node runs `factor`x slower "
            "for ~Exp(duration-s); onsets at rate active/mtbf-s";
   }
-  std::vector<FaultParam> params() const override {
+  std::vector<util::ParamDecl> params() const override {
     return {{"mtbf-s", "120", "per-node mean time between slow windows"},
             {"duration-s", "30", "mean length of one slow window"},
             {"factor", "3", "duration multiplier while slowed (>= 1)"},
@@ -434,7 +298,7 @@ class LostCompletionFault final : public FaultProcess {
            "`probability`; only a resilience timeout retry recovers the "
            "call";
   }
-  std::vector<FaultParam> params() const override {
+  std::vector<util::ParamDecl> params() const override {
     return {{"probability", "0.01",
              "chance a completion is lost, per delivery"}};
   }
@@ -487,19 +351,18 @@ FaultRegistry& FaultRegistry::instance() {
 
 std::unique_ptr<FaultProcess> make_fault(const FaultSpec& spec) {
   WHISK_CHECK(spec.enabled(), "make_fault on \"none\": check enabled() first");
-  auto& registry = FaultRegistry::instance();
-  FaultSpec normalized;
-  normalized.name = registry.resolve(spec.name);
-  normalized.params = fold_params(normalized.name, spec.params);
-  return registry.create(normalized.name, normalized);
+  const FaultSpec folded = spec.folded();
+  return FaultRegistry::instance().create(folded.name, folded);
 }
 
 bool fault_is_disruptive(const std::string& canonical_name) {
-  return fault_info(canonical_name).disruptive;
+  return FaultSpec::probe(canonical_name).component->disruptive();
 }
 
 bool fault_drops_completions(const std::string& canonical_name) {
-  return fault_info(canonical_name).drops_completions;
+  return FaultSpec::probe(canonical_name).component->drops_completions();
 }
 
 }  // namespace whisk::cluster
+
+template struct whisk::util::ComponentSpec<whisk::cluster::FaultTraits>;

@@ -11,9 +11,13 @@
 #include "metrics/record.h"
 #include "sim/random.h"
 #include "sim/time.h"
+#include "util/component_spec.h"
 #include "util/registry.h"
 
 namespace whisk::cluster {
+
+class FaultRegistry;
+struct FaultTraits;
 
 // One stochastic fault process by registry name plus named parameters — the
 // failure-model mirror of AutoscalerSpec:
@@ -21,46 +25,21 @@ namespace whisk::cluster {
 //   auto spec = FaultSpec::parse("crash-restart?mtbf-s=120&mttr-s=15");
 //   spec.to_string()  -> "crash-restart?mtbf-s=120&mttr-s=15"
 //
-// Grammar: name[?key=value[&key=value]...]. Names and keys are
-// case-insensitive; parameters are stored sorted so to_string() is canonical
-// and parse(to_string()) round-trips exactly. The reserved name "none" means
-// no fault and takes no parameters. normalized() resolves every other name
-// against the FaultRegistry and rejects unknown parameter keys with an error
-// that lists the process's valid keys.
+// See util::ComponentSpec for the grammar. The reserved name "none" means
+// no fault; normalized() validates the values by constructing the process.
 //
 // A deployment carries a *list* of fault specs (its `faults=` section);
 // parse_fault_list splits on ',' (and the grid-safe '+') and drops "none"
 // entries, so `faults=none` and an absent section mean the same thing.
-struct FaultSpec {
-  std::string name = "none";
-  std::map<std::string, std::string> params;
+using FaultSpec = util::ComponentSpec<FaultTraits>;
 
-  [[nodiscard]] static FaultSpec parse(std::string_view text);
-  [[nodiscard]] std::string to_string() const;
-
-  // Abort with a name-listing error if the process or any parameter key is
-  // unknown; returns a copy with the name canonicalized, keys lowercased
-  // and values validated by a probe construction. "none" must carry no
-  // parameters.
-  [[nodiscard]] FaultSpec normalized() const;
-
-  [[nodiscard]] bool enabled() const { return name != "none"; }
-
-  [[nodiscard]] bool has(std::string_view key) const;
-  // Typed parameter access with a fallback for absent keys. Unparsable
-  // values abort, naming the process, the key and the offending value.
-  [[nodiscard]] double number(std::string_view key, double fallback) const;
-  [[nodiscard]] std::size_t count(std::string_view key,
-                                  std::size_t fallback) const;
-  // Verbatim string parameter (e.g. group=big); empty when absent.
-  [[nodiscard]] std::string text(std::string_view key) const;
-
-  friend bool operator==(const FaultSpec& a, const FaultSpec& b) {
-    return a.name == b.name && a.params == b.params;
-  }
-  friend bool operator!=(const FaultSpec& a, const FaultSpec& b) {
-    return !(a == b);
-  }
+struct FaultTraits {
+  static constexpr std::string_view kDefaultName = "none";
+  static constexpr bool kNoneReserved = true;
+  static constexpr std::string_view kExample =
+      "\"crash-restart?mtbf-s=120&mttr-s=15\"";
+  static FaultRegistry& registry();
+  static void validate(const FaultSpec& spec);
 };
 
 // Parse a ','/'+'-separated fault list ("none" or empty -> no faults).
@@ -69,14 +48,6 @@ struct FaultSpec {
 // '+' inside campaign-axis items); an empty list renders as "none".
 [[nodiscard]] std::string fault_list_to_string(
     const std::vector<FaultSpec>& faults, char sep);
-
-// One declared parameter of a registered fault process; surfaced by the
-// unknown-key diagnostics and by `whisk_sweep --list` / fault_catalog.
-struct FaultParam {
-  std::string name;
-  std::string default_value;
-  std::string help;
-};
 
 // The cluster-side surface a fault process acts through. Implemented by
 // Cluster; processes never touch nodes directly, so every mutation funnels
@@ -139,7 +110,9 @@ class FaultProcess {
   // Canonical registry name ("crash-restart", "flap", ...).
   [[nodiscard]] virtual std::string_view name() const = 0;
   [[nodiscard]] virtual std::string help() const = 0;
-  [[nodiscard]] virtual std::vector<FaultParam> params() const { return {}; }
+  [[nodiscard]] virtual std::vector<util::ParamDecl> params() const {
+    return {};
+  }
 
   // True when the process can fail nodes — the cluster then enables
   // per-call in-flight tracking so interrupted calls can be re-submitted.
@@ -200,3 +173,5 @@ class FaultRegistry final
 [[nodiscard]] bool fault_drops_completions(const std::string& canonical_name);
 
 }  // namespace whisk::cluster
+
+extern template struct whisk::util::ComponentSpec<whisk::cluster::FaultTraits>;

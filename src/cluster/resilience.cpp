@@ -1,12 +1,11 @@
 #include "cluster/resilience.h"
 
 #include "util/check.h"
-#include "util/parse.h"
 
 namespace whisk::cluster {
 
-const std::vector<ResilienceParam>& resilience_params() {
-  static const auto* params = new std::vector<ResilienceParam>{
+const std::vector<util::ParamDecl>& resilience_params() {
+  static const auto* params = new std::vector<util::ParamDecl>{
       {"timeout-s", "0",
        "per-attempt controller timeout in seconds (0 = disabled)"},
       {"max-attempts", "4",
@@ -28,22 +27,6 @@ const std::vector<ResilienceParam>& resilience_params() {
   return *params;
 }
 
-namespace {
-
-void check_known_key(const std::string& key, const std::string& raw) {
-  for (const auto& p : resilience_params()) {
-    if (p.name == key) return;
-  }
-  std::vector<std::string> names;
-  names.reserve(resilience_params().size());
-  for (const auto& p : resilience_params()) names.push_back(p.name);
-  WHISK_CHECK(false, ("resilience spec does not take parameter \"" + raw +
-                      "\"; valid parameters: " + util::join(names))
-                         .c_str());
-}
-
-}  // namespace
-
 ResilienceSpec ResilienceSpec::parse(std::string_view text) {
   ResilienceSpec spec;
   const std::string_view trimmed = util::trim_ws(text);
@@ -57,29 +40,14 @@ ResilienceSpec ResilienceSpec::parse(std::string_view text) {
 }
 
 std::string ResilienceSpec::to_string() const {
-  if (params.empty()) return "none";
-  std::string out;
-  char sep = 0;
-  for (const auto& [key, value] : params) {
-    if (sep) out += sep;
-    out += key;
-    out += '=';
-    out += value;
-    sep = '&';
-  }
-  return out;
+  // The idiom's "name?params" rendering, minus the name and its '?'.
+  return params.empty() ? "none" : util::render_params("", params).substr(1);
 }
 
 ResilienceSpec ResilienceSpec::normalized() const {
   ResilienceSpec out;
-  for (const auto& [raw_key, value] : params) {
-    const std::string key = util::ascii_lower(raw_key);
-    WHISK_CHECK(out.params.count(key) == 0,
-                ("resilience spec sets parameter \"" + key + "\" twice")
-                    .c_str());
-    check_known_key(key, raw_key);
-    out.params[key] = value;
-  }
+  out.params = util::fold_params(params, resilience_params(),
+                                 "resilience spec", {});
   // Range checks go through the typed getters so a non-numeric value dies
   // with the standard diagnostic before the range text.
   const double timeout = out.number("timeout-s", 0.0);
@@ -103,35 +71,6 @@ ResilienceSpec ResilienceSpec::normalized() const {
   WHISK_CHECK(out.number("breaker-cooldown-s", 30.0) > 0.0,
               "resilience: breaker-cooldown-s must be > 0");
   return out;
-}
-
-bool ResilienceSpec::has(std::string_view key) const {
-  return params.count(util::ascii_lower(key)) != 0;
-}
-
-double ResilienceSpec::number(std::string_view key, double fallback) const {
-  const auto it = params.find(util::ascii_lower(key));
-  if (it == params.end()) return fallback;
-  double value = 0.0;
-  if (!util::parse_finite_double(it->second, &value)) {
-    WHISK_CHECK(false, ("resilience parameter " + std::string(key) + "=\"" +
-                        it->second + "\" is not a finite number")
-                           .c_str());
-  }
-  return value;
-}
-
-std::size_t ResilienceSpec::count(std::string_view key,
-                                  std::size_t fallback) const {
-  const auto it = params.find(util::ascii_lower(key));
-  if (it == params.end()) return fallback;
-  unsigned long long value = 0;
-  if (!util::parse_whole_number(it->second, &value)) {
-    WHISK_CHECK(false, ("resilience parameter " + std::string(key) + "=\"" +
-                        it->second + "\" is not a whole number >= 0")
-                           .c_str());
-  }
-  return static_cast<std::size_t>(value);
 }
 
 }  // namespace whisk::cluster

@@ -1,25 +1,18 @@
 #pragma once
 
 #include <cstddef>
-#include <map>
 #include <string>
 #include <string_view>
 #include <vector>
 
-namespace whisk::cluster {
+#include "util/component_spec.h"
 
-// One declared resilience knob; surfaced by `whisk_sweep --list` and
-// tools/fault_catalog next to the fault registry.
-struct ResilienceParam {
-  std::string name;
-  std::string default_value;
-  std::string help;
-};
+namespace whisk::cluster {
 
 // Every knob the controller-side resilience layer understands, with its
 // default and the value that disables it. A knob left at its default is
 // off, so an empty spec is exactly the pre-resilience controller.
-[[nodiscard]] const std::vector<ResilienceParam>& resilience_params();
+[[nodiscard]] const std::vector<util::ParamDecl>& resilience_params();
 
 // The controller-side recovery policy of a deployment — the defensive
 // mirror of the `faults=` section, carried as `resilience=` in ClusterSpec:
@@ -58,7 +51,7 @@ struct ResilienceParam {
 //                      a fresh call is shed with a `shed` disposition when
 //                      every routable node is saturated. 0 disables.
 struct ResilienceSpec {
-  std::map<std::string, std::string> params;
+  util::ParamMap params;
 
   [[nodiscard]] static ResilienceSpec parse(std::string_view text);
   [[nodiscard]] std::string to_string() const;
@@ -69,19 +62,21 @@ struct ResilienceSpec {
 
   [[nodiscard]] bool enabled() const { return !params.empty(); }
 
-  [[nodiscard]] bool has(std::string_view key) const;
+  [[nodiscard]] bool has(std::string_view key) const {
+    return util::has_param(params, key);
+  }
   // Typed access with the declared default as fallback; unparsable values
   // abort naming the key and offending text.
-  [[nodiscard]] double number(std::string_view key, double fallback) const;
+  [[nodiscard]] double number(std::string_view key, double fallback) const {
+    return util::param_number(params, key, fallback, "resilience", {});
+  }
   [[nodiscard]] std::size_t count(std::string_view key,
-                                  std::size_t fallback) const;
+                                  std::size_t fallback) const {
+    return util::param_count(params, key, fallback, "resilience", {});
+  }
 
-  friend bool operator==(const ResilienceSpec& a, const ResilienceSpec& b) {
-    return a.params == b.params;
-  }
-  friend bool operator!=(const ResilienceSpec& a, const ResilienceSpec& b) {
-    return !(a == b);
-  }
+  friend bool operator==(const ResilienceSpec&,
+                         const ResilienceSpec&) = default;
 };
 
 }  // namespace whisk::cluster

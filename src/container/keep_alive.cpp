@@ -1,136 +1,19 @@
 #include "container/keep_alive.h"
 
 #include <limits>
-#include <mutex>
 
 #include "util/check.h"
-#include "util/parse.h"
 
 namespace whisk::container {
-namespace {
 
-// Declared parameters per canonical policy name. Cached so normalized()
-// does not construct a probe instance on every call (registrations are
-// append-only, so a cached entry never goes stale). Mutex-guarded: specs
-// are normalized from campaign worker threads too, and map node addresses
-// are stable, so the returned reference outlives the lock safely.
-const std::vector<KeepAliveParam>& declared_params(const std::string& canon) {
-  static auto* mutex = new std::mutex();
-  static auto* cache =
-      new std::map<std::string, std::vector<KeepAliveParam>>();
-  std::lock_guard<std::mutex> lock(*mutex);
-  auto it = cache->find(canon);
-  if (it == cache->end()) {
-    const auto probe = KeepAlivePolicyRegistry::instance().create(
-        canon, KeepAliveSpec{canon, {}});
-    it = cache->emplace(canon, probe->params()).first;
-  }
-  return it->second;
+KeepAlivePolicyRegistry& KeepAliveTraits::registry() {
+  return KeepAlivePolicyRegistry::instance();
 }
 
-// Lowercase, duplicate-check and declared-key-validate `params` for the
-// canonical policy `canon` — the shared half of normalized() and
-// make_keep_alive() (parameter *values* are validated by constructing the
-// policy).
-std::map<std::string, std::string> fold_params(
-    const std::string& canon,
-    const std::map<std::string, std::string>& params) {
-  const auto& valid = declared_params(canon);
-  std::map<std::string, std::string> out;
-  for (const auto& [raw_key, value] : params) {
-    const std::string key = util::ascii_lower(raw_key);
-    WHISK_CHECK(out.count(key) == 0, ("keep-alive policy \"" + canon +
-                                      "\" sets parameter \"" + key +
-                                      "\" twice")
-                                         .c_str());
-    bool known = false;
-    for (const auto& p : valid) {
-      if (p.name == key) {
-        known = true;
-        break;
-      }
-    }
-    if (!known) {
-      std::vector<std::string> names;
-      names.reserve(valid.size());
-      for (const auto& p : valid) names.push_back(p.name);
-      WHISK_CHECK(false,
-                  ("keep-alive policy \"" + canon +
-                   "\" does not take parameter \"" + raw_key +
-                   "\"; valid parameters: " +
-                   (names.empty() ? "(none)" : util::join(names)))
-                      .c_str());
-    }
-    out[key] = value;
-  }
-  return out;
-}
-
-}  // namespace
-
-KeepAliveSpec KeepAliveSpec::parse(std::string_view text) {
-  WHISK_CHECK(!text.empty(),
-              "empty keep-alive spec; expected \"name[?key=value[&...]]\" "
-              "like \"ttl?idle-s=600\"");
-  KeepAliveSpec spec;
-  const std::size_t q = text.find('?');
-  spec.name = std::string(text.substr(0, q));
-  WHISK_CHECK(!spec.name.empty(),
-              ("keep-alive spec \"" + std::string(text) +
-               "\" has an empty name before the '?'")
-                  .c_str());
-  if (q != std::string_view::npos) {
-    util::parse_param_list(text.substr(q + 1),
-                           "keep-alive spec \"" + std::string(text) + "\"",
-                           &spec.params);
-  }
-  return spec.normalized();
-}
-
-std::string KeepAliveSpec::to_string() const {
-  return util::render_params(name, params);
-}
-
-KeepAliveSpec KeepAliveSpec::normalized() const {
-  auto& registry = KeepAlivePolicyRegistry::instance();
-  KeepAliveSpec out;
-  out.name = registry.resolve(name);
-  out.params = fold_params(out.name, params);
-  // Constructing the policy validates the parameter *values* too, so a bad
-  // value dies at parse time, not mid-sweep.
-  (void)registry.create(out.name, out);
-  return out;
-}
-
-bool KeepAliveSpec::has(std::string_view key) const {
-  return params.count(util::ascii_lower(key)) != 0;
-}
-
-double KeepAliveSpec::number(std::string_view key, double fallback) const {
-  const auto it = params.find(util::ascii_lower(key));
-  if (it == params.end()) return fallback;
-  double value = 0.0;
-  if (!util::parse_finite_double(it->second, &value)) {
-    WHISK_CHECK(false, ("keep-alive policy \"" + name + "\" parameter " +
-                        std::string(key) + "=\"" + it->second +
-                        "\" is not a finite number")
-                           .c_str());
-  }
-  return value;
-}
-
-std::size_t KeepAliveSpec::count(std::string_view key,
-                                 std::size_t fallback) const {
-  const auto it = params.find(util::ascii_lower(key));
-  if (it == params.end()) return fallback;
-  unsigned long long value = 0;
-  if (!util::parse_whole_number(it->second, &value)) {
-    WHISK_CHECK(false, ("keep-alive policy \"" + name + "\" parameter " +
-                        std::string(key) + "=\"" + it->second +
-                        "\" is not a whole number >= 0")
-                           .c_str());
-  }
-  return static_cast<std::size_t>(value);
+// Constructing the policy validates the parameter *values* too, so a bad
+// value dies at parse time, not mid-sweep.
+void KeepAliveTraits::validate(const KeepAliveSpec& spec) {
+  (void)registry().create(spec.name, spec);
 }
 
 namespace {
@@ -182,7 +65,7 @@ class TtlKeepAlive final : public KeepAlivePolicy {
   }
 
   std::string_view name() const override { return "ttl"; }
-  std::vector<KeepAliveParam> params() const override {
+  std::vector<util::ParamDecl> params() const override {
     return {{"idle-s", "600",
              "seconds an idle container survives before reclamation"}};
   }
@@ -210,7 +93,7 @@ class PoolTargetKeepAlive final : public KeepAlivePolicy {
       : floor_(spec.count("floor", 1)) {}
 
   std::string_view name() const override { return "pool-target"; }
-  std::vector<KeepAliveParam> params() const override {
+  std::vector<util::ParamDecl> params() const override {
     return {{"floor", "1",
              "idle containers per function shielded from eviction"}};
   }
@@ -252,15 +135,13 @@ KeepAlivePolicyRegistry& KeepAlivePolicyRegistry::instance() {
 }
 
 std::unique_ptr<KeepAlivePolicy> make_keep_alive(const KeepAliveSpec& spec) {
-  // Same canonicalization and key validation as normalized(), but without
-  // its throwaway validation instance: the returned construction validates
-  // the parameter values itself. One policy object per call — this runs
-  // once per node per campaign cell.
-  auto& registry = KeepAlivePolicyRegistry::instance();
-  KeepAliveSpec normalized;
-  normalized.name = registry.resolve(spec.name);
-  normalized.params = fold_params(normalized.name, spec.params);
-  return registry.create(normalized.name, normalized);
+  // folded() skips normalized()'s throwaway validation instance: the
+  // returned construction validates the parameter values itself. One
+  // policy object per call — this runs once per node per campaign cell.
+  const KeepAliveSpec folded = spec.folded();
+  return KeepAlivePolicyRegistry::instance().create(folded.name, folded);
 }
 
 }  // namespace whisk::container
+
+template struct whisk::util::ComponentSpec<whisk::container::KeepAliveTraits>;

@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "sim/time.h"
+#include "util/component_spec.h"
 #include "util/registry.h"
 #include "workload/function.h"
 
@@ -19,49 +20,25 @@ using ContainerId = std::int64_t;
 
 inline constexpr ContainerId kInvalidContainer = -1;
 
+class KeepAlivePolicyRegistry;
+struct KeepAliveTraits;
+
 // A keep-alive policy by registry name plus named parameters — the
 // container-layer mirror of workload::ScenarioSpec:
 //
 //   auto spec = KeepAliveSpec::parse("ttl?idle-s=600");
 //   spec.to_string()  -> "ttl?idle-s=600"
 //
-// Grammar: name[?key=value[&key=value]...]. Names and keys are
-// case-insensitive; parameters are stored sorted so to_string() is
-// canonical and parse(to_string()) round-trips exactly. normalized()
-// resolves the name against the KeepAlivePolicyRegistry and rejects unknown
-// parameter keys with an error that lists the policy's valid keys.
-struct KeepAliveSpec {
-  std::string name = "lru";
-  std::map<std::string, std::string> params;
+// See util::ComponentSpec for the grammar; normalized() validates the
+// values by constructing the policy.
+using KeepAliveSpec = util::ComponentSpec<KeepAliveTraits>;
 
-  [[nodiscard]] static KeepAliveSpec parse(std::string_view text);
-  [[nodiscard]] std::string to_string() const;
-
-  // Abort with a name-listing error if the policy or any parameter key is
-  // unknown; returns a copy with the name canonicalized and keys lowercased.
-  [[nodiscard]] KeepAliveSpec normalized() const;
-
-  [[nodiscard]] bool has(std::string_view key) const;
-  // Typed parameter access with a fallback for absent keys. Unparsable
-  // values abort, naming the policy, the key, and the offending value.
-  [[nodiscard]] double number(std::string_view key, double fallback) const;
-  [[nodiscard]] std::size_t count(std::string_view key,
-                                  std::size_t fallback) const;
-
-  friend bool operator==(const KeepAliveSpec& a, const KeepAliveSpec& b) {
-    return a.name == b.name && a.params == b.params;
-  }
-  friend bool operator!=(const KeepAliveSpec& a, const KeepAliveSpec& b) {
-    return !(a == b);
-  }
-};
-
-// One declared parameter of a registered keep-alive policy; surfaced by the
-// unknown-key diagnostics and by `whisk_sweep --list`.
-struct KeepAliveParam {
-  std::string name;
-  std::string default_value;
-  std::string help;
+struct KeepAliveTraits {
+  static constexpr std::string_view kDefaultName = "lru";
+  static constexpr bool kNoneReserved = false;
+  static constexpr std::string_view kExample = "\"ttl?idle-s=600\"";
+  static KeepAlivePolicyRegistry& registry();
+  static void validate(const KeepAliveSpec& spec);
 };
 
 // One idle-container eviction candidate, as the pool presents it to the
@@ -95,7 +72,7 @@ class KeepAlivePolicy {
 
   // Canonical registry name ("lru", "ttl", "pool-target", ...).
   [[nodiscard]] virtual std::string_view name() const = 0;
-  [[nodiscard]] virtual std::vector<KeepAliveParam> params() const {
+  [[nodiscard]] virtual std::vector<util::ParamDecl> params() const {
     return {};
   }
 
@@ -156,3 +133,5 @@ class KeepAlivePolicyRegistry final
     const KeepAliveSpec& spec);
 
 }  // namespace whisk::container
+
+extern template struct whisk::util::ComponentSpec<whisk::container::KeepAliveTraits>;

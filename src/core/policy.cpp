@@ -1,11 +1,8 @@
 #include "core/policy.h"
 
-#include <array>
 #include <utility>
 
 #include "core/policy_registry.h"
-#include "util/check.h"
-#include "util/registry.h"
 
 namespace whisk::core {
 namespace {
@@ -63,22 +60,6 @@ class FcPolicy final : public Policy {
   sim::SimTime window_;
 };
 
-// The deprecated enum maps to names via this table; construction always
-// goes through the registry.
-struct KindName {
-  PolicyKind kind;
-  std::string_view name;   // canonical registry name
-  std::string_view label;  // figure label
-};
-
-constexpr std::array<KindName, 5> kKindNames = {{
-    {PolicyKind::kFifo, "fifo", "FIFO"},
-    {PolicyKind::kSept, "sept", "SEPT"},
-    {PolicyKind::kEect, "eect", "EECT"},
-    {PolicyKind::kRect, "rect", "RECT"},
-    {PolicyKind::kFc, "fc", "FC"},
-}};
-
 }  // namespace
 
 namespace detail {
@@ -112,56 +93,9 @@ std::string policy_label(std::string_view name) {
   return out;
 }
 
-std::string_view to_string(PolicyKind kind) {
-  for (const auto& entry : kKindNames) {
-    if (entry.kind == kind) return entry.label;
-  }
-  return "?";
-}
-
-std::string_view registry_name(PolicyKind kind) {
-  for (const auto& entry : kKindNames) {
-    if (entry.kind == kind) return entry.name;
-  }
-  return "?";
-}
-
-PolicyKind policy_from_string(std::string_view name) {
-  const std::string lower = util::ascii_lower(name);
-  for (const auto& entry : kKindNames) {
-    if (lower == entry.name) return entry.kind;
-  }
-  if (lower == "fair-choice") return PolicyKind::kFc;
-  // Don't list the full registry here: this shim can only name the paper's
-  // five policies, and offering e.g. "sjf-aging" as valid input would be a
-  // lie. Registry-only policies need make_policy(name)/PolicyRegistry.
-  std::string known;
-  for (const auto& entry : kKindNames) {
-    if (!known.empty()) known += ", ";
-    known += entry.name;
-  }
-  WHISK_CHECK(false, ("unknown policy \"" + std::string(name) +
-                      "\"; the PolicyKind shim only knows the paper set: " +
-                      known + " (alias fair-choice); other registered " +
-                      "policies are reachable via make_policy(name)")
-                         .c_str());
-  return PolicyKind::kFifo;
-}
-
-const std::vector<PolicyKind>& all_policies() {
-  static const std::vector<PolicyKind> kAll = {
-      PolicyKind::kFifo, PolicyKind::kSept, PolicyKind::kEect,
-      PolicyKind::kRect, PolicyKind::kFc};
-  return kAll;
-}
-
 std::unique_ptr<Policy> make_policy(std::string_view name,
                                     PolicyParams params) {
   return PolicyRegistry::instance().create(name, params);
-}
-
-std::unique_ptr<Policy> make_policy(PolicyKind kind, PolicyParams params) {
-  return make_policy(registry_name(kind), params);
 }
 
 }  // namespace whisk::core

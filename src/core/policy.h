@@ -3,7 +3,6 @@
 #include <memory>
 #include <string>
 #include <string_view>
-#include <vector>
 
 #include "core/history.h"
 #include "sim/time.h"
@@ -62,39 +61,8 @@ struct PolicyParams {
 // Uppercased figure label for a canonical policy name ("fifo" -> "FIFO").
 [[nodiscard]] std::string policy_label(std::string_view name);
 
-// ---------------------------------------------------------------------------
-// Deprecated closed-enum shim. Kept only because the paper-pinned tests and
-// figure tables reference the original five policies by enum; new code must
-// use string names and core::PolicyRegistry. The shim is a pure name table:
-// no construction dispatch happens on the enum.
-// ---------------------------------------------------------------------------
-enum class PolicyKind {
-  kFifo,
-  kSept,
-  kEect,
-  kRect,
-  kFc,
-};
-
-// Figure label ("FIFO", "SEPT", ...).
-[[nodiscard]] std::string_view to_string(PolicyKind kind);
-
-// Canonical registry name ("fifo", "sept", ...).
-[[nodiscard]] std::string_view registry_name(PolicyKind kind);
-
-// Parse "fifo"/"sept"/"eect"/"rect"/"fc" (case-insensitive; "fair-choice"
-// is accepted for fc). Aborts on an unknown name with a message that echoes
-// the input and lists every registered policy.
-[[nodiscard]] PolicyKind policy_from_string(std::string_view name);
-
-// The paper's five policies, in the order its figures list them.
-[[nodiscard]] const std::vector<PolicyKind>& all_policies();
-
-// Construct a policy. The string overload is the real API (any registered
-// name); the PolicyKind overload is the deprecated paper-set shim.
+// Construct a policy by any registered name (see core::PolicyRegistry).
 [[nodiscard]] std::unique_ptr<Policy> make_policy(std::string_view name,
-                                                  PolicyParams params = {});
-[[nodiscard]] std::unique_ptr<Policy> make_policy(PolicyKind kind,
                                                   PolicyParams params = {});
 
 }  // namespace whisk::core

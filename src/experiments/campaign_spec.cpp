@@ -327,7 +327,20 @@ CampaignSpec CampaignSpec::normalized() const {
   WHISK_CHECK(!out.faults.empty(), "campaign has no fault regimes");
   WHISK_CHECK(!out.workflows.empty(), "campaign has no workflow shapes");
   for (auto& s : out.schedulers) s = s.normalized();
-  for (auto& s : out.scenarios) s = s.normalized();
+  for (auto& s : out.scenarios) {
+    s = s.normalized();
+    // ',' and ';' split grid items and axes, so a value holding one would
+    // not survive to_string() -> parse(), nor the worker wire, which ships
+    // the grid as text. List values (mix weights) spell the list with '+'.
+    for (const auto& [key, value] : s.params) {
+      WHISK_CHECK(value.find_first_of(",;") == std::string::npos,
+                  ("campaign scenario \"" + s.to_string() + "\": " + key +
+                   "=\"" + value +
+                   "\" contains a grid separator (',' or ';'); join list "
+                   "values with '+' instead (e.g. weights=1+2+3)")
+                      .c_str());
+    }
+  }
   for (auto& c : out.clusters) c = c.normalized();
   for (auto& a : out.autoscalers) a = a.normalized();
   for (auto& regime : out.faults) {

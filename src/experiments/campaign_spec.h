@@ -103,10 +103,11 @@ struct ShardRange {
 // ExperimentSpec::override_names()). `seeds` accepts inclusive ranges
 // (`0..4`) alongside single values. Axis names are case-insensitive;
 // omitted axes keep their defaults (seeds default to the paper's 0..4).
-// Items must not contain `,` or `;` — a scenario whose parameter value
-// needs a comma (mix weights) cannot ride in a grid string, but can still
-// be set on the struct directly. `clusters` items use the ClusterSpec
-// compact form ('+' between groups/events, '|' between sections):
+// Items must not contain `,` or `;`, so list-valued scenario parameters
+// use '+' ("poisson?mix=weighted&weights=3+1+1+1+1+1+1+1+1+1+1");
+// normalized() rejects a scenario value holding either separator, even on
+// a struct built by hand. `clusters` items use the ClusterSpec compact form
+// ('+' between groups/events, '|' between sections):
 //
 //   clusters=node:4,big:2?cores=16+small:4|keep-alive=ttl?idle-s=300
 //

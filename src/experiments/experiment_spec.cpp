@@ -218,18 +218,14 @@ workload::ScenarioContext ExperimentSpec::scenario_context(
   if (intensity_set_) {
     // intensity() used to be silently ignored by the fixed-total scenario;
     // refuse contradictory workload sizing instead.
-    const auto def =
-        workload::ScenarioRegistry::instance().create(scenario_.name);
+    const auto& declared = workload::ScenarioSpec::probe(scenario_.name).params;
     bool takes_intensity = false;
-    for (const auto& param : def->params()) {
-      if (param.name == "intensity") {
-        takes_intensity = true;
-        break;
-      }
+    for (const auto& param : declared) {
+      takes_intensity = takes_intensity || param.name == "intensity";
     }
     if (!takes_intensity) {
       std::vector<std::string> names;
-      for (const auto& param : def->params()) names.push_back(param.name);
+      for (const auto& param : declared) names.push_back(param.name);
       WHISK_CHECK(false, ("intensity(" + std::to_string(intensity_) +
                           ") conflicts with scenario \"" + scenario_.name +
                           "\", which does not take an intensity — it sizes "

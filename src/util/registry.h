@@ -41,6 +41,7 @@ namespace whisk::util {
 template <typename Product, typename... Args>
 class FactoryRegistry {
  public:
+  using product_type = Product;
   using Factory = std::function<std::unique_ptr<Product>(Args...)>;
 
   // `kind` names what the registry holds ("policy", "balancer", ...) and

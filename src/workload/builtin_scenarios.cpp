@@ -55,19 +55,21 @@ std::size_t paper_total(const ScenarioSpec& spec, const ScenarioContext& ctx) {
   return static_cast<std::size_t>(1.1 * cores * intensity + 0.5);
 }
 
-const ScenarioParam kWindowParam{
-    "window", "60", "burst duration in seconds", false};
-const ScenarioParam kIntensityParam{
+const util::ParamDecl kWindowParam{"window", "60",
+                                  "burst duration in seconds"};
+const util::ParamDecl kIntensityParam{
     "intensity", "experiment intensity",
-    "load knob v: 1.1 * cores * v requests", false};
-const ScenarioParam kMixParam{
-    "mix", "round-robin",
-    "function mix: round-robin | random | weighted", false};
-const ScenarioParam kWeightsParam{
-    "weights", "", "comma-separated per-function weights for mix=weighted",
-    false};
+    "load knob v: 1.1 * cores * v requests"};
+const util::ParamDecl kMixParam{
+    "mix", "round-robin", "function mix: round-robin | random | weighted"};
+const util::ParamDecl kWeightsParam{
+    "weights", "",
+    "per-function weights for mix=weighted, '+'- or ','-separated ('+' "
+    "inside a grid)"};
 
 // The `mix` / `weights` parameter pair shared by the rate-driven scenarios.
+// Weights separate with '+' (the grid-safe form, since ',' splits campaign
+// axis items) or ','.
 std::unique_ptr<FunctionMix> make_mix(const ScenarioSpec& spec,
                                       const FunctionCatalog& catalog) {
   const std::string mix = util::ascii_lower(spec.text("mix", "round-robin"));
@@ -78,25 +80,19 @@ std::unique_ptr<FunctionMix> make_mix(const ScenarioSpec& spec,
     return std::make_unique<UniformRandomMix>(catalog.size());
   }
   if (mix == "weighted") {
-    const std::string raw = spec.text("weights", "");
+    const std::string raw = spec.text("weights");
     WHISK_CHECK(!raw.empty(),
                 ("scenario \"" + spec.name + "\": mix=weighted needs "
-                 "weights=w0,w1,... with one weight per catalog function")
+                 "weights=w0+w1+... with one weight per catalog function")
                     .c_str());
     std::vector<double> weights;
-    std::size_t begin = 0;
-    while (begin <= raw.size()) {
-      const std::size_t comma = raw.find(',', begin);
-      const std::size_t end = comma == std::string::npos ? raw.size() : comma;
-      const std::string field = raw.substr(begin, end - begin);
+    for (const std::string_view field : util::split_any(raw, ",+")) {
       double w = 0.0;
       const bool ok = util::parse_finite_double(field, &w) && w >= 0.0;
-      WHISK_CHECK(ok, ("scenario \"" + spec.name + "\": weight \"" + field +
-                       "\" is not a number >= 0")
+      WHISK_CHECK(ok, ("scenario \"" + spec.name + "\": weight \"" +
+                       std::string(field) + "\" is not a number >= 0")
                           .c_str());
       weights.push_back(w);
-      if (comma == std::string::npos) break;
-      begin = comma + 1;
     }
     WHISK_CHECK(weights.size() == catalog.size(),
                 ("scenario \"" + spec.name + "\": got " +
@@ -120,7 +116,7 @@ class UniformScenario final : public ScenarioDef {
            "requests, the same number of calls per function, releases "
            "uniform over the window";
   }
-  std::vector<ScenarioParam> params() const override {
+  std::vector<util::ParamDecl> params() const override {
     return {kIntensityParam, kWindowParam};
   }
   Scenario generate(const ScenarioSpec& spec, const ScenarioContext& ctx,
@@ -142,8 +138,8 @@ class FixedTotalScenario final : public ScenarioDef {
     return "an explicit request count split round-robin among the functions "
            "(the multi-node experiments' constant load, Sec. VIII)";
   }
-  std::vector<ScenarioParam> params() const override {
-    return {{"total", "1320", "exact number of requests", false},
+  std::vector<util::ParamDecl> params() const override {
+    return {{"total", "1320", "exact number of requests"},
             kWindowParam};
   }
   Scenario generate(const ScenarioSpec& spec, const ScenarioContext& ctx,
@@ -162,11 +158,11 @@ class FairnessScenario final : public ScenarioDef {
     return "the fairness burst (Sec. VII-D): exactly rare-calls calls of "
            "rare-function, the rest uniform over the other functions";
   }
-  std::vector<ScenarioParam> params() const override {
+  std::vector<util::ParamDecl> params() const override {
     return {kIntensityParam,
             {"rare-function", "dna-visualisation",
-             "catalog name of the rare long function", false},
-            {"rare-calls", "10", "exact calls of the rare function", false},
+             "catalog name of the rare long function"},
+            {"rare-calls", "10", "exact calls of the rare function"},
             kWindowParam};
   }
   Scenario generate(const ScenarioSpec& spec, const ScenarioContext& ctx,
@@ -207,8 +203,8 @@ class PoissonScenario final : public ScenarioDef {
     return "homogeneous Poisson arrivals at a fixed rate, crossed with a "
            "configurable function mix";
   }
-  std::vector<ScenarioParam> params() const override {
-    return {{"rate", "30", "mean arrivals per second", false}, kWindowParam,
+  std::vector<util::ParamDecl> params() const override {
+    return {{"rate", "30", "mean arrivals per second"}, kWindowParam,
             kMixParam, kWeightsParam};
   }
   Scenario generate(const ScenarioSpec& spec, const ScenarioContext& ctx,
@@ -226,14 +222,12 @@ class BurstyScenario final : public ScenarioDef {
     return "two-state on-off arrivals (MMPP-2): Poisson bursts at rate-on "
            "during exponential ON phases, a rate-off trickle in between";
   }
-  std::vector<ScenarioParam> params() const override {
-    return {{"rate-on", "120", "arrivals per second during ON phases",
-             false},
+  std::vector<util::ParamDecl> params() const override {
+    return {{"rate-on", "120", "arrivals per second during ON phases"},
             {"rate-off", "5", "arrivals per second during OFF phases (may "
-                              "be 0)",
-             false},
-            {"mean-on", "5", "mean ON-phase duration in seconds", false},
-            {"mean-off", "10", "mean OFF-phase duration in seconds", false},
+                              "be 0)"},
+            {"mean-on", "5", "mean ON-phase duration in seconds"},
+            {"mean-off", "10", "mean OFF-phase duration in seconds"},
             kWindowParam, kMixParam, kWeightsParam};
   }
   Scenario generate(const ScenarioSpec& spec, const ScenarioContext& ctx,
@@ -253,11 +247,10 @@ class DiurnalScenario final : public ScenarioDef {
            "(an Azure-Functions-style diurnal cycle compressed into the "
            "window)";
   }
-  std::vector<ScenarioParam> params() const override {
-    return {{"rate", "30", "mean arrivals per second over a full cycle",
-             false},
-            {"amplitude", "0.9", "peak-to-mean swing in [0, 1]", false},
-            {"period", "window", "cycle length in seconds", false},
+  std::vector<util::ParamDecl> params() const override {
+    return {{"rate", "30", "mean arrivals per second over a full cycle"},
+            {"amplitude", "0.9", "peak-to-mean swing in [0, 1]"},
+            {"period", "window", "cycle length in seconds"},
             kWindowParam, kMixParam, kWeightsParam};
   }
   Scenario generate(const ScenarioSpec& spec, const ScenarioContext& ctx,
@@ -279,16 +272,15 @@ class TraceScenario final : public ScenarioDef {
     return "replays a CSV call trace (release_seconds[,function] per line); "
            "rows without a function name are assigned by the mix";
   }
-  std::vector<ScenarioParam> params() const override {
-    return {{"file", "", "path to the trace CSV", true},
+  std::vector<util::ParamDecl> params() const override {
+    return {{"file", "", "path to the trace CSV"},
             {"window", "last release", "burst duration; rows at or past it "
-                                       "are dropped",
-             false},
+                                       "are dropped"},
             kMixParam, kWeightsParam};
   }
   Scenario generate(const ScenarioSpec& spec, const ScenarioContext& ctx,
                     sim::Rng& rng) const override {
-    const std::string file = spec.text("file", "");
+    const std::string file = spec.text("file");
     WHISK_CHECK(!file.empty(),
                 "scenario \"trace\" needs file=<path> (CSV: "
                 "release_seconds[,function] per line)");

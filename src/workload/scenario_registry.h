@@ -23,16 +23,6 @@ struct ScenarioContext {
                        // intensity parameter takes precedence
 };
 
-// One declared parameter of a registered scenario; surfaced by the
-// unknown-key diagnostics and by tools/scenario_catalog.
-struct ScenarioParam {
-  std::string name;
-  std::string default_value;  // display form, e.g. "60" or "experiment
-                              // intensity"; actual resolution is in the def
-  std::string help;
-  bool required = false;  // no usable default: the spec must set it
-};
-
 // One registered scenario generator: its declared parameters plus the
 // generation recipe (usually compose_scenario of an ArrivalProcess x
 // FunctionMix). Stateless: create() hands out a fresh def, generate() takes
@@ -42,7 +32,7 @@ class ScenarioDef {
   virtual ~ScenarioDef() = default;
 
   [[nodiscard]] virtual std::string help() const = 0;
-  [[nodiscard]] virtual std::vector<ScenarioParam> params() const = 0;
+  [[nodiscard]] virtual std::vector<util::ParamDecl> params() const = 0;
   [[nodiscard]] virtual Scenario generate(const ScenarioSpec& spec,
                                           const ScenarioContext& ctx,
                                           sim::Rng& rng) const = 0;
@@ -81,3 +71,5 @@ void register_builtin_scenarios(ScenarioRegistry& registry);
 }  // namespace detail
 
 }  // namespace whisk::workload
+
+extern template struct whisk::util::ComponentSpec<whisk::workload::ScenarioTraits>;

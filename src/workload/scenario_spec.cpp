@@ -1,103 +1,13 @@
 #include "workload/scenario_spec.h"
 
-#include "util/check.h"
-#include "util/parse.h"
-#include "util/registry.h"
 #include "workload/scenario_registry.h"
 
 namespace whisk::workload {
 
-ScenarioSpec ScenarioSpec::parse(std::string_view text) {
-  WHISK_CHECK(!text.empty(),
-              "empty scenario spec; expected \"name[?key=value[&...]]\" "
-              "like \"uniform?intensity=60\"");
-  ScenarioSpec spec;
-  const std::size_t q = text.find('?');
-  spec.name = std::string(text.substr(0, q));
-  WHISK_CHECK(!spec.name.empty(),
-              ("scenario spec \"" + std::string(text) + "\" has an empty "
-               "name before the '?'")
-                  .c_str());
-  if (q != std::string_view::npos) {
-    util::parse_param_list(text.substr(q + 1),
-                           "scenario spec \"" + std::string(text) + "\"",
-                           &spec.params);
-  }
-  return spec.normalized();
-}
-
-std::string ScenarioSpec::to_string() const {
-  return util::render_params(name, params);
-}
-
-ScenarioSpec ScenarioSpec::normalized() const {
-  auto& registry = ScenarioRegistry::instance();
-  ScenarioSpec out;
-  out.name = registry.resolve(name);
-  const auto def = registry.create(out.name);
-  const auto valid = def->params();
-  for (const auto& [raw_key, value] : params) {
-    const std::string key = util::ascii_lower(raw_key);
-    bool known = false;
-    for (const auto& p : valid) {
-      if (p.name == key) {
-        known = true;
-        break;
-      }
-    }
-    if (!known) {
-      std::vector<std::string> names;
-      names.reserve(valid.size());
-      for (const auto& p : valid) names.push_back(p.name);
-      WHISK_CHECK(false, ("scenario \"" + out.name +
-                          "\" does not take parameter \"" + raw_key +
-                          "\"; valid parameters: " + util::join(names))
-                             .c_str());
-    }
-    WHISK_CHECK(out.params.count(key) == 0,
-                ("scenario \"" + out.name + "\" sets parameter \"" + key +
-                 "\" twice")
-                    .c_str());
-    out.params[key] = value;
-  }
-  return out;
-}
-
-bool ScenarioSpec::has(std::string_view key) const {
-  return params.count(util::ascii_lower(key)) != 0;
-}
-
-double ScenarioSpec::number(std::string_view key, double fallback) const {
-  const auto it = params.find(util::ascii_lower(key));
-  if (it == params.end()) return fallback;
-  double value = 0.0;
-  if (!util::parse_finite_double(it->second, &value)) {
-    WHISK_CHECK(false, ("scenario \"" + name + "\" parameter " +
-                        std::string(key) + "=\"" + it->second +
-                        "\" is not a finite number")
-                           .c_str());
-  }
-  return value;
-}
-
-std::size_t ScenarioSpec::count(std::string_view key,
-                                std::size_t fallback) const {
-  const auto it = params.find(util::ascii_lower(key));
-  if (it == params.end()) return fallback;
-  unsigned long long value = 0;
-  if (!util::parse_whole_number(it->second, &value)) {
-    WHISK_CHECK(false, ("scenario \"" + name + "\" parameter " +
-                        std::string(key) + "=\"" + it->second +
-                        "\" is not a whole number >= 0")
-                           .c_str());
-  }
-  return static_cast<std::size_t>(value);
-}
-
-std::string ScenarioSpec::text(std::string_view key,
-                               std::string_view fallback) const {
-  const auto it = params.find(util::ascii_lower(key));
-  return it == params.end() ? std::string(fallback) : it->second;
+ScenarioRegistry& ScenarioTraits::registry() {
+  return ScenarioRegistry::instance();
 }
 
 }  // namespace whisk::workload
+
+template struct whisk::util::ComponentSpec<whisk::workload::ScenarioTraits>;

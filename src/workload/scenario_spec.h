@@ -1,11 +1,13 @@
 #pragma once
 
-#include <cstddef>
-#include <map>
-#include <string>
 #include <string_view>
 
+#include "util/component_spec.h"
+
 namespace whisk::workload {
+
+class ScenarioRegistry;
+struct ScenarioTraits;
 
 // A scenario by registry name plus named parameters — the workload-side
 // mirror of experiments::SchedulerSpec:
@@ -13,39 +15,16 @@ namespace whisk::workload {
 //   auto spec = ScenarioSpec::parse("uniform?intensity=60");
 //   spec.to_string()  -> "uniform?intensity=60"
 //
-// Grammar: name[?key=value[&key=value]...]. The name and the keys are
-// case-insensitive; values are kept verbatim (they may be file paths).
-// Parameters are stored sorted, so to_string() is canonical and
-// parse(to_string()) round-trips exactly. parse() and normalized() resolve
-// the name against the ScenarioRegistry (aliases, case) and reject unknown
-// parameter keys with an error that lists the scenario's valid keys.
-struct ScenarioSpec {
-  std::string name = "uniform";
-  std::map<std::string, std::string> params;
+// See util::ComponentSpec for the grammar. Values are checked when the
+// scenario is generated, not at parse time.
+using ScenarioSpec = util::ComponentSpec<ScenarioTraits>;
 
-  [[nodiscard]] static ScenarioSpec parse(std::string_view text);
-  [[nodiscard]] std::string to_string() const;
-
-  // Abort with a name-listing error if the scenario or any parameter key is
-  // unknown; returns a copy with the name canonicalized and keys lowercased.
-  [[nodiscard]] ScenarioSpec normalized() const;
-
-  [[nodiscard]] bool has(std::string_view key) const;
-
-  // Typed parameter access with a fallback for absent keys. Unparsable
-  // values abort, naming the scenario, the key, and the offending value.
-  [[nodiscard]] double number(std::string_view key, double fallback) const;
-  [[nodiscard]] std::size_t count(std::string_view key,
-                                  std::size_t fallback) const;
-  [[nodiscard]] std::string text(std::string_view key,
-                                 std::string_view fallback) const;
-
-  friend bool operator==(const ScenarioSpec& a, const ScenarioSpec& b) {
-    return a.name == b.name && a.params == b.params;
-  }
-  friend bool operator!=(const ScenarioSpec& a, const ScenarioSpec& b) {
-    return !(a == b);
-  }
+struct ScenarioTraits {
+  static constexpr std::string_view kDefaultName = "uniform";
+  static constexpr bool kNoneReserved = false;
+  static constexpr std::string_view kExample = "\"uniform?intensity=60\"";
+  static ScenarioRegistry& registry();
+  static void validate(const ScenarioSpec&) {}
 };
 
 }  // namespace whisk::workload

@@ -1,7 +1,6 @@
 #include "workload/workflow.h"
 
 #include <algorithm>
-#include <mutex>
 #include <utility>
 
 #include "util/check.h"
@@ -10,64 +9,11 @@
 namespace whisk::workload {
 namespace {
 
-// Probe-derived parameter tables per canonical shape name, cached exactly
-// like the fault registry's (registrations are append-only so entries never
-// go stale; mutex-guarded because campaign workers normalize specs
-// concurrently and map nodes give stable addresses).
-const std::vector<WorkflowParam>& workflow_params(const std::string& canon) {
-  static auto* mutex = new std::mutex();
-  static auto* cache = new std::map<std::string, std::vector<WorkflowParam>>();
-  std::lock_guard<std::mutex> lock(*mutex);
-  auto it = cache->find(canon);
-  if (it == cache->end()) {
-    const auto probe = WorkflowRegistry::instance().create(canon);
-    it = cache->emplace(canon, probe->params()).first;
-  }
-  return it->second;
-}
-
-// Lowercase, duplicate-check and declared-key-validate `params` for the
-// canonical shape `canon` — parameter *values* are validated by building
-// the DAG.
-std::map<std::string, std::string> fold_params(
-    const std::string& canon,
-    const std::map<std::string, std::string>& params) {
-  const auto& valid = workflow_params(canon);
-  std::map<std::string, std::string> out;
-  for (const auto& [raw_key, value] : params) {
-    const std::string key = util::ascii_lower(raw_key);
-    WHISK_CHECK(out.count(key) == 0, ("workflow \"" + canon +
-                                      "\" sets parameter \"" + key +
-                                      "\" twice")
-                                         .c_str());
-    bool known = false;
-    for (const auto& p : valid) {
-      if (p.name == key) {
-        known = true;
-        break;
-      }
-    }
-    if (!known) {
-      std::vector<std::string> names;
-      names.reserve(valid.size());
-      for (const auto& p : valid) names.push_back(p.name);
-      WHISK_CHECK(false, ("workflow \"" + canon +
-                          "\" does not take parameter \"" + raw_key +
-                          "\"; valid parameters: " + util::join(names))
-                             .c_str());
-    }
-    out[key] = value;
-  }
-  return out;
-}
-
 // The shared `functions=root|rotate` knob: root (default) runs every stage
 // as the root call's function; rotate gives stage s function offset s, so
 // branches draw different service distributions (asymmetric DAGs).
 bool parse_rotate(const WorkflowSpec& spec) {
-  const std::string mode =
-      spec.has("functions") ? util::ascii_lower(spec.text("functions"))
-                            : std::string("root");
+  const std::string mode = util::ascii_lower(spec.text("functions", "root"));
   if (mode == "root") return false;
   if (mode == "rotate") return true;
   WHISK_CHECK(false, ("workflow \"" + spec.name + "\" parameter functions=\"" +
@@ -83,7 +29,7 @@ void apply_rotate(WorkflowDag* dag, bool rotate) {
   }
 }
 
-const WorkflowParam kFunctionsParam{
+const util::ParamDecl kFunctionsParam{
     "functions", "root",
     "stage functions: root (all run the root call's function) or rotate "
     "(stage s runs root+s mod catalog)"};
@@ -95,7 +41,7 @@ class ChainWorkflow final : public WorkflowDef {
   std::string help() const override {
     return "linear pipeline: each stage releases the next on completion";
   }
-  std::vector<WorkflowParam> params() const override {
+  std::vector<util::ParamDecl> params() const override {
     return {{"stages", "4", "number of stages in the chain (>= 1)"},
             kFunctionsParam};
   }
@@ -131,7 +77,7 @@ class FanoutWorkflow final : public WorkflowDef {
     return "scatter-gather: source fans out to `width` branches, a join "
            "waits for all (or k) of them";
   }
-  std::vector<WorkflowParam> params() const override {
+  std::vector<util::ParamDecl> params() const override {
     return {{"width", "4", "parallel branches between source and join"},
             {"join", "all",
              "branches the join waits for: all, or an integer k (k-of-n)"},
@@ -184,7 +130,7 @@ class DiamondWorkflow final : public WorkflowDef {
     return "src -> `width` asymmetric middle stages -> sink (functions "
            "rotate by default)";
   }
-  std::vector<WorkflowParam> params() const override {
+  std::vector<util::ParamDecl> params() const override {
     return {{"width", "2", "middle stages between source and sink"},
             {"functions", "rotate",
              "stage functions: root or rotate (default rotate: asymmetric "
@@ -228,15 +174,14 @@ class EdgeListWorkflow final : public WorkflowDef {
     return "explicit edge list: edges=a>b+a>c+b>d+c>d (joins wait for "
            "every predecessor)";
   }
-  std::vector<WorkflowParam> params() const override {
+  std::vector<util::ParamDecl> params() const override {
     return {{"edges", "a>b",
              "'+'- or ','-separated edges, each \"from>to\" (chains "
              "\"a>b>c\" allowed)"},
             kFunctionsParam};
   }
   WorkflowDag build(const WorkflowSpec& spec) const override {
-    const std::string edges =
-        spec.has("edges") ? spec.text("edges") : std::string("a>b");
+    const std::string edges = spec.text("edges", "a>b");
     std::vector<std::string> labels;  // first-appearance order
     std::vector<std::pair<int, int>> edge_list;
     const auto node_index = [&labels](std::string_view raw) {
@@ -339,81 +284,14 @@ void register_builtin_workflows(WorkflowRegistry& registry) {
 
 }  // namespace
 
-WorkflowSpec WorkflowSpec::parse(std::string_view text) {
-  WHISK_CHECK(!util::trim_ws(text).empty(),
-              "empty workflow spec; expected \"name[?key=value[&...]]\" like "
-              "\"chain?stages=4\" or \"fanout?width=8&join=all\" (or "
-              "\"none\")");
-  WorkflowSpec spec;
-  const std::size_t q = text.find('?');
-  spec.name = std::string(util::trim_ws(text.substr(0, q)));
-  WHISK_CHECK(!spec.name.empty(), ("workflow spec \"" + std::string(text) +
-                                   "\" has an empty name before the '?'")
-                                      .c_str());
-  if (q != std::string_view::npos) {
-    util::parse_param_list(text.substr(q + 1),
-                           "workflow spec \"" + std::string(text) + "\"",
-                           &spec.params);
-  }
-  return spec.normalized();
+WorkflowRegistry& WorkflowTraits::registry() {
+  return WorkflowRegistry::instance();
 }
 
-std::string WorkflowSpec::to_string() const {
-  return util::render_params(name, params);
-}
-
-WorkflowSpec WorkflowSpec::normalized() const {
-  WorkflowSpec out;
-  if (util::ascii_lower(name) == "none") {
-    WHISK_CHECK(params.empty(),
-                "workflow \"none\" takes no parameters; name a shape "
-                "(chain, fanout, diamond, dag) to configure one");
-    out.name = "none";
-    return out;
-  }
-  auto& registry = WorkflowRegistry::instance();
-  out.name = registry.resolve(name);
-  out.params = fold_params(out.name, params);
-  // Building the DAG validates the parameter *values* too, so a bad width
-  // or cyclic edge list dies at parse time, not mid-sweep.
-  (void)make_workflow_dag(out);
-  return out;
-}
-
-bool WorkflowSpec::has(std::string_view key) const {
-  return params.count(util::ascii_lower(key)) != 0;
-}
-
-double WorkflowSpec::number(std::string_view key, double fallback) const {
-  const auto it = params.find(util::ascii_lower(key));
-  if (it == params.end()) return fallback;
-  double value = 0.0;
-  if (!util::parse_finite_double(it->second, &value)) {
-    WHISK_CHECK(false, ("workflow \"" + name + "\" parameter " +
-                        std::string(key) + "=\"" + it->second +
-                        "\" is not a finite number")
-                           .c_str());
-  }
-  return value;
-}
-
-std::size_t WorkflowSpec::count(std::string_view key,
-                                std::size_t fallback) const {
-  const auto it = params.find(util::ascii_lower(key));
-  if (it == params.end()) return fallback;
-  unsigned long long value = 0;
-  if (!util::parse_whole_number(it->second, &value)) {
-    WHISK_CHECK(false, ("workflow \"" + name + "\" parameter " +
-                        std::string(key) + "=\"" + it->second +
-                        "\" is not a whole number >= 0")
-                           .c_str());
-  }
-  return static_cast<std::size_t>(value);
-}
-
-std::string WorkflowSpec::text(std::string_view key) const {
-  const auto it = params.find(util::ascii_lower(key));
-  return it == params.end() ? std::string() : it->second;
+// Building the DAG validates the parameter *values* too, so a bad width or
+// cyclic edge list dies at parse time, not mid-sweep.
+void WorkflowTraits::validate(const WorkflowSpec& spec) {
+  (void)make_workflow_dag(spec);
 }
 
 WorkflowRegistry& WorkflowRegistry::instance() {
@@ -494,15 +372,13 @@ void validate_workflow_dag(const WorkflowDag& dag,
 WorkflowDag make_workflow_dag(const WorkflowSpec& spec) {
   WHISK_CHECK(spec.enabled(),
               "make_workflow_dag on \"none\": check enabled() first");
-  auto& registry = WorkflowRegistry::instance();
-  const std::string canon = registry.resolve(spec.name);
-  WorkflowSpec folded;
-  folded.name = canon;
-  folded.params = fold_params(canon, spec.params);
-  const auto def = registry.create(canon);
+  const WorkflowSpec folded = spec.folded();
+  const auto def = WorkflowRegistry::instance().create(folded.name);
   WorkflowDag dag = def->build(folded);
   validate_workflow_dag(dag, "workflow \"" + folded.to_string() + "\"");
   return dag;
 }
 
 }  // namespace whisk::workload
+
+template struct whisk::util::ComponentSpec<whisk::workload::WorkflowTraits>;

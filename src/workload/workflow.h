@@ -6,51 +6,29 @@
 #include <string_view>
 #include <vector>
 
+#include "util/component_spec.h"
 #include "util/registry.h"
 
 namespace whisk::workload {
 
-// Declarative workflow selection in the established "name[?key=value&...]"
-// spec idiom (ScenarioSpec, FaultSpec, ...): "chain?stages=4",
+class WorkflowRegistry;
+struct WorkflowTraits;
+
+// Declarative workflow selection in the "name[?key=value&...]" component
+// spec grammar (see util::ComponentSpec): "chain?stages=4",
 // "fanout?width=8&join=all", "dag?edges=a>b+a>c+b>d+c>d". The reserved
 // name "none" (the default) means calls stay independent — the simulator's
-// pre-workflow behavior, bit for bit.
-//
-// Parse accepts any case; normalized() resolves aliases, lowercases keys,
-// validates every key against the shape's declared parameters and builds
-// the DAG once so a bad spec dies loudly at parse time, not mid-sweep.
-// to_string() renders the canonical grid-safe form and round-trips through
-// parse().
-struct WorkflowSpec {
-  std::string name = "none";
-  std::map<std::string, std::string> params;
+// pre-workflow behavior, bit for bit. normalized() builds the DAG once so a
+// bad spec dies loudly at parse time, not mid-sweep.
+using WorkflowSpec = util::ComponentSpec<WorkflowTraits>;
 
-  [[nodiscard]] static WorkflowSpec parse(std::string_view text);
-  [[nodiscard]] std::string to_string() const;
-  [[nodiscard]] WorkflowSpec normalized() const;
-
-  // False for the reserved no-op spec "none".
-  [[nodiscard]] bool enabled() const { return name != "none"; }
-
-  [[nodiscard]] bool has(std::string_view key) const;
-  [[nodiscard]] double number(std::string_view key, double fallback) const;
-  [[nodiscard]] std::size_t count(std::string_view key,
-                                  std::size_t fallback) const;
-  [[nodiscard]] std::string text(std::string_view key) const;
-
-  friend bool operator==(const WorkflowSpec& a, const WorkflowSpec& b) {
-    return a.name == b.name && a.params == b.params;
-  }
-  friend bool operator!=(const WorkflowSpec& a, const WorkflowSpec& b) {
-    return !(a == b);
-  }
-};
-
-// One declared parameter of a workflow shape, for --list / catalog output.
-struct WorkflowParam {
-  std::string name;
-  std::string default_value;
-  std::string help;
+struct WorkflowTraits {
+  static constexpr std::string_view kDefaultName = "none";
+  static constexpr bool kNoneReserved = true;
+  static constexpr std::string_view kExample =
+      "\"chain?stages=4\" or \"fanout?width=8&join=all\"";
+  static WorkflowRegistry& registry();
+  static void validate(const WorkflowSpec& spec);
 };
 
 // One stage of an instantiated workflow DAG. Stages are stored in
@@ -79,14 +57,14 @@ struct WorkflowDag {
   [[nodiscard]] std::size_t size() const { return stages.size(); }
 };
 
-// A registered workflow shape: metadata for catalogs plus the DAG builder.
+// A registered workflow shape: metadata for --list plus the DAG builder.
 class WorkflowDef {
  public:
   virtual ~WorkflowDef() = default;
 
   [[nodiscard]] virtual std::string_view name() const = 0;
   [[nodiscard]] virtual std::string help() const = 0;
-  [[nodiscard]] virtual std::vector<WorkflowParam> params() const = 0;
+  [[nodiscard]] virtual std::vector<util::ParamDecl> params() const = 0;
 
   // Build the DAG for `spec` (parameter values are validated here, so
   // every parameter needs a usable default — the registry probes shapes
@@ -96,8 +74,7 @@ class WorkflowDef {
 
 // The open extension surface for workflow shapes, mirroring the fault /
 // scenario / policy registries: register a WorkflowDef under a name and
-// `workflows=` campaign axes, whisk_sweep --list and workflow_catalog
-// discover it.
+// `workflows=` campaign axes and whisk_sweep --list discover it.
 class WorkflowRegistry : public util::FactoryRegistry<WorkflowDef> {
  public:
   static WorkflowRegistry& instance();
@@ -116,3 +93,5 @@ void validate_workflow_dag(const WorkflowDag& dag, const std::string& context);
 [[nodiscard]] WorkflowDag make_workflow_dag(const WorkflowSpec& spec);
 
 }  // namespace whisk::workload
+
+extern template struct whisk::util::ComponentSpec<whisk::workload::WorkflowTraits>;

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "core/policy_registry.h"
+
 namespace whisk::core {
 namespace {
 
@@ -15,13 +17,13 @@ class PolicyTest : public ::testing::Test {
 };
 
 TEST_F(PolicyTest, FifoPriorityIsReceiveTime) {
-  auto fifo = make_policy(PolicyKind::kFifo);
+  auto fifo = make_policy("fifo");
   EXPECT_DOUBLE_EQ(fifo->priority(ctx(3.5, 1)), 3.5);
   EXPECT_DOUBLE_EQ(fifo->priority(ctx(9.0, 2)), 9.0);
 }
 
 TEST_F(PolicyTest, SeptPriorityIsExpectedRuntime) {
-  auto sept = make_policy(PolicyKind::kSept);
+  auto sept = make_policy("sept");
   history_.record_runtime(1, 2.0, 0.0);
   history_.record_runtime(1, 4.0, 1.0);
   EXPECT_DOUBLE_EQ(sept->priority(ctx(100.0, 1)), 3.0)
@@ -29,20 +31,20 @@ TEST_F(PolicyTest, SeptPriorityIsExpectedRuntime) {
 }
 
 TEST_F(PolicyTest, SeptUnknownFunctionGetsZero) {
-  auto sept = make_policy(PolicyKind::kSept);
+  auto sept = make_policy("sept");
   EXPECT_DOUBLE_EQ(sept->priority(ctx(5.0, 7)), 0.0)
       << "never-seen functions get estimate 0 (highest priority)";
 }
 
 TEST_F(PolicyTest, SeptOrdersShortBeforeLong) {
-  auto sept = make_policy(PolicyKind::kSept);
+  auto sept = make_policy("sept");
   history_.record_runtime(1, 0.012, 0.0);  // graph-bfs-like
   history_.record_runtime(2, 8.5, 0.0);    // dna-visualisation-like
   EXPECT_LT(sept->priority(ctx(10.0, 1)), sept->priority(ctx(0.0, 2)));
 }
 
 TEST_F(PolicyTest, EectAddsReceiveTime) {
-  auto eect = make_policy(PolicyKind::kEect);
+  auto eect = make_policy("eect");
   history_.record_runtime(1, 2.0, 0.0);
   EXPECT_DOUBLE_EQ(eect->priority(ctx(5.0, 1)), 7.0);
 }
@@ -50,7 +52,7 @@ TEST_F(PolicyTest, EectAddsReceiveTime) {
 TEST_F(PolicyTest, EectPreventsInfiniteJumping) {
   // Paper Sec. IV: if r'(j) > r'(i) + E(p(i)), call j runs after call i —
   // so a later call can only jump calls within the E(p) horizon.
-  auto eect = make_policy(PolicyKind::kEect);
+  auto eect = make_policy("eect");
   history_.record_runtime(1, 2.0, 0.0);  // long-ish function
   history_.record_runtime(2, 0.0, 0.0);  // instant function
   const double long_early = eect->priority(ctx(0.0, 1));   // 2.0
@@ -60,7 +62,7 @@ TEST_F(PolicyTest, EectPreventsInfiniteJumping) {
 }
 
 TEST_F(PolicyTest, RectUsesPreviousArrival) {
-  auto rect = make_policy(PolicyKind::kRect);
+  auto rect = make_policy("rect");
   history_.record_runtime(1, 2.0, 0.0);
   history_.record_arrival(1, 4.0);
   // r-bar(i) + E(p): 4.0 + 2.0, regardless of this call's receive time.
@@ -68,14 +70,14 @@ TEST_F(PolicyTest, RectUsesPreviousArrival) {
 }
 
 TEST_F(PolicyTest, RectNoPreviousArrivalActsLikeSept) {
-  auto rect = make_policy(PolicyKind::kRect);
+  auto rect = make_policy("rect");
   history_.record_runtime(1, 2.0, 0.0);
   EXPECT_DOUBLE_EQ(rect->priority(ctx(100.0, 1)), 2.0);
 }
 
 TEST_F(PolicyTest, RectPriorityIncreasesOverTime) {
   // r-bar grows with each arrival, so RECT is starvation-free (Sec. IV).
-  auto rect = make_policy(PolicyKind::kRect);
+  auto rect = make_policy("rect");
   history_.record_runtime(1, 2.0, 0.0);
   history_.record_arrival(1, 1.0);
   const double p1 = rect->priority(ctx(2.0, 1));
@@ -85,7 +87,7 @@ TEST_F(PolicyTest, RectPriorityIncreasesOverTime) {
 }
 
 TEST_F(PolicyTest, FcMultipliesCountAndEstimate) {
-  auto fc = make_policy(PolicyKind::kFc, PolicyParams{60.0});
+  auto fc = make_policy("fc", PolicyParams{60.0});
   history_.record_runtime(1, 2.0, 10.0);
   history_.record_runtime(1, 2.0, 20.0);
   // Two completions in the window, E = 2.0 -> priority 4.0.
@@ -93,7 +95,7 @@ TEST_F(PolicyTest, FcMultipliesCountAndEstimate) {
 }
 
 TEST_F(PolicyTest, FcWindowSlides) {
-  auto fc = make_policy(PolicyKind::kFc, PolicyParams{60.0});
+  auto fc = make_policy("fc", PolicyParams{60.0});
   history_.record_runtime(1, 2.0, 0.0);
   // Received at t=100: the completion at t=0 fell out of [40, 100].
   EXPECT_DOUBLE_EQ(fc->priority(ctx(100.0, 1)), 0.0);
@@ -102,7 +104,7 @@ TEST_F(PolicyTest, FcWindowSlides) {
 TEST_F(PolicyTest, FcFavorsRareLongOverFrequentShort) {
   // The fairness property (Sec. VII-D): a rare long function can beat a
   // hammered short one on total recent consumption.
-  auto fc = make_policy(PolicyKind::kFc, PolicyParams{60.0});
+  auto fc = make_policy("fc", PolicyParams{60.0});
   history_.record_runtime(1, 8.5, 1.0);  // dna: one completion
   for (int i = 0; i < 1000; ++i) {       // graph-bfs: very frequent
     history_.record_runtime(2, 0.012, 1.0 + 0.01 * i);
@@ -113,47 +115,55 @@ TEST_F(PolicyTest, FcFavorsRareLongOverFrequentShort) {
 }
 
 TEST_F(PolicyTest, FcCustomWindowRespected) {
-  auto fc = make_policy(PolicyKind::kFc, PolicyParams{10.0});
+  auto fc = make_policy("fc", PolicyParams{10.0});
   history_.record_runtime(1, 1.0, 0.0);
   history_.record_runtime(1, 1.0, 95.0);
   // At t=100 with T=10 only the completion at 95 counts.
   EXPECT_DOUBLE_EQ(fc->priority(ctx(100.0, 1)), 1.0);
 }
 
+// The paper's five policies, in the order its figures list them.
+constexpr const char* kPaperPolicies[] = {"fifo", "sept", "eect", "rect",
+                                          "fc"};
+
 TEST(PolicyRegistry, NamesRoundTrip) {
-  for (const auto kind : all_policies()) {
-    EXPECT_EQ(policy_from_string(to_string(kind)), kind);
+  auto& registry = PolicyRegistry::instance();
+  for (const char* name : kPaperPolicies) {
+    EXPECT_EQ(registry.resolve(policy_label(name)), name);
   }
 }
 
 TEST(PolicyRegistry, ParseIsCaseInsensitive) {
-  EXPECT_EQ(policy_from_string("fifo"), PolicyKind::kFifo);
-  EXPECT_EQ(policy_from_string("FIFO"), PolicyKind::kFifo);
-  EXPECT_EQ(policy_from_string("Sept"), PolicyKind::kSept);
-  EXPECT_EQ(policy_from_string("fair-choice"), PolicyKind::kFc);
+  auto& registry = PolicyRegistry::instance();
+  EXPECT_EQ(registry.resolve("fifo"), "fifo");
+  EXPECT_EQ(registry.resolve("FIFO"), "fifo");
+  EXPECT_EQ(registry.resolve("Sept"), "sept");
+  EXPECT_EQ(registry.resolve("fair-choice"), "fc");
 }
 
 TEST(PolicyRegistry, AllFivePoliciesExist) {
-  EXPECT_EQ(all_policies().size(), 5u);
-  for (const auto kind : all_policies()) {
-    auto p = make_policy(kind);
+  const auto names = PolicyRegistry::instance().names();
+  ASSERT_GE(names.size(), 5u);
+  for (std::size_t i = 0; i < 5; ++i) {
+    EXPECT_EQ(names[i], kPaperPolicies[i]) << "figure order";
+    auto p = make_policy(kPaperPolicies[i]);
     ASSERT_NE(p, nullptr);
-    EXPECT_EQ(p->name(), registry_name(kind));
+    EXPECT_EQ(p->name(), kPaperPolicies[i]);
   }
 }
 
 TEST(PolicyRegistry, StarvationFreedomMatchesPaper) {
   // Paper Sec. IV: FIFO, EECT and RECT prevent starvation; SEPT and FC do
   // not.
-  EXPECT_TRUE(make_policy(PolicyKind::kFifo)->starvation_free());
-  EXPECT_TRUE(make_policy(PolicyKind::kEect)->starvation_free());
-  EXPECT_TRUE(make_policy(PolicyKind::kRect)->starvation_free());
-  EXPECT_FALSE(make_policy(PolicyKind::kSept)->starvation_free());
-  EXPECT_FALSE(make_policy(PolicyKind::kFc)->starvation_free());
+  EXPECT_TRUE(make_policy("fifo")->starvation_free());
+  EXPECT_TRUE(make_policy("eect")->starvation_free());
+  EXPECT_TRUE(make_policy("rect")->starvation_free());
+  EXPECT_FALSE(make_policy("sept")->starvation_free());
+  EXPECT_FALSE(make_policy("fc")->starvation_free());
 }
 
 TEST(PolicyRegistryDeath, UnknownNameAborts) {
-  EXPECT_DEATH((void)policy_from_string("lifo"), "unknown policy");
+  EXPECT_DEATH((void)make_policy("lifo"), "unknown policy");
 }
 
 }  // namespace

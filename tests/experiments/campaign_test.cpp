@@ -181,21 +181,30 @@ TEST_F(CampaignTest, ProgressReportsEveryCellOnce) {
   }
 }
 
-TEST_F(CampaignTest, CellsCsvQuotesSpecsWithCommas) {
-  // Comma-bearing scenario values cannot ride a grid string but are legal
-  // on the struct; the per-cell CSV must quote them, not shift columns.
+TEST_F(CampaignTest, WeightedMixRidesAGridWithPlusSeparatedWeights) {
+  // ',' splits grid items, so a weighted mix spells its weights with '+';
+  // the grid round-trips and the cell runs the weighted mix.
+  const auto spec = CampaignSpec::parse(
+      "schedulers=baseline/fifo; "
+      "scenarios=poisson?rate=5&mix=weighted&weights=1+1+1+1+1+1+1+1+1+1+1; "
+      "seeds=0");
+  EXPECT_EQ(CampaignSpec::parse(spec.to_string()), spec);
+  const auto result = run_campaign(spec, cat_, {});
+  ASSERT_EQ(result.cells.size(), 1u);
+  EXPECT_GT(result.cells[0].calls, 0u);
+  EXPECT_NE(cells_csv(result).find(
+                "poisson?mix=weighted&rate=5&weights=1+1+1+1+1+1+1+1+1+1+1,"),
+            std::string::npos);
+}
+
+TEST_F(CampaignTest, GridSeparatorInAScenarioValueAborts) {
+  // Set on the struct, the ',' spelling would not survive the grid text
+  // (to_string/parse, or the worker wire): normalized() names the '+' form.
   CampaignSpec spec;
   spec.scenarios = {workload::ScenarioSpec::parse(
       "poisson?rate=2&mix=weighted&weights=1,1,1,1,1,1,1,1,1,1,1")};
-  spec.cores = {5};
-  spec.seeds = {0};
-  const auto result = run_campaign(spec, cat_, {});
-  const std::string csv = cells_csv(result);
-  EXPECT_NE(
-      csv.find(
-          "\"poisson?mix=weighted&rate=2&weights=1,1,1,1,1,1,1,1,1,1,1\","),
-      std::string::npos)
-      << csv;
+  EXPECT_DEATH((void)spec.normalized(),
+               "weights=\"1,1,.*contains a grid separator.*weights=1\\+2");
 }
 
 TEST_F(CampaignTest, ClustersAxisRunsAndIsThreadInvariant) {

@@ -241,8 +241,8 @@ TEST_F(ScenarioRegistryTest, RuntimeRegistrationExtendsTheSurface) {
   class EveryHalfSecond final : public ScenarioDef {
    public:
     std::string help() const override { return "test-only: fixed cadence"; }
-    std::vector<ScenarioParam> params() const override {
-      return {{"period", "0.5", "gap between calls in seconds", false}};
+    std::vector<util::ParamDecl> params() const override {
+      return {{"period", "0.5", "gap between calls in seconds"}};
     }
     Scenario generate(const ScenarioSpec& spec, const ScenarioContext& ctx,
                       sim::Rng& rng) const override {

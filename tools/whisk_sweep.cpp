@@ -8,6 +8,7 @@
 // Output is byte-identical for any --threads value (campaign determinism
 // contract): cells are seeded from their grid coordinates alone and file
 // sinks consume them in cell-index order.
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -67,7 +68,8 @@ int usage(const char* argv0) {
       "  --no-samples       bounded memory: streaming summaries only\n"
       "  --reservoir N      quantile reservoir capacity (default 4096)\n"
       "  --quiet            no progress, no per-cell table\n"
-      "  --list             print every registered component name and exit\n"
+      "  --list             print every registered component with its\n"
+      "                     parameters and exit\n"
       "\n"
       "distributed campaigns (merged output is byte-identical to a\n"
       "single-process run at any worker count):\n"
@@ -85,74 +87,139 @@ int usage(const char* argv0) {
   return 2;
 }
 
-// One-stop discoverability: every name each registry will accept in a grid
-// (mirrors scenario_catalog, which additionally documents per-scenario
-// parameters).
+void print_names(const char* heading, const std::vector<std::string>& names) {
+  std::printf("%s:\n", heading);
+  for (const auto& name : names) std::printf("  %s\n", name.c_str());
+}
+
+// The one ParamDecl table printer every section shares.
+void print_params(const std::vector<util::ParamDecl>& params,
+                  const char* indent) {
+  for (const auto& param : params) {
+    std::printf("%s%s", indent, param.name.c_str());
+    if (!param.default_value.empty()) {
+      std::printf(" (default %s)", param.default_value.c_str());
+    }
+    std::printf(": %s\n", param.help.c_str());
+  }
+}
+
+// Every registered component of one spec kind: name, help line (where the
+// kind has one), declared parameters, then whatever `details` adds.
+template <typename Spec, typename Details>
+void print_components(const char* heading, Details&& details) {
+  std::printf("%s:\n", heading);
+  for (const auto& name : Spec::registry().names()) {
+    const auto& probe = Spec::probe(name);
+    std::printf("  %s", name.c_str());
+    if constexpr (requires { probe.component->help(); }) {
+      std::printf(": %s", probe.component->help().c_str());
+    }
+    std::printf("\n");
+    print_params(probe.params, "    ");
+    details(name, *probe.component);
+  }
+}
+
+constexpr auto no_details = [](const std::string&, const auto&) {};
+
+// "s0 -> s1 s2 [join 2/2]" per stage: enough to eyeball the shape a spec
+// expands to without running anything.
+void print_dag(const workload::WorkflowDag& dag) {
+  std::printf("    default DAG (%zu stages):\n", dag.size());
+  for (const auto& stage : dag.stages) {
+    std::printf("      %s", stage.label.c_str());
+    if (stage.function_offset != 0) {
+      std::printf(" (fn+%d)", stage.function_offset);
+    }
+    if (stage.preds > 1) {
+      std::printf(" [join %d/%d]", stage.join_k, stage.preds);
+    }
+    if (!stage.successors.empty()) {
+      std::printf(" ->");
+      for (int succ : stage.successors) {
+        std::printf(" %s",
+                    dag.stages[static_cast<std::size_t>(succ)].label.c_str());
+      }
+    }
+    std::printf("\n");
+  }
+}
+
+// The desired node count of a fresh controller across load levels on a
+// 4-node, 10-core group at default parameters. History-driven controllers
+// are skipped: their answer depends on the arrival record, not a snapshot.
+void print_decision_table(const std::string& name,
+                          const cluster::Autoscaler& probe) {
+  if (probe.history_window_s() > 0.0) {
+    std::printf(
+        "    decisions: (skipped: scales from the %g s arrival history, not "
+        "a single snapshot)\n",
+        probe.history_window_s());
+    return;
+  }
+  constexpr std::size_t kNodes = 4;
+  constexpr int kCores = 10;
+  const auto controller = cluster::make_autoscaler(cluster::AutoscalerSpec{name, {}});
+  cluster::GroupObservation group;
+  group.active = kNodes;
+  group.cores_per_node = kCores;
+  cluster::ClusterObservation obs;
+  obs.num_functions = 1;
+  const double capacity = static_cast<double>(kNodes * kCores);
+  std::printf("    decisions (%zu nodes x %d cores, defaults):\n", kNodes,
+              kCores);
+  for (double frac : {0.0, 0.25, 0.5, 0.75, 1.0, 1.5, 2.0}) {
+    group.executing =
+        static_cast<std::size_t>(std::min(capacity, frac * capacity));
+    group.queued =
+        static_cast<std::size_t>(frac > 1.0 ? (frac - 1.0) * capacity : 0.0);
+    const std::size_t desired = controller->desired_nodes(group, obs);
+    std::printf("      load %5.1f (util %.2f, queue %3zu) -> %zu node%s%s\n",
+                group.load(), group.utilization(), group.queued, desired,
+                desired == 1 ? "" : "s",
+                desired > kNodes   ? "  (scale up)"
+                : desired < kNodes ? "  (scale down)"
+                                   : "");
+  }
+}
+
+// One-stop discoverability: every name each registry will accept in a
+// grid, with the declared parameters of every spec kind.
 int list_registries() {
-  auto section = [](const char* kind, const std::vector<std::string>& names) {
-    std::printf("%s:\n", kind);
-    for (const auto& name : names) std::printf("  %s\n", name.c_str());
-  };
-  section("invokers (schedulers=<invoker>/...)",
-          whisk::node::InvokerRegistry::instance().names());
-  section("policies (schedulers=.../<policy>/...)",
-          whisk::core::PolicyRegistry::instance().names());
-  section("balancers (schedulers=.../.../<balancer>)",
-          whisk::cluster::BalancerRegistry::instance().names());
-  section("scenarios (scenarios=<name>?...)",
-          whisk::workload::ScenarioRegistry::instance().names());
-  std::printf("keep-alive policies (clusters=...|keep-alive=<name>?...):\n");
-  auto& keep_alive = whisk::container::KeepAlivePolicyRegistry::instance();
-  for (const auto& name : keep_alive.names()) {
-    std::printf("  %s\n", name.c_str());
-    const auto policy =
-        keep_alive.create(name, whisk::container::KeepAliveSpec{name, {}});
-    for (const auto& param : policy->params()) {
-      std::printf("    %s (default %s): %s\n", param.name.c_str(),
-                  param.default_value.c_str(), param.help.c_str());
-    }
-  }
-  std::printf("autoscalers (autoscalers=<name>?...):\n");
-  auto& autoscalers = whisk::cluster::AutoscalerRegistry::instance();
-  for (const auto& name : autoscalers.names()) {
-    const auto controller = autoscalers.create(
-        name, whisk::cluster::AutoscalerSpec{name, {}});
-    std::printf("  %s: %s\n", name.c_str(), controller->help().c_str());
-    for (const auto& param : whisk::cluster::common_autoscaler_params()) {
-      std::printf("    %s (default %s): %s\n", param.name.c_str(),
-                  param.default_value.c_str(), param.help.c_str());
-    }
-    for (const auto& param : controller->params()) {
-      std::printf("    %s (default %s): %s\n", param.name.c_str(),
-                  param.default_value.c_str(), param.help.c_str());
-    }
-  }
-  std::printf("faults (faults=<name>?...+...):\n");
-  auto& faults = whisk::cluster::FaultRegistry::instance();
-  for (const auto& name : faults.names()) {
-    const auto process =
-        faults.create(name, whisk::cluster::FaultSpec{name, {}});
-    std::printf("  %s: %s\n", name.c_str(), process->help().c_str());
-    for (const auto& param : process->params()) {
-      std::printf("    %s (default %s): %s\n", param.name.c_str(),
-                  param.default_value.c_str(), param.help.c_str());
-    }
-  }
+  print_names("invokers (schedulers=<invoker>/...)",
+              node::InvokerRegistry::instance().names());
+  print_names("policies (schedulers=.../<policy>/...)",
+              core::PolicyRegistry::instance().names());
+  print_names("balancers (schedulers=.../.../<balancer>)",
+              cluster::BalancerRegistry::instance().names());
+  print_components<workload::ScenarioSpec>("scenarios (scenarios=<name>?...)",
+                                           no_details);
+  print_components<container::KeepAliveSpec>(
+      "keep-alive policies (clusters=...|keep-alive=<name>?...)", no_details);
+  print_components<cluster::AutoscalerSpec>(
+      "autoscalers (autoscalers=<name>?...; \"none\" = off)",
+      print_decision_table);
+  print_components<cluster::FaultSpec>(
+      "faults (faults=<name>?...+...; \"none\" = fault-free)",
+      [](const std::string&, const cluster::FaultProcess& process) {
+        if (process.disruptive()) {
+          std::printf("    disruptive: fails nodes (in-flight calls "
+                      "re-submit)\n");
+        }
+        if (process.drops_completions()) {
+          std::printf("    drops completions: requires "
+                      "resilience=timeout-s>0 or the lost call would hang "
+                      "the run\n");
+        }
+      });
   std::printf("resilience knobs (clusters=...|resilience=k=v&...):\n");
-  for (const auto& param : whisk::cluster::resilience_params()) {
-    std::printf("  %s (default %s): %s\n", param.name.c_str(),
-                param.default_value.c_str(), param.help.c_str());
-  }
-  std::printf("workflows (workflows=<name>?...):\n");
-  auto& workflows = whisk::workload::WorkflowRegistry::instance();
-  for (const auto& name : workflows.names()) {
-    const auto def = workflows.create(name);
-    std::printf("  %s: %s\n", name.c_str(), def->help().c_str());
-    for (const auto& param : def->params()) {
-      std::printf("    %s (default %s): %s\n", param.name.c_str(),
-                  param.default_value.c_str(), param.help.c_str());
-    }
-  }
+  print_params(cluster::resilience_params(), "  ");
+  print_components<workload::WorkflowSpec>(
+      "workflows (workflows=<name>?...; \"none\" = independent calls)",
+      [](const std::string& name, const workload::WorkflowDef&) {
+        print_dag(workload::make_workflow_dag(workload::WorkflowSpec{name, {}}));
+      });
   return 0;
 }
 
