@@ -1,10 +1,11 @@
 #include "experiments/campaign.h"
 
+#include <charconv>
+#include <cstdio>
 #include <mutex>
-#include <sstream>
+#include <string_view>
 #include <utility>
 
-#include "experiments/runner.h"
 #include "experiments/workspace.h"
 #include "metrics/csv.h"
 #include "metrics/sink.h"
@@ -26,15 +27,112 @@ std::string overrides_field(const CampaignSpec& spec,
   return out;
 }
 
-void append_summary_csv(std::ostringstream& out, const util::Summary& s) {
-  out << ',' << s.mean << ',' << s.p50 << ',' << s.p75 << ',' << s.p95 << ','
-      << s.p99 << ',' << s.max;
+// How a number is spelled in the cells files: a whole count, or a double
+// in one of the two spellings the files have always used.
+enum class Format {
+  kCount,  // decimal integer
+  kShort,  // %g, the ostream default: summaries and the oldest columns
+  kG10,    // %.10g, util::fmt_g
+};
+using enum Format;
+
+// A number rendered on the stack, ready to append as a field value.
+struct Number {
+  char buf[32];
+  std::size_t len = 0;
+  [[nodiscard]] std::string_view view() const { return {buf, len}; }
+};
+
+Number spell(Format format, double x) {
+  Number n;
+  if (format == kCount) {
+    n.len = static_cast<std::size_t>(
+        std::to_chars(n.buf, n.buf + sizeof n.buf,
+                      static_cast<unsigned long long>(x))
+            .ptr -
+        n.buf);
+  } else {
+    n.len = static_cast<std::size_t>(std::snprintf(
+        n.buf, sizeof n.buf, format == kShort ? "%g" : "%.10g", x));
+  }
+  return n;
 }
 
-void append_summary_json(std::ostringstream& out, const util::Summary& s) {
-  out << "{\"count\":" << s.count << ",\"mean\":" << s.mean
-      << ",\"p50\":" << s.p50 << ",\"p75\":" << s.p75 << ",\"p95\":" << s.p95
-      << ",\"p99\":" << s.p99 << ",\"max\":" << s.max << "}";
+// One per-cell scalar metric: its column name, its spelling, and where it
+// lives in CellResult. Counts travel as doubles, exact far beyond any
+// simulated count (2^53).
+struct MetricColumn {
+  const char* name;
+  Format format;
+  double (*get)(const CellResult&);
+};
+
+template <auto Member>
+double field(const CellResult& r) {
+  return static_cast<double>(r.*Member);
+}
+
+template <auto Member>
+double stat(const CellResult& r) {
+  return static_cast<double>(r.stats.*Member);
+}
+
+// Every scalar metric column of the cells CSV/JSONL and the record context,
+// in column order.
+constexpr MetricColumn kMetricColumns[] = {
+    {"max_completion", kShort, field<&CellResult::max_completion>},
+    {"cold_starts", kCount, stat<&node::InvokerStats::cold_starts>},
+    {"prewarm_starts", kCount, stat<&node::InvokerStats::prewarm_starts>},
+    {"warm_starts", kCount, stat<&node::InvokerStats::warm_starts>},
+    {"resubmissions", kCount, field<&CellResult::resubmissions>},
+    {"daemon_wait_s", kShort,
+     stat<&node::InvokerStats::daemon_queue_wait_seconds>},
+    {"daemon_wait_max_s", kShort,
+     stat<&node::InvokerStats::daemon_max_queue_wait_seconds>},
+    {"cost_usd", kG10, field<&CellResult::cost_usd>},
+    {"node_hours", kG10, field<&CellResult::node_hours>},
+    {"slo_violations", kCount, field<&CellResult::slo_violations>},
+    {"scale_ups", kCount, field<&CellResult::scale_ups>},
+    {"scale_downs", kCount, field<&CellResult::scale_downs>},
+    {"faults_injected", kCount, field<&CellResult::faults_injected>},
+    {"retries", kCount, field<&CellResult::retries>},
+    {"timeouts", kCount, field<&CellResult::timeouts>},
+    {"hedges_won", kCount, field<&CellResult::hedges_won>},
+    {"shed_calls", kCount, field<&CellResult::shed_calls>},
+    {"dropped_calls", kCount, field<&CellResult::dropped_calls>},
+    {"breaker_opens", kCount, field<&CellResult::breaker_opens>},
+    {"unavailability_s", kG10, field<&CellResult::unavailability_s>},
+    {"goodput", kG10, field<&CellResult::goodput>},
+    {"workflows", kCount, field<&CellResult::workflows>},
+    {"wf_e2e_p99", kG10, field<&CellResult::wf_e2e_p99>},
+    {"wf_critical_path_s", kG10, field<&CellResult::wf_critical_path_s>},
+    {"wf_slack_s", kG10, field<&CellResult::wf_slack_s>},
+};
+
+Number spell(const MetricColumn& column, const CellResult& res) {
+  return spell(column.format, column.get(res));
+}
+
+// A summary's six CSV columns (the header's r_* / s_* runs).
+void append_summary_csv(std::string& out, const util::Summary& s) {
+  for (double x : {s.mean, s.p50, s.p75, s.p95, s.p99, s.max}) {
+    out += ',';
+    out += spell(kShort, x).view();
+  }
+}
+
+void append_summary_json(std::string& out, const util::Summary& s) {
+  out += "{\"count\":";
+  out += spell(kCount, static_cast<double>(s.count)).view();
+  const std::pair<const char*, double> members[] = {
+      {"mean", s.mean}, {"p50", s.p50}, {"p75", s.p75},
+      {"p95", s.p95},   {"p99", s.p99}, {"max", s.max}};
+  for (const auto& [key, x] : members) {
+    out += ',';
+    metrics::append_json_member(out, key, spell(kShort, x).view(),
+                                /*numeric=*/true);
+  }
+  out += '}';
 }
 
 // The cell's real initial fleet size: in cluster mode the legacy nodes
@@ -113,6 +211,53 @@ std::string groups_field(const std::vector<cluster::GroupStats>& groups) {
   return out;
 }
 
+// The cell's coordinates as typed fields, in column order: the leading
+// columns of the cells CSV/JSONL and of every record-context.
+std::vector<metrics::RunContextField> coordinate_fields(
+    const CampaignSpec& spec, const CampaignCell& cell) {
+  return {
+      {"cell", std::to_string(cell.index), /*numeric=*/true},
+      {"scheduler", spec.schedulers[cell.scheduler_i].to_string()},
+      {"scenario", spec.scenarios[cell.scenario_i].to_string()},
+      {"seed", std::to_string(spec.seeds[cell.seed_i]), /*numeric=*/true},
+      {"nodes", std::to_string(effective_nodes(spec, cell)),
+       /*numeric=*/true},
+      {"cores", std::to_string(spec.cores[cell.cores_i]), /*numeric=*/true},
+      {"memory_mb", util::fmt_g(spec.memories_mb[cell.memory_i]),
+       /*numeric=*/true},
+      {"cluster", effective_cluster(spec, cell)},
+      {"autoscaler", effective_autoscaler(spec, cell)},
+      {"faults", effective_faults(spec, cell)},
+      {"workflow", effective_workflow(spec, cell)},
+  };
+}
+
+// Fold cells in order, reading exact samples where retained and the
+// bounded stream otherwise. When every cell carries exact samples the
+// reservoir holds all of them, so the fold stays exact.
+template <typename Samples, typename Stream>
+metrics::StreamingSummary aggregate_cells(std::span<const CellResult> cells,
+                                          Samples&& samples,
+                                          Stream&& stream) {
+  bool exact = true;
+  std::size_t pooled = 0;
+  for (const auto& cell : cells) {
+    exact = exact && samples(cell).size() == cell.ok_calls;
+    pooled += cell.ok_calls;
+  }
+  metrics::StreamingSummary agg(
+      exact ? pooled : stream(cells.front()).reservoir.capacity());
+  for (const auto& cell : cells) {
+    const std::vector<double>& kept = samples(cell);
+    if (kept.size() == cell.ok_calls && cell.ok_calls > 0) {
+      for (double x : kept) agg.add(x);
+    } else {
+      agg.merge(stream(cell));
+    }
+  }
+  return agg;
+}
+
 }  // namespace
 
 util::Summary CellResult::response_summary() const {
@@ -145,75 +290,35 @@ std::string CampaignResult::group_label(std::size_t g) const {
                     /*with_seed=*/false);
 }
 
+GroupSummary CampaignResult::group_summary(std::size_t g) const {
+  const std::span<const CellResult> members = group(g);
+  GroupSummary out;
+  out.group = global_group(g);
+  for (const CellResult& c : members) {
+    out.calls += c.calls;
+    out.ok_calls += c.ok_calls;
+  }
+  out.cold_starts = total_stats(members).cold_starts;
+  out.max_completion = max_completion(members);
+  out.response = aggregate_responses(members);
+  out.stretch = aggregate_stretches(members);
+  return out;
+}
+
 metrics::RunContext cell_context(const CampaignSpec& spec,
                                  const CampaignCell& cell,
-                                 const CellResult* result) {
+                                 const CellResult& result) {
   metrics::RunContext ctx;
-  ctx.fields.push_back(
-      {"cell", std::to_string(cell.index), /*numeric=*/true});
-  ctx.fields.push_back(
-      {"scheduler", spec.schedulers[cell.scheduler_i].to_string()});
-  ctx.fields.push_back(
-      {"scenario", spec.scenarios[cell.scenario_i].to_string()});
-  ctx.fields.push_back(
-      {"seed", std::to_string(spec.seeds[cell.seed_i]), /*numeric=*/true});
-  ctx.fields.push_back({"nodes", std::to_string(effective_nodes(spec, cell)),
-                        /*numeric=*/true});
-  ctx.fields.push_back(
-      {"cores", std::to_string(spec.cores[cell.cores_i]), /*numeric=*/true});
-  ctx.fields.push_back({"memory_mb",
-                        util::fmt_g(spec.memories_mb[cell.memory_i]),
-                        /*numeric=*/true});
-  ctx.fields.push_back({"cluster", effective_cluster(spec, cell)});
-  ctx.fields.push_back({"autoscaler", effective_autoscaler(spec, cell)});
-  ctx.fields.push_back({"faults", effective_faults(spec, cell)});
-  ctx.fields.push_back({"workflow", effective_workflow(spec, cell)});
+  ctx.fields = coordinate_fields(spec, cell);
   for (std::size_t k = 0; k < spec.overrides.size(); ++k) {
     ctx.fields.push_back(
         {"override:" + spec.overrides[k].first,
          util::fmt_g(spec.overrides[k].second[cell.override_i[k]]),
          /*numeric=*/true});
   }
-  if (result != nullptr) {
-    ctx.fields.push_back(
-        {"cost_usd", util::fmt_g(result->cost_usd), /*numeric=*/true});
-    ctx.fields.push_back(
-        {"node_hours", util::fmt_g(result->node_hours), /*numeric=*/true});
-    ctx.fields.push_back({"slo_violations",
-                          std::to_string(result->slo_violations),
-                          /*numeric=*/true});
-    ctx.fields.push_back(
-        {"scale_ups", std::to_string(result->scale_ups), /*numeric=*/true});
-    ctx.fields.push_back({"scale_downs",
-                          std::to_string(result->scale_downs),
-                          /*numeric=*/true});
-    ctx.fields.push_back({"faults_injected",
-                          std::to_string(result->faults_injected),
-                          /*numeric=*/true});
-    ctx.fields.push_back(
-        {"retries", std::to_string(result->retries), /*numeric=*/true});
-    ctx.fields.push_back(
-        {"timeouts", std::to_string(result->timeouts), /*numeric=*/true});
-    ctx.fields.push_back({"hedges_won", std::to_string(result->hedges_won),
-                          /*numeric=*/true});
-    ctx.fields.push_back({"shed_calls", std::to_string(result->shed_calls),
-                          /*numeric=*/true});
-    ctx.fields.push_back({"breaker_opens",
-                          std::to_string(result->breaker_opens),
-                          /*numeric=*/true});
-    ctx.fields.push_back({"unavailability_s",
-                          util::fmt_g(result->unavailability_s),
-                          /*numeric=*/true});
-    ctx.fields.push_back(
-        {"goodput", util::fmt_g(result->goodput), /*numeric=*/true});
-    ctx.fields.push_back({"workflows", std::to_string(result->workflows),
-                          /*numeric=*/true});
-    ctx.fields.push_back({"wf_e2e_p99", util::fmt_g(result->wf_e2e_p99),
-                          /*numeric=*/true});
-    ctx.fields.push_back({"wf_critical_path_s",
-                          util::fmt_g(result->wf_critical_path_s),
-                          /*numeric=*/true});
-    ctx.fields.push_back({"wf_slack_s", util::fmt_g(result->wf_slack_s),
+  for (const MetricColumn& column : kMetricColumns) {
+    ctx.fields.push_back({column.name,
+                          std::string(spell(column, result).view()),
                           /*numeric=*/true});
   }
   return ctx;
@@ -268,47 +373,20 @@ CampaignResult run_campaign(const CampaignSpec& raw_spec,
   auto run_cell = [&](std::size_t i, CellWorkspace& ws) {
     const std::size_t global = shard.begin_cell() + i;
     const CampaignCell cell = spec.cell(global);
-    RunResult run = ws.run(cell.spec, cat, want_records);
-
     CellResult& res = out.cells[i];
+    res = ws.run(cell.spec, cat, want_records);
     res.index = global;
-    res.calls = run.calls;
-    res.ok_calls = run.responses.size();
-    res.max_completion = run.max_completion;
-    res.stats = run.stats;
-    res.groups = std::move(run.groups);
-    res.resubmissions = run.resubmissions;
-    res.node_hours = run.node_hours;
-    res.cost_usd = run.cost_usd;
-    res.slo_violations = run.slo_violations;
-    res.scale_ups = run.scale_ups;
-    res.scale_downs = run.scale_downs;
-    res.faults_injected = run.faults_injected;
-    res.retries = run.retries;
-    res.timeouts = run.timeouts;
-    res.hedges_won = run.hedges_won;
-    res.shed_calls = run.shed_calls;
-    res.dropped_calls = run.dropped_calls;
-    res.breaker_opens = run.breaker_opens;
-    res.unavailability_s = run.unavailability_s;
-    res.goodput = run.goodput;
-    res.workflows = run.workflows;
-    res.wf_e2e_p99 = run.wf_e2e_p99;
-    res.wf_critical_path_s = run.wf_critical_path_s;
-    res.wf_slack_s = run.wf_slack_s;
-    if (options.retain_samples) {
-      res.responses = std::move(run.responses);
-      res.stretches = std::move(run.stretches);
-    } else {
+    if (!options.retain_samples) {
       res.response_stream =
           metrics::StreamingSummary(options.reservoir_capacity);
       res.stretch_stream =
           metrics::StreamingSummary(options.reservoir_capacity);
-      for (double r : run.responses) res.response_stream.add(r);
-      for (double s : run.stretches) res.stretch_stream.add(s);
-    }
-    if (options.retain_records || options.pipeline != nullptr) {
-      res.records = std::move(run.records);
+      for (double r : res.responses) res.response_stream.add(r);
+      for (double s : res.stretches) res.stretch_stream.add(s);
+      // Free the buffers, not only the elements (`= {}` would keep them):
+      // every cell holds its slot until the campaign returns.
+      res.responses = std::vector<double>();
+      res.stretches = std::vector<double>();
     }
 
     std::unique_lock<std::mutex> lock(mutex);
@@ -322,14 +400,13 @@ CampaignResult run_campaign(const CampaignSpec& raw_spec,
         lock.unlock();
         CellResult& ready = out.cells[idx];  // finished: no other writer
         options.pipeline->begin_run(cell_context(
-            spec, spec.coordinates(shard.begin_cell() + idx), &ready));
+            spec, spec.coordinates(shard.begin_cell() + idx), ready));
         for (const auto& rec : ready.records) {
           options.pipeline->consume(rec);
         }
         options.pipeline->end_run();
         if (!options.retain_records) {
-          ready.records.clear();
-          ready.records.shrink_to_fit();
+          ready.records = std::vector<metrics::CallRecord>();
         }
         lock.lock();
       }
@@ -376,29 +453,6 @@ std::vector<double> pooled_stretches(std::span<const CellResult> cells) {
   return out;
 }
 
-namespace {
-
-// Fold cells in order, reading exact samples where retained and the
-// bounded stream otherwise.
-template <typename Samples, typename Stream>
-metrics::StreamingSummary aggregate_cells(std::span<const CellResult> cells,
-                                          Samples&& samples,
-                                          Stream&& stream) {
-  metrics::StreamingSummary agg(
-      cells.empty() ? 0 : stream(cells.front()).reservoir.capacity());
-  for (const auto& cell : cells) {
-    const std::vector<double>& exact = samples(cell);
-    if (exact.size() == cell.ok_calls && cell.ok_calls > 0) {
-      for (double x : exact) agg.add(x);
-    } else {
-      agg.merge(stream(cell));
-    }
-  }
-  return agg;
-}
-
-}  // namespace
-
 metrics::StreamingSummary aggregate_responses(
     std::span<const CellResult> cells) {
   return aggregate_cells(
@@ -433,132 +487,90 @@ node::InvokerStats total_stats(std::span<const CellResult> cells) {
   return sum;
 }
 
+// Both cell renderers lay a row out the same way: the coordinates, the
+// overrides, calls and the response/stretch summaries, every metric column,
+// then the per-group telemetry. Only overrides, summaries and groups have a
+// nested shape; everything else goes through the shared field rules.
+
 std::string cells_csv(const CampaignResult& result) {
-  std::ostringstream out;
-  out << "cell,scheduler,scenario,seed,nodes,cores,memory_mb,cluster,"
-         "autoscaler,faults,workflow,overrides,"
-         "calls,r_mean,r_p50,r_p75,r_p95,r_p99,r_max,"
-         "s_mean,s_p50,s_p75,s_p95,s_p99,s_max,"
-         "max_completion,cold_starts,prewarm_starts,warm_starts,"
-         "resubmissions,daemon_wait_s,daemon_wait_max_s,"
-         "cost_usd,node_hours,slo_violations,scale_ups,scale_downs,"
-         "faults_injected,retries,timeouts,hedges_won,shed_calls,"
-         "dropped_calls,breaker_opens,unavailability_s,goodput,"
-         "workflows,wf_e2e_p99,wf_critical_path_s,wf_slack_s,"
-         "groups\n";
+  const CampaignSpec& spec = result.spec;
+  std::string out;
+  for (const auto& field : coordinate_fields(spec, spec.coordinates(0))) {
+    metrics::append_csv_field(out, field.key);
+    out += ',';
+  }
+  out += "overrides,calls,r_mean,r_p50,r_p75,r_p95,r_p99,r_max,"
+         "s_mean,s_p50,s_p75,s_p95,s_p99,s_max";
+  for (const MetricColumn& column : kMetricColumns) {
+    out += ',';
+    out += column.name;
+  }
+  out += ",groups\n";
   for (const auto& res : result.cells) {
-    const CampaignCell cell = result.spec.coordinates(res.index);
-    out << res.index << ','
-        << metrics::csv_field(
-               result.spec.schedulers[cell.scheduler_i].to_string())
-        << ','
-        << metrics::csv_field(
-               result.spec.scenarios[cell.scenario_i].to_string())
-        << ',' << result.spec.seeds[cell.seed_i] << ','
-        << effective_nodes(result.spec, cell) << ','
-        << result.spec.cores[cell.cores_i] << ','
-        << util::fmt_g(result.spec.memories_mb[cell.memory_i]) << ','
-        << metrics::csv_field(effective_cluster(result.spec, cell)) << ','
-        << metrics::csv_field(effective_autoscaler(result.spec, cell)) << ','
-        << metrics::csv_field(effective_faults(result.spec, cell)) << ','
-        << metrics::csv_field(effective_workflow(result.spec, cell)) << ','
-        << metrics::csv_field(overrides_field(result.spec, cell))
-        << ',' << res.calls;
+    const CampaignCell cell = spec.coordinates(res.index);
+    for (const auto& field : coordinate_fields(spec, cell)) {
+      metrics::append_csv_field(out, field.value);
+      out += ',';
+    }
+    metrics::append_csv_field(out, overrides_field(spec, cell));
+    out += ',';
+    out += spell(kCount, static_cast<double>(res.calls)).view();
     append_summary_csv(out, res.response_summary());
     append_summary_csv(out, res.stretch_summary());
-    out << ',' << res.max_completion << ',' << res.stats.cold_starts << ','
-        << res.stats.prewarm_starts << ',' << res.stats.warm_starts << ','
-        << res.resubmissions << ','
-        << res.stats.daemon_queue_wait_seconds << ','
-        << res.stats.daemon_max_queue_wait_seconds << ','
-        << util::fmt_g(res.cost_usd) << ',' << util::fmt_g(res.node_hours)
-        << ',' << res.slo_violations << ',' << res.scale_ups << ','
-        << res.scale_downs << ',' << res.faults_injected << ','
-        << res.retries << ',' << res.timeouts << ',' << res.hedges_won
-        << ',' << res.shed_calls << ',' << res.dropped_calls << ','
-        << res.breaker_opens << ',' << util::fmt_g(res.unavailability_s)
-        << ',' << util::fmt_g(res.goodput) << ',' << res.workflows << ','
-        << util::fmt_g(res.wf_e2e_p99) << ','
-        << util::fmt_g(res.wf_critical_path_s) << ','
-        << util::fmt_g(res.wf_slack_s) << ','
-        << metrics::csv_field(groups_field(res.groups)) << '\n';
+    for (const MetricColumn& column : kMetricColumns) {
+      out += ',';
+      metrics::append_csv_field(out, spell(column, res).view());
+    }
+    out += ',';
+    metrics::append_csv_field(out, groups_field(res.groups));
+    out += '\n';
   }
-  return out.str();
+  return out;
 }
 
 std::string cells_jsonl(const CampaignResult& result) {
-  std::ostringstream out;
+  const CampaignSpec& spec = result.spec;
+  std::string out;
   for (const auto& res : result.cells) {
-    const CampaignCell cell = result.spec.coordinates(res.index);
-    out << "{\"cell\":" << res.index << ",\"scheduler\":\""
-        << metrics::json_escape(
-               result.spec.schedulers[cell.scheduler_i].to_string())
-        << "\",\"scenario\":\""
-        << metrics::json_escape(
-               result.spec.scenarios[cell.scenario_i].to_string())
-        << "\",\"seed\":" << result.spec.seeds[cell.seed_i]
-        << ",\"nodes\":" << effective_nodes(result.spec, cell)
-        << ",\"cores\":" << result.spec.cores[cell.cores_i]
-        << ",\"memory_mb\":"
-        << util::fmt_g(result.spec.memories_mb[cell.memory_i])
-        << ",\"cluster\":\""
-        << metrics::json_escape(effective_cluster(result.spec, cell))
-        << "\",\"autoscaler\":\""
-        << metrics::json_escape(effective_autoscaler(result.spec, cell))
-        << "\",\"faults\":\""
-        << metrics::json_escape(effective_faults(result.spec, cell))
-        << "\",\"workflow\":\""
-        << metrics::json_escape(effective_workflow(result.spec, cell))
-        << "\",\"overrides\":{";
-    for (std::size_t k = 0; k < result.spec.overrides.size(); ++k) {
-      if (k > 0) out << ',';
-      out << '"' << metrics::json_escape(result.spec.overrides[k].first)
-          << "\":"
-          << util::fmt_g(
-                 result.spec.overrides[k].second[cell.override_i[k]]);
+    const CampaignCell cell = spec.coordinates(res.index);
+    out += '{';
+    for (const auto& field : coordinate_fields(spec, cell)) {
+      metrics::append_json_member(out, field.key, field.value, field.numeric);
+      out += ',';
     }
-    out << "},\"calls\":" << res.calls << ",\"response\":";
+    out += "\"overrides\":{";
+    for (std::size_t k = 0; k < spec.overrides.size(); ++k) {
+      if (k > 0) out += ',';
+      metrics::append_json_member(
+          out, spec.overrides[k].first,
+          util::fmt_g(spec.overrides[k].second[cell.override_i[k]]),
+          /*numeric=*/true);
+    }
+    out += "},\"calls\":";
+    out += spell(kCount, static_cast<double>(res.calls)).view();
+    out += ",\"response\":";
     append_summary_json(out, res.response_summary());
-    out << ",\"stretch\":";
+    out += ",\"stretch\":";
     append_summary_json(out, res.stretch_summary());
-    out << ",\"max_completion\":" << res.max_completion
-        << ",\"cold_starts\":" << res.stats.cold_starts
-        << ",\"prewarm_starts\":" << res.stats.prewarm_starts
-        << ",\"warm_starts\":" << res.stats.warm_starts
-        << ",\"resubmissions\":" << res.resubmissions
-        << ",\"daemon_wait_s\":" << res.stats.daemon_queue_wait_seconds
-        << ",\"daemon_wait_max_s\":"
-        << res.stats.daemon_max_queue_wait_seconds
-        << ",\"cost_usd\":" << util::fmt_g(res.cost_usd)
-        << ",\"node_hours\":" << util::fmt_g(res.node_hours)
-        << ",\"slo_violations\":" << res.slo_violations
-        << ",\"scale_ups\":" << res.scale_ups
-        << ",\"scale_downs\":" << res.scale_downs
-        << ",\"faults_injected\":" << res.faults_injected
-        << ",\"retries\":" << res.retries
-        << ",\"timeouts\":" << res.timeouts
-        << ",\"hedges_won\":" << res.hedges_won
-        << ",\"shed_calls\":" << res.shed_calls
-        << ",\"dropped_calls\":" << res.dropped_calls
-        << ",\"breaker_opens\":" << res.breaker_opens
-        << ",\"unavailability_s\":" << util::fmt_g(res.unavailability_s)
-        << ",\"goodput\":" << util::fmt_g(res.goodput)
-        << ",\"workflows\":" << res.workflows
-        << ",\"wf_e2e_p99\":" << util::fmt_g(res.wf_e2e_p99)
-        << ",\"wf_critical_path_s\":" << util::fmt_g(res.wf_critical_path_s)
-        << ",\"wf_slack_s\":" << util::fmt_g(res.wf_slack_s)
-        << ",\"groups\":[";
-    for (std::size_t g = 0; g < res.groups.size(); ++g) {
-      if (g > 0) out << ',';
-      const auto& group = res.groups[g];
-      out << "{\"name\":\"" << metrics::json_escape(group.name)
-          << "\",\"nodes_ever\":" << group.nodes
-          << ",\"calls\":" << group.stats.calls_completed
-          << ",\"cold_starts\":" << group.stats.cold_starts << "}";
+    for (const MetricColumn& column : kMetricColumns) {
+      out += ',';
+      metrics::append_json_member(out, column.name, spell(column, res).view(),
+                                  /*numeric=*/true);
     }
-    out << "]}\n";
+    out += ",\"groups\":[";
+    for (std::size_t g = 0; g < res.groups.size(); ++g) {
+      if (g > 0) out += ',';
+      const auto& group = res.groups[g];
+      out += "{\"name\":\"";
+      out += metrics::json_escape(group.name);
+      out += "\",\"nodes_ever\":" + std::to_string(group.nodes) +
+             ",\"calls\":" + std::to_string(group.stats.calls_completed) +
+             ",\"cold_starts\":" + std::to_string(group.stats.cold_starts) +
+             '}';
+    }
+    out += "]}\n";
   }
-  return out.str();
+  return out;
 }
 
 }  // namespace whisk::experiments

@@ -15,12 +15,18 @@
 
 namespace whisk::experiments {
 
-// What one campaign cell keeps after its run. Bounded by design: the
-// streaming summaries are O(reservoir), and the per-call samples/records
-// are only retained when the options ask for them — a 10k-cell campaign
-// with default options never holds more than the in-flight cells' records.
+// Everything one cell reports — the one result type of run_experiment,
+// CellWorkspace::run and run_campaign. Each per-cell metric is declared
+// here, filled once in CellWorkspace::run, and rendered into the cells
+// CSV/JSONL and the record context from one column table (campaign.cpp);
+// adding a metric touches exactly those three places.
+//
+// Bounded by design inside a campaign: the streaming summaries are
+// O(reservoir), and the per-call samples/records are only retained when
+// the options ask for them — a 10k-cell campaign with default options never
+// holds more than the in-flight cells' records.
 struct CellResult {
-  std::size_t index = 0;
+  std::size_t index = 0;  // global cell index (0 outside a campaign)
   // Terminal records in the cell (ok + shed + dropped = one per call).
   std::size_t calls = 0;
   // Calls that actually completed — the population the response/stretch
@@ -35,17 +41,23 @@ struct CellResult {
   // Extra submissions caused by node failures (a call surviving two
   // failures counts twice; 0 without fail events).
   std::size_t resubmissions = 0;
-  // Fleet economics and autoscaler activity (see RunResult): node-hours
-  // pro-rated over joins/drains, cost at the groups' cost-per-hour rates,
-  // responses above the slo= threshold, and scale decisions taken.
+  // Fleet economics: node-hours metered per member (pro-rated over joins
+  // and drains) and the cost at each group's cost-per-hour rate. Static
+  // fleets with the default rate report node_hours > 0 but cost_usd 0.
   double node_hours = 0.0;
   double cost_usd = 0.0;
+  // Responses above the deployment's `slo=` threshold (0 when no SLO set).
   std::size_t slo_violations = 0;
+  // Autoscaler activity: scale-up / scale-down decisions taken (0 without
+  // an autoscaler= section).
   std::size_t scale_ups = 0;
   std::size_t scale_downs = 0;
-  // Robustness telemetry (see RunResult): fault events fired, resilience
-  // retries/timeouts/hedge wins, shed and dropped calls, breaker trips,
-  // failed node-seconds, and successful completions per makespan second.
+  // Robustness telemetry (all 0 on fault-free, resilience-free runs):
+  // fault events fired (crashes, flaps, slow windows, lost completions);
+  // timeout-driven retries issued, per-call timeouts fired, hedged
+  // duplicates whose copy finished first, calls refused at admission
+  // (disposition=shed), calls abandoned after the attempt bound
+  // (disposition=dropped), and circuit-breaker trips.
   std::size_t faults_injected = 0;
   std::size_t retries = 0;
   std::size_t timeouts = 0;
@@ -53,9 +65,15 @@ struct CellResult {
   std::size_t shed_calls = 0;
   std::size_t dropped_calls = 0;
   std::size_t breaker_opens = 0;
+  // Node-seconds spent failed (crash to restart), summed over nodes.
   double unavailability_s = 0.0;
+  // Successful completions per second of makespan — the paper-adjacent
+  // "useful work" rate that shedding/dropping trades latency against.
   double goodput = 0.0;
-  // Workflow telemetry (see RunResult; all 0 on workflow-free cells).
+  // Workflow-level metrics (all 0 on workflow-free runs): instances whose
+  // every stage resolved, end-to-end latency p99, mean realized critical
+  // path and mean slack (e2e minus critical path — queueing, network and
+  // fan-in straggler time).
   std::size_t workflows = 0;
   double wf_e2e_p99 = 0.0;
   double wf_critical_path_s = 0.0;
@@ -67,8 +85,8 @@ struct CellResult {
   metrics::StreamingSummary response_stream;
   metrics::StreamingSummary stretch_stream;
 
-  // Exact per-call samples (retain_samples) and full records
-  // (retain_records).
+  // Exact per-call samples (R(i) seconds, S(i)) and full records. A
+  // campaign keeps them only under retain_samples / retain_records.
   std::vector<double> responses;
   std::vector<double> stretches;
   std::vector<metrics::CallRecord> records;
@@ -102,6 +120,22 @@ struct CampaignOptions {
   std::function<void(std::size_t, std::size_t)> progress;
 };
 
+// One group's pooled figures — what the group tables print and what a
+// distributed worker ships back for each of its groups: counters plus the
+// StreamingSummary state (Welford accumulator + reservoir) from
+// aggregate_responses/aggregate_stretches.
+struct GroupSummary {
+  std::size_t group = 0;  // global group index
+  std::size_t calls = 0;
+  std::size_t ok_calls = 0;
+  std::size_t cold_starts = 0;
+  double max_completion = 0.0;
+  metrics::StreamingSummary response;
+  metrics::StreamingSummary stretch;
+
+  GroupSummary() : response(0), stretch(0) {}
+};
+
 class CampaignResult {
  public:
   CampaignSpec spec;
@@ -123,6 +157,7 @@ class CampaignResult {
   // The group's first cell, for axis coordinates.
   [[nodiscard]] CampaignCell group_cell(std::size_t g) const;
   [[nodiscard]] std::string group_label(std::size_t g) const;
+  [[nodiscard]] GroupSummary group_summary(std::size_t g) const;
 };
 
 // Execute every cell of the grid — one independent sim::Engine per cell,
@@ -142,8 +177,11 @@ class CampaignResult {
 [[nodiscard]] std::vector<double> pooled_stretches(
     std::span<const CellResult> cells);
 
-// Bounded-memory aggregate across cells, merged in cell order (works with
-// or without retained samples).
+// Aggregate across cells, folded in cell order (works with or without
+// retained samples). Exact when every cell retained its samples — the
+// reservoir is then sized to the pooled ok count, so the quantiles equal
+// util::summarize over the pooled samples; bounded by the cells' reservoir
+// capacity otherwise.
 [[nodiscard]] metrics::StreamingSummary aggregate_responses(
     std::span<const CellResult> cells);
 [[nodiscard]] metrics::StreamingSummary aggregate_stretches(
@@ -163,12 +201,12 @@ class CampaignResult {
 // --cells-jsonl format (the CI smoke artifact).
 [[nodiscard]] std::string cells_jsonl(const CampaignResult& result);
 
-// The RunContext handed to pipeline sinks for one cell: cell index plus one
-// field per grid axis (and one per override axis). When the cell's result
-// is available, pass it to add the economics fields (cost_usd, node_hours,
-// slo_violations, scale_ups, scale_downs) to the context.
-[[nodiscard]] metrics::RunContext cell_context(
-    const CampaignSpec& spec, const CampaignCell& cell,
-    const CellResult* result = nullptr);
+// The RunContext handed to pipeline sinks for one cell: the cell's
+// coordinates (cell index plus one field per grid axis), one
+// `override:<knob>` field per override axis, then every per-cell metric
+// column of the cells CSV, in the same order.
+[[nodiscard]] metrics::RunContext cell_context(const CampaignSpec& spec,
+                                               const CampaignCell& cell,
+                                               const CellResult& result);
 
 }  // namespace whisk::experiments

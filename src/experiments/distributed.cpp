@@ -344,19 +344,13 @@ void run_worker_protocol(const CampaignSpec& raw_spec,
   body += jsonl;
   body += "groups " + std::to_string(result.group_count()) + '\n';
   for (std::size_t g = 0; g < result.group_count(); ++g) {
-    const std::span<const CellResult> cells = result.group(g);
-    std::size_t calls = 0;
-    std::size_t ok = 0;
-    for (const CellResult& c : cells) {
-      calls += c.calls;
-      ok += c.ok_calls;
-    }
-    body += "g " + std::to_string(result.global_group(g)) + ' ' +
-            std::to_string(calls) + ' ' + std::to_string(ok) + ' ' +
-            std::to_string(total_stats(cells).cold_starts) + ' ' +
-            hex_double(max_completion(cells)) + '\n';
-    append_summary_line(&body, 'r', aggregate_responses(cells));
-    append_summary_line(&body, 's', aggregate_stretches(cells));
+    const GroupSummary sum = result.group_summary(g);
+    body += "g " + std::to_string(sum.group) + ' ' +
+            std::to_string(sum.calls) + ' ' + std::to_string(sum.ok_calls) +
+            ' ' + std::to_string(sum.cold_starts) + ' ' +
+            hex_double(sum.max_completion) + '\n';
+    append_summary_line(&body, 'r', sum.response);
+    append_summary_line(&body, 's', sum.stretch);
   }
   body += "done rss " + std::to_string(self_peak_rss_kb()) + '\n';
   write_all(fd, body);

@@ -51,21 +51,6 @@ struct DistributedOptions {
   int test_kill_shard = -1;
 };
 
-// Per-group aggregate a worker ships back: counters plus the exact
-// StreamingSummary state (Welford accumulator + reservoir), so the
-// driver-side summaries match what a single-process run would compute.
-struct GroupSummary {
-  std::size_t group = 0;  // global group index
-  std::size_t calls = 0;
-  std::size_t ok_calls = 0;
-  std::size_t cold_starts = 0;
-  double max_completion = 0.0;
-  metrics::StreamingSummary response;
-  metrics::StreamingSummary stretch;
-
-  GroupSummary() : response(0), stretch(0) {}
-};
-
 // What happened to one shard: its range and how many spawn attempts it
 // took (1 = no crash).
 struct ShardOutcome {

@@ -2,6 +2,7 @@
 
 #include <utility>
 
+#include "cluster/cluster.h"
 #include "experiments/workspace.h"
 #include "sim/engine.h"
 #include "util/check.h"
@@ -9,8 +10,8 @@
 
 namespace whisk::experiments {
 
-RunResult run_experiment(const ExperimentSpec& spec,
-                         const workload::FunctionCatalog& cat) {
+CellResult run_experiment(const ExperimentSpec& spec,
+                          const workload::FunctionCatalog& cat) {
   // A single-use workspace is exactly the historical fresh-construction
   // path (cold engine, cold collector, scenario generated on first use);
   // campaigns keep one workspace per worker and amortize all of it.
@@ -18,11 +19,11 @@ RunResult run_experiment(const ExperimentSpec& spec,
   return workspace.run(spec, cat);
 }
 
-std::vector<RunResult> run_repetitions(ExperimentSpec spec,
-                                       const workload::FunctionCatalog& cat,
-                                       int reps) {
+std::vector<CellResult> run_repetitions(ExperimentSpec spec,
+                                        const workload::FunctionCatalog& cat,
+                                        int reps) {
   const std::uint64_t base_seed = spec.seed();
-  std::vector<RunResult> out;
+  std::vector<CellResult> out;
   out.reserve(static_cast<std::size_t>(reps));
   for (int r = 0; r < reps; ++r) {
     spec.seed(base_seed + static_cast<std::uint64_t>(r));

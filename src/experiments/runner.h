@@ -2,76 +2,16 @@
 
 #include <vector>
 
-#include "cluster/cluster.h"
+#include "experiments/campaign.h"
 #include "experiments/experiment_spec.h"
-#include "experiments/scheduler_spec.h"
-#include "metrics/record.h"
-#include "node/invoker.h"
-#include "util/stats.h"
 #include "workload/function.h"
-#include "workload/scenario.h"
 
 namespace whisk::experiments {
 
-// Everything the paper reports about one run.
-struct RunResult {
-  // Terminal records the run produced (ok + shed + dropped). Always set,
-  // even when `records` was not materialized (CellWorkspace::run with
-  // want_records = false).
-  std::size_t calls = 0;
-  std::vector<metrics::CallRecord> records;
-  std::vector<double> responses;  // R(i), seconds
-  std::vector<double> stretches;  // S(i)
-  double max_completion = 0.0;    // max c(i), seconds
-  node::InvokerStats stats;
-  // Per node group, in ClusterSpec group order (one entry for legacy
-  // homogeneous runs).
-  std::vector<cluster::GroupStats> groups;
-  // Extra submissions caused by node failures (a call surviving two
-  // failures counts twice; 0 without fail events).
-  std::size_t resubmissions = 0;
-  // Fleet economics: node-hours metered per member (pro-rated over joins
-  // and drains) and the cost at each group's cost-per-hour rate. Static
-  // fleets with the default rate report node_hours > 0 but cost_usd 0.
-  double node_hours = 0.0;
-  double cost_usd = 0.0;
-  // Responses above the deployment's `slo=` threshold (0 when no SLO set).
-  std::size_t slo_violations = 0;
-  // Autoscaler activity: scale-up / scale-down decisions taken (0 without
-  // an autoscaler= section).
-  std::size_t scale_ups = 0;
-  std::size_t scale_downs = 0;
-  // Robustness telemetry (all 0 on fault-free, resilience-free runs).
-  // Fault events fired (crashes, flaps, slow windows, lost completions).
-  std::size_t faults_injected = 0;
-  // Resilience-layer activity: timeout-driven retries issued, per-call
-  // timeouts fired, hedged duplicates whose copy finished first, calls
-  // refused at admission (disposition=shed), calls abandoned after the
-  // attempt bound (disposition=dropped), and circuit-breaker trips.
-  std::size_t retries = 0;
-  std::size_t timeouts = 0;
-  std::size_t hedges_won = 0;
-  std::size_t shed_calls = 0;
-  std::size_t dropped_calls = 0;
-  std::size_t breaker_opens = 0;
-  // Node-seconds spent failed (crash to restart), summed over nodes.
-  double unavailability_s = 0.0;
-  // Workflow-level metrics (all 0 on workflow-free runs): instances whose
-  // every stage resolved, end-to-end latency p99, mean realized critical
-  // path and mean slack (e2e minus critical path — queueing, network and
-  // fan-in straggler time).
-  std::size_t workflows = 0;
-  double wf_e2e_p99 = 0.0;
-  double wf_critical_path_s = 0.0;
-  double wf_slack_s = 0.0;
-  // Successful completions per second of makespan — the paper-adjacent
-  // "useful work" rate that shedding/dropping trades latency against.
-  double goodput = 0.0;
-};
-
-// Run one seeded experiment end to end (warm-up, 60 s burst, drain).
-[[nodiscard]] RunResult run_experiment(const ExperimentSpec& spec,
-                                       const workload::FunctionCatalog& cat);
+// Run one seeded experiment end to end (warm-up, 60 s burst, drain): the
+// cell's CellResult with exact samples and every record (index 0).
+[[nodiscard]] CellResult run_experiment(const ExperimentSpec& spec,
+                                        const workload::FunctionCatalog& cat);
 
 // Run `reps` seeded repetitions serially and return the per-seed results.
 //
@@ -82,7 +22,7 @@ struct RunResult {
 // over schedulers/scenarios/seeds belong on experiments::run_campaign
 // (campaign.h), whose per-cell output is pinned byte-identical to this
 // function's.
-[[nodiscard]] std::vector<RunResult> run_repetitions(
+[[nodiscard]] std::vector<CellResult> run_repetitions(
     ExperimentSpec spec, const workload::FunctionCatalog& cat, int reps = 5);
 
 // Closed-loop idle-system benchmark of a single function (Table I): `calls`

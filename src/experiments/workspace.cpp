@@ -42,9 +42,9 @@ const workload::Scenario& CellWorkspace::scenario_for(
       .first->second;
 }
 
-RunResult CellWorkspace::run(const ExperimentSpec& spec,
-                             const workload::FunctionCatalog& cat,
-                             bool want_records) {
+CellResult CellWorkspace::run(const ExperimentSpec& spec,
+                              const workload::FunctionCatalog& cat,
+                              bool want_records) {
   engine_.reset();
 
   const SchedulerSpec sched = spec.scheduler().normalized();
@@ -76,11 +76,13 @@ RunResult CellWorkspace::run(const ExperimentSpec& spec,
   WHISK_CHECK(col.size() == cluster.expected_calls(),
               "not every call completed: the simulation deadlocked");
 
-  RunResult out;
+  // The one place every per-cell metric is filled.
+  CellResult out;
   out.calls = col.size();
   if (want_records) out.records = col.records();
   out.responses = col.response_times();
   out.stretches = col.stretches();
+  out.ok_calls = out.responses.size();
   out.max_completion = col.max_completion();
   out.stats = cluster.total_stats();
   out.groups = cluster.group_stats();

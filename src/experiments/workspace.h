@@ -3,8 +3,8 @@
 #include <string>
 #include <unordered_map>
 
+#include "experiments/campaign.h"
 #include "experiments/experiment_spec.h"
-#include "experiments/runner.h"
 #include "metrics/collector.h"
 #include "sim/engine.h"
 #include "workload/function.h"
@@ -51,13 +51,13 @@ class CellWorkspace {
   CellWorkspace& operator=(const CellWorkspace&) = delete;
 
   // Run one cell end to end (warm-up, burst, drain), exactly like
-  // run_experiment. With want_records = false the RunResult's records
-  // vector stays empty (RunResult::calls still counts the resolved calls) —
-  // campaigns that neither retain nor stream records skip materializing
-  // them entirely.
-  [[nodiscard]] RunResult run(const ExperimentSpec& spec,
-                              const workload::FunctionCatalog& cat,
-                              bool want_records = true);
+  // run_experiment: every metric, exact samples (index left 0). With
+  // want_records = false the records vector stays empty (calls still counts
+  // the resolved calls) — campaigns that neither retain nor stream records
+  // skip materializing them entirely.
+  [[nodiscard]] CellResult run(const ExperimentSpec& spec,
+                               const workload::FunctionCatalog& cat,
+                               bool want_records = true);
 
  private:
   // The cell's scenario, generated on first use and memoized. The cache is

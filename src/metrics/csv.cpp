@@ -15,15 +15,17 @@ void write_csv_row(std::ostream& out, const CallRecord& r,
       << '\n';
 }
 
-std::string csv_field(const std::string& value) {
-  if (value.find_first_of(",\"\n") == std::string::npos) return value;
-  std::string quoted = "\"";
-  for (char c : value) {
-    if (c == '"') quoted += '"';
-    quoted += c;
+void append_csv_field(std::string& out, std::string_view value) {
+  if (value.find_first_of(",\"\n") == std::string_view::npos) {
+    out += value;
+    return;
   }
-  quoted += '"';
-  return quoted;
+  out += '"';
+  for (char c : value) {
+    if (c == '"') out += '"';
+    out += c;
+  }
+  out += '"';
 }
 
 void write_csv(std::ostream& out, const std::vector<CallRecord>& records,

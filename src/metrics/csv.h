@@ -2,6 +2,7 @@
 
 #include <iosfwd>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "metrics/record.h"
@@ -19,9 +20,10 @@ inline constexpr const char* kCallRecordCsvHeader =
 void write_csv_row(std::ostream& out, const CallRecord& r,
                    const workload::FunctionCatalog& catalog);
 
-// CSV-quote a free-form field only when it needs it (spec strings can hold
-// commas, e.g. a weighted mix's weights=1,2). Shared by every CSV emitter.
-[[nodiscard]] std::string csv_field(const std::string& value);
+// Append one free-form field to a CSV row, quoted only when it needs it
+// (spec strings can hold commas, e.g. a weighted mix's weights=1,2).
+// Shared by every CSV emitter.
+void append_csv_field(std::string& out, std::string_view value);
 
 // CSV export of per-call records for offline analysis (pandas/R). One row
 // per call with the paper's notation in the header.

@@ -10,9 +10,9 @@
 
 namespace whisk::metrics {
 
-std::string json_escape(const std::string& value) {
-  std::string out;
-  out.reserve(value.size());
+namespace {
+
+void append_json_escaped(std::string& out, std::string_view value) {
   for (char c : value) {
     switch (c) {
       case '"':
@@ -39,7 +39,29 @@ std::string json_escape(const std::string& value) {
         }
     }
   }
+}
+
+}  // namespace
+
+std::string json_escape(std::string_view value) {
+  std::string out;
+  out.reserve(value.size());
+  append_json_escaped(out, value);
   return out;
+}
+
+void append_json_member(std::string& out, std::string_view key,
+                        std::string_view value, bool numeric) {
+  out += '"';
+  append_json_escaped(out, key);
+  out += "\":";
+  if (numeric) {
+    out += value;
+    return;
+  }
+  out += '"';
+  append_json_escaped(out, value);
+  out += '"';
 }
 
 Sink* MetricsPipeline::add(std::unique_ptr<Sink> sink) {
@@ -68,8 +90,12 @@ void CsvSink::begin_run(const RunContext& ctx) {
   for (const auto& field : ctx.fields) keys.push_back(field.key);
   if (!header_written_) {
     header_keys_ = keys;
-    for (const auto& key : header_keys_) *out_ << csv_field(key) << ',';
-    *out_ << kCallRecordCsvHeader << '\n';
+    std::string header;
+    for (const auto& key : header_keys_) {
+      append_csv_field(header, key);
+      header += ',';
+    }
+    *out_ << header << kCallRecordCsvHeader << '\n';
     header_written_ = true;
   } else {
     WHISK_CHECK(keys == header_keys_,
@@ -78,7 +104,7 @@ void CsvSink::begin_run(const RunContext& ctx) {
   }
   prefix_.clear();
   for (const auto& field : ctx.fields) {
-    prefix_ += csv_field(field.value);
+    append_csv_field(prefix_, field.value);
     prefix_ += ',';
   }
 }
@@ -98,16 +124,7 @@ void CsvSink::on_record(const CallRecord& record) {
 void JsonlSink::begin_run(const RunContext& ctx) {
   prefix_.clear();
   for (const auto& field : ctx.fields) {
-    prefix_ += '"';
-    prefix_ += json_escape(field.key);
-    prefix_ += "\":";
-    if (field.numeric) {
-      prefix_ += field.value;  // same typed form as cells_jsonl
-    } else {
-      prefix_ += '"';
-      prefix_ += json_escape(field.value);
-      prefix_ += '"';
-    }
+    append_json_member(prefix_, field.key, field.value, field.numeric);
     prefix_ += ',';
   }
 }

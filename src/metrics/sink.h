@@ -4,6 +4,7 @@
 #include <iosfwd>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -34,7 +35,13 @@ struct RunContext {
 // Escape a string for embedding in a JSON string literal (quotes,
 // backslashes, control characters). Shared by every JSONL emitter — spec
 // values are verbatim user input (trace file paths can hold anything).
-[[nodiscard]] std::string json_escape(const std::string& value);
+[[nodiscard]] std::string json_escape(std::string_view value);
+
+// One JSON member, `"key":value`, appended to `out`: numeric values bare,
+// every other value a quoted, escaped string. The member rule JsonlSink
+// applies to RunContext fields and cells_jsonl to cell rows.
+void append_json_member(std::string& out, std::string_view key,
+                        std::string_view value, bool numeric);
 
 // One consumer of completed-call records. A run is a begin_run/on_record*/
 // end_run bracket; sinks are fed strictly in run order (the campaign runner

@@ -3,12 +3,17 @@
 //     ExperimentSpec (the paper-pin acceptance criterion),
 //   * output is invariant under the thread count (1, 2, hardware),
 //   * pipeline sinks see cells in index order regardless of schedule,
-//   * group pooling reproduces the serial run_repetitions pooling.
+//   * group pooling reproduces the serial run_repetitions pooling,
+//   * cells CSV rows, cells JSONL lines and the record context share one
+//     column schema.
 #include "experiments/campaign.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "experiments/runner.h"
 #include "metrics/csv.h"
@@ -459,6 +464,147 @@ TEST_F(CampaignTest, ChaosCellsAreInvariantUnderThreadCount) {
     }
   }
   EXPECT_GT(faulted_injections, 0u);
+}
+
+// Quote-aware CSV split of one line (no embedded newlines in cells rows).
+std::vector<std::string> split_csv(const std::string& line) {
+  std::vector<std::string> out(1);
+  bool quoted = false;
+  for (std::size_t i = 0; i < line.size(); ++i) {
+    const char c = line[i];
+    if (quoted) {
+      if (c == '"' && i + 1 < line.size() && line[i + 1] == '"') {
+        out.back() += '"';
+        ++i;
+      } else if (c == '"') {
+        quoted = false;
+      } else {
+        out.back() += c;
+      }
+    } else if (c == '"') {
+      quoted = true;
+    } else if (c == ',') {
+      out.emplace_back();
+    } else {
+      out.back() += c;
+    }
+  }
+  return out;
+}
+
+// The top-level member names of one JSON object line, in order.
+std::vector<std::string> json_top_keys(const std::string& line) {
+  std::vector<std::string> keys;
+  int depth = 0;
+  bool in_string = false;
+  bool expect_key = false;
+  std::string current;
+  for (std::size_t i = 0; i < line.size(); ++i) {
+    const char c = line[i];
+    if (in_string) {
+      if (c == '\\') {
+        if (expect_key) current += line[i + 1];
+        ++i;
+      } else if (c == '"') {
+        in_string = false;
+        if (expect_key) {
+          keys.push_back(current);
+          expect_key = false;
+        }
+      } else if (expect_key) {
+        current += c;
+      }
+      continue;
+    }
+    if (c == '"') {
+      in_string = true;
+      current.clear();
+    } else if (c == '{' || c == '[') {
+      ++depth;
+      expect_key = depth == 1;
+    } else if (c == '}' || c == ']') {
+      --depth;
+    } else if (c == ',' && depth == 1) {
+      expect_key = true;
+    }
+  }
+  return keys;
+}
+
+std::vector<std::string> lines_of(const std::string& text) {
+  std::vector<std::string> out;
+  std::istringstream in(text);
+  for (std::string line; std::getline(in, line);) out.push_back(line);
+  return out;
+}
+
+TEST_F(CampaignTest, CellsRowsAndRecordContextShareOneSchema) {
+  // A chaos grid with two override axes: every nested part of a row
+  // (overrides, summaries, groups) is present and non-trivial.
+  const auto spec = CampaignSpec::parse(
+      "schedulers=ours/sept; scenarios=fixed-total?total=60; seeds=0..1; "
+      "clusters=node:2|resilience=timeout-s=8&max-attempts=3; "
+      "faults=none,crash-restart?mtbf-s=20&mttr-s=5; "
+      "override:strain_per_container=0.01,0.02; "
+      "override:context_switch_beta=0.5,1");
+  std::ostringstream records;
+  metrics::MetricsPipeline pipeline;
+  pipeline.emplace<metrics::CsvSink>(records, cat_);
+  CampaignOptions opts;
+  opts.threads = 2;
+  opts.pipeline = &pipeline;
+  const auto result = run_campaign(spec, cat_, opts);
+  ASSERT_EQ(result.cells.size(), 16u);
+
+  const std::vector<std::string> csv = lines_of(cells_csv(result));
+  ASSERT_EQ(csv.size(), result.cells.size() + 1);
+  const std::vector<std::string> header = split_csv(csv[0]);
+  for (std::size_t i = 1; i < csv.size(); ++i) {
+    EXPECT_EQ(split_csv(csv[i]).size(), header.size()) << "row " << i;
+  }
+
+  // The record context is the cells CSV's flat columns: the coordinates,
+  // one override:<k> per override axis, then every metric column — i.e.
+  // the header without calls, the summaries and groups.
+  std::vector<std::string> want_context;
+  for (const std::string& column : header) {
+    if (column == "overrides") {
+      for (const auto& [name, values] : result.spec.overrides) {
+        want_context.push_back("override:" + name);
+      }
+    } else if (column != "calls" && column != "groups" &&
+               column.rfind("r_", 0) != 0 && column.rfind("s_", 0) != 0) {
+      want_context.push_back(column);
+    }
+  }
+  const std::vector<std::string> record_header =
+      split_csv(lines_of(records.str()).front());
+  const std::size_t record_columns =
+      split_csv(metrics::kCallRecordCsvHeader).size();
+  ASSERT_GT(record_header.size(), record_columns);
+  EXPECT_EQ(std::vector<std::string>(record_header.begin(),
+                                     record_header.end() - record_columns),
+            want_context);
+  EXPECT_EQ(std::count(want_context.begin(), want_context.end(),
+                       "dropped_calls"),
+            1);
+
+  // JSONL members follow CSV order, each summary run folded into one
+  // nested object.
+  std::vector<std::string> want_json;
+  for (const std::string& column : header) {
+    if (column.rfind("r_", 0) == 0 || column.rfind("s_", 0) == 0) {
+      const std::string folded = column[0] == 'r' ? "response" : "stretch";
+      if (want_json.back() != folded) want_json.push_back(folded);
+    } else {
+      want_json.push_back(column);
+    }
+  }
+  const std::vector<std::string> jsonl = lines_of(cells_jsonl(result));
+  ASSERT_EQ(jsonl.size(), result.cells.size());
+  for (std::size_t i = 0; i < jsonl.size(); ++i) {
+    EXPECT_EQ(json_top_keys(jsonl[i]), want_json) << "line " << i;
+  }
 }
 
 TEST_F(CampaignTest, PooledHelpersNeedRetainedSamples) {

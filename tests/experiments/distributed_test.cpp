@@ -2,9 +2,10 @@
 // merged cells CSV/JSONL byte-identical to a single-process run at any
 // worker count on a grid that exercises every subsystem at once
 // (autoscaled cost-metered fleet, resilience policy, crash faults,
-// workflow DAGs); per-group summaries bit-exact across the wire; empty
-// shards tolerated when workers outnumber groups; and a worker SIGKILLed
-// mid-shard re-run transparently with the merge unchanged.
+// workflow DAGs); per-group summaries bit-exact across the wire and equal
+// to the pooled in-process samples; empty shards tolerated when workers
+// outnumber groups; and a worker SIGKILLed mid-shard re-run transparently
+// with the merge unchanged.
 #include "experiments/distributed.h"
 
 #include <gtest/gtest.h>
@@ -99,6 +100,41 @@ TEST_F(DistributedCampaignTest, GroupSummariesAreBitExactAcrossTheWire) {
     EXPECT_EQ(got.stretch.stats.state().m2, want_s.stats.state().m2);
     EXPECT_EQ(got.stretch.reservoir.samples(), want_s.reservoir.samples());
   }
+}
+
+TEST_F(DistributedCampaignTest, DriverGroupTableMatchesPooledSamples) {
+  // One group of 5280 ok calls — more than the default 4096-sample
+  // reservoir — so a capacity-bound fold would estimate the quantiles the
+  // in-process run computes exactly.
+  const CampaignSpec grid = CampaignSpec::parse(
+      "schedulers=ours/sept; scenarios=uniform?intensity=120; cores=20; "
+      "seeds=0..1");
+  CampaignOptions sopts;
+  sopts.threads = 1;
+  const CampaignResult single = run_campaign(grid, cat_, sopts);
+  ASSERT_EQ(single.group_count(), 1u);
+  const util::Summary want_r =
+      util::summarize(pooled_responses(single.group(0)));
+  const util::Summary want_s =
+      util::summarize(pooled_stretches(single.group(0)));
+  ASSERT_GT(want_r.count, 4096u);
+
+  DistributedOptions opts;
+  opts.workers = 1;
+  const DistributedResult dist = run_distributed(grid, cat_, opts);
+  ASSERT_EQ(dist.groups.size(), 1u);
+  const auto check = [](const util::Summary& got, const util::Summary& want,
+                        const char* what) {
+    EXPECT_EQ(got.count, want.count) << what;
+    EXPECT_EQ(got.p50, want.p50) << what;
+    EXPECT_EQ(got.p75, want.p75) << what;
+    EXPECT_EQ(got.p95, want.p95) << what;
+    EXPECT_EQ(got.p99, want.p99) << what;
+    EXPECT_EQ(got.max, want.max) << what;
+    EXPECT_NEAR(got.mean, want.mean, 1e-9 * want.mean) << what;
+  };
+  check(dist.groups[0].response.summary(), want_r, "response");
+  check(dist.groups[0].stretch.summary(), want_s, "stretch");
 }
 
 TEST_F(DistributedCampaignTest, MoreWorkersThanGroupsYieldsEmptyShards) {

@@ -15,6 +15,7 @@
 #include <memory>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "cluster/autoscaler.h"
@@ -281,6 +282,44 @@ int merge_partials(const std::string& out_path,
   return 0;
 }
 
+// The aggregated per-group table (seeds pooled) both run paths print.
+void print_group_table(const experiments::CampaignSpec& spec,
+                       const std::vector<experiments::GroupSummary>& groups) {
+  util::Table table({"group", "seeds", "calls", "avg R", "p50 R", "p95 R",
+                     "p99 R", "avg S", "p50 S", "max c(i)", "cold"});
+  const std::size_t per = spec.seeds_per_group();
+  for (const auto& g : groups) {
+    const util::Summary r = g.response.summary();
+    const util::Summary s = g.stretch.summary();
+    table.add_row({spec.label(spec.coordinates(g.group * per),
+                              /*with_seed=*/false),
+                   std::to_string(per), std::to_string(r.count),
+                   util::fmt(r.mean), util::fmt(r.p50), util::fmt(r.p95),
+                   util::fmt(r.p99), util::fmt(s.mean, 1), util::fmt(s.p50, 1),
+                   util::fmt(g.max_completion), std::to_string(g.cold_starts)});
+  }
+  std::printf("%s", table.to_string().c_str());
+}
+
+// Write the cells files that were asked for (an empty path is skipped).
+// False, after a message, when one cannot be written.
+bool write_cells_files(const std::string& csv_path, const std::string& csv,
+                       const std::string& jsonl_path, const std::string& jsonl,
+                       bool quiet) {
+  const std::pair<const std::string&, const std::string&> files[] = {
+      {csv_path, csv}, {jsonl_path, jsonl}};
+  for (const auto& [path, data] : files) {
+    if (path.empty()) continue;
+    std::ofstream out(path, std::ios::binary);
+    if (!(out << data)) {
+      std::fprintf(stderr, "cannot write %s\n", path.c_str());
+      return false;
+    }
+    if (!quiet) std::fprintf(stderr, "wrote %s\n", path.c_str());
+  }
+  return true;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -448,47 +487,15 @@ int main(int argc, char** argv) {
       }
     }
 
-    util::Table agg({"group", "seeds", "calls", "avg R", "p50 R", "p95 R",
-                     "p99 R", "avg S", "p50 S", "max c(i)", "cold"});
-    const std::size_t per = result.spec.seeds_per_group();
-    for (const auto& g : result.groups) {
-      const util::Summary r = g.response.summary();
-      const util::Summary s = g.stretch.summary();
-      agg.add_row({result.spec.label(result.spec.coordinates(g.group * per),
-                                     /*with_seed=*/false),
-                   std::to_string(per), std::to_string(r.count),
-                   util::fmt(r.mean), util::fmt(r.p50), util::fmt(r.p95),
-                   util::fmt(r.p99), util::fmt(s.mean, 1),
-                   util::fmt(s.p50, 1), util::fmt(g.max_completion),
-                   std::to_string(g.cold_starts)});
-    }
-    std::printf("%s", agg.to_string().c_str());
+    print_group_table(result.spec, result.groups);
     if (!quiet) {
       std::fprintf(stderr, "peak worker rss: %ld kb\n",
                    result.peak_worker_rss_kb);
     }
-
-    if (!cells_csv_path.empty()) {
-      std::ofstream out(cells_csv_path, std::ios::binary);
-      if (!out) {
-        std::fprintf(stderr, "cannot write %s\n", cells_csv_path.c_str());
-        return 1;
-      }
-      out << result.cells_csv;
-      if (!quiet) std::fprintf(stderr, "wrote %s\n", cells_csv_path.c_str());
-    }
-    if (!cells_jsonl_path.empty()) {
-      std::ofstream out(cells_jsonl_path, std::ios::binary);
-      if (!out) {
-        std::fprintf(stderr, "cannot write %s\n", cells_jsonl_path.c_str());
-        return 1;
-      }
-      out << result.cells_jsonl;
-      if (!quiet) {
-        std::fprintf(stderr, "wrote %s\n", cells_jsonl_path.c_str());
-      }
-    }
-    return 0;
+    return write_cells_files(cells_csv_path, result.cells_csv,
+                             cells_jsonl_path, result.cells_jsonl, quiet)
+               ? 0
+               : 1;
   }
 
   // Single-process path, optionally restricted to one shard of the grid.
@@ -576,50 +583,17 @@ int main(int argc, char** argv) {
     std::printf("%s\n", table.to_string().c_str());
   }
 
-  // Aggregated per-group table (seeds pooled).
-  util::Table agg({"group", "seeds", "calls", "avg R", "p50 R", "p95 R",
-                   "p99 R", "avg S", "p50 S", "max c(i)", "cold"});
+  std::vector<experiments::GroupSummary> groups;
   for (std::size_t g = 0; g < result.group_count(); ++g) {
-    const auto cells = result.group(g);
-    const util::Summary r =
-        opts.retain_samples
-            ? util::summarize(experiments::pooled_responses(cells))
-            : experiments::aggregate_responses(cells).summary();
-    const util::Summary s =
-        opts.retain_samples
-            ? util::summarize(experiments::pooled_stretches(cells))
-            : experiments::aggregate_stretches(cells).summary();
-    const auto stats = experiments::total_stats(cells);
-    agg.add_row({result.group_label(g), std::to_string(cells.size()),
-                 std::to_string(r.count), util::fmt(r.mean),
-                 util::fmt(r.p50), util::fmt(r.p95), util::fmt(r.p99),
-                 util::fmt(s.mean, 1), util::fmt(s.p50, 1),
-                 util::fmt(experiments::max_completion(cells)),
-                 std::to_string(stats.cold_starts)});
+    groups.push_back(result.group_summary(g));
   }
-  std::printf("%s", agg.to_string().c_str());
-
-  if (!cells_csv_path.empty()) {
-    std::ofstream out(cells_csv_path);
-    if (!out) {
-      std::fprintf(stderr, "cannot write %s\n", cells_csv_path.c_str());
-      return 1;
-    }
-    out << experiments::cells_csv(result);
-    if (!quiet) {
-      std::fprintf(stderr, "wrote %s\n", cells_csv_path.c_str());
-    }
-  }
-  if (!cells_jsonl_path.empty()) {
-    std::ofstream out(cells_jsonl_path);
-    if (!out) {
-      std::fprintf(stderr, "cannot write %s\n", cells_jsonl_path.c_str());
-      return 1;
-    }
-    out << experiments::cells_jsonl(result);
-    if (!quiet) {
-      std::fprintf(stderr, "wrote %s\n", cells_jsonl_path.c_str());
-    }
-  }
-  return 0;
+  print_group_table(result.spec, groups);
+  return write_cells_files(
+             cells_csv_path,
+             cells_csv_path.empty() ? "" : experiments::cells_csv(result),
+             cells_jsonl_path,
+             cells_jsonl_path.empty() ? "" : experiments::cells_jsonl(result),
+             quiet)
+             ? 0
+             : 1;
 }
