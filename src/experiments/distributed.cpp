@@ -2,26 +2,25 @@
 
 #include <poll.h>
 #include <signal.h>
-#include <sys/resource.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <cerrno>
 #include <cstdio>
-#include <cstring>
 #include <string_view>
 #include <utility>
 
 #include "util/check.h"
 #include "util/parse.h"
+#include "util/peak_rss.h"
 
 namespace whisk::experiments {
 namespace {
 
 // ---- wire helpers -----------------------------------------------------------
 //
-// The protocol is line-framed text over the worker's stdout pipe:
+// The protocol is line-framed text over the worker's output pipe:
 //
 //   whisk-shard 1 <i>/<n> groups <bg> <eg> cells <bc> <ec>\n   (header,
 //       written BEFORE any cell runs — the driver's liveness signal and
@@ -190,6 +189,8 @@ ShardPayload parse_payload(std::string_view data, const ShardRange& expect) {
     WHISK_CHECK(t.size() == 2 && t[0] == "csv",
                 "distributed protocol: expected csv frame");
     out.csv = std::string(cur.bytes(parse_size(t[1], "csv byte count")));
+    WHISK_CHECK(out.csv.find('\n') != std::string::npos,
+                "distributed shard CSV is missing its header row");
   }
   {
     const std::vector<std::string_view> t = tokens(cur.line());
@@ -272,44 +273,15 @@ void drain(int* fd, std::string* buf) {
   buf->append(tmp, static_cast<std::size_t>(n));
 }
 
-// Worker peak-RSS accounting. A fork-mode worker inherits the parent's
-// getrusage high-water mark, which would report the DRIVER's footprint as
-// the worker's; resetting the kernel's per-mm VmHWM at worker start makes
-// the trailer reflect only the shard's own run. Best-effort: without
-// CONFIG_PROC_PAGE_MONITOR the reset is refused and the read falls back
-// to the (inherited) ru_maxrss.
-void reset_self_peak_rss() {
-  std::FILE* f = std::fopen("/proc/self/clear_refs", "w");
-  if (f == nullptr) return;
-  std::fputs("5", f);
-  std::fclose(f);
-}
-
-long self_peak_rss_kb() {
-  std::FILE* f = std::fopen("/proc/self/status", "r");
-  if (f != nullptr) {
-    char line[256];
-    while (std::fgets(line, sizeof line, f) != nullptr) {
-      long kb = 0;
-      if (std::sscanf(line, "VmHWM: %ld", &kb) == 1) {
-        std::fclose(f);
-        return kb;
-      }
-    }
-    std::fclose(f);
-  }
-  struct rusage ru;
-  if (::getrusage(RUSAGE_SELF, &ru) != 0) return 0;
-  return ru.ru_maxrss;  // KiB on Linux
-}
-
-}  // namespace
-
+// Worker side of the wire protocol: run shard `shard_index` of
+// `shard_count` over the grid and write the framed results to `fd`. A
+// forked worker inherits the driver's RSS high-water mark, so it is reset
+// first and the done trailer reports the shard's own run.
 void run_worker_protocol(const CampaignSpec& raw_spec,
                          const workload::FunctionCatalog& cat,
                          std::size_t shard_index, std::size_t shard_count,
                          const DistributedOptions& options, int fd) {
-  reset_self_peak_rss();
+  util::reset_peak_rss();
   const CampaignSpec spec = raw_spec.normalized();
   const ShardRange range = spec.shard(shard_index, shard_count);
 
@@ -352,11 +324,9 @@ void run_worker_protocol(const CampaignSpec& raw_spec,
     append_summary_line(&body, 'r', sum.response);
     append_summary_line(&body, 's', sum.stretch);
   }
-  body += "done rss " + std::to_string(self_peak_rss_kb()) + '\n';
+  body += "done rss " + std::to_string(util::peak_rss_kb()) + '\n';
   write_all(fd, body);
 }
-
-namespace {
 
 void spawn_worker(Worker* w, const CampaignSpec& spec,
                   const workload::FunctionCatalog& cat,
@@ -377,30 +347,13 @@ void spawn_worker(Worker* w, const CampaignSpec& spec,
     ::close(err_pipe[0]);
     ::dup2(err_pipe[1], 2);
     ::close(err_pipe[1]);
-    if (options.worker_command.empty()) {
-      // In-process worker: same image, no exec. _exit (not exit) so the
-      // child never runs the parent's atexit/leak-check machinery.
-      run_worker_protocol(spec, cat, w->shard,
-                          static_cast<std::size_t>(options.workers), options,
-                          out_pipe[1]);
-      ::close(out_pipe[1]);
-      ::_exit(0);
-    }
-    ::dup2(out_pipe[1], 1);
+    // _exit (not exit) so the child never runs the parent's
+    // atexit/leak-check machinery.
+    run_worker_protocol(spec, cat, w->shard,
+                        static_cast<std::size_t>(options.workers), options,
+                        out_pipe[1]);
     ::close(out_pipe[1]);
-    std::vector<std::string> argv_s = options.worker_command;
-    argv_s.push_back("--worker");
-    argv_s.push_back("--shard");
-    argv_s.push_back(std::to_string(w->shard) + "/" +
-                     std::to_string(options.workers));
-    std::vector<char*> argv;
-    argv.reserve(argv_s.size() + 1);
-    for (std::string& a : argv_s) argv.push_back(a.data());
-    argv.push_back(nullptr);
-    ::execvp(argv[0], argv.data());
-    std::fprintf(stderr, "exec %s failed: %s\n", argv[0],
-                 std::strerror(errno));
-    ::_exit(127);
+    ::_exit(0);
   }
 
   ::close(out_pipe[1]);
@@ -517,33 +470,76 @@ DistributedResult run_distributed(const CampaignSpec& raw_spec,
   DistributedResult out;
   out.spec = spec;
   out.shards.reserve(n);
-  std::string csv_header;
+  std::vector<CellsPart> csv_parts;
+  std::vector<CellsPart> jsonl_parts;
   for (std::size_t i = 0; i < n; ++i) {
     out.shards.push_back({workers[i].range, workers[i].attempts});
-    const ShardPayload& p = payloads[i];
-    // Every shard's CSV starts with the same header row; the merged file
-    // keeps exactly one.
-    const std::size_t nl = p.csv.find('\n');
-    WHISK_CHECK(nl != std::string::npos,
-                "distributed shard CSV is missing its header row");
-    const std::string header = p.csv.substr(0, nl + 1);
-    if (i == 0) {
-      csv_header = header;
-      out.cells_csv = p.csv;
-    } else {
-      WHISK_CHECK(header == csv_header,
-                  "distributed shards disagree on the CSV header");
-      out.cells_csv.append(p.csv, nl + 1, std::string::npos);
-    }
-    out.cells_jsonl += p.jsonl;
+    ShardPayload& p = payloads[i];
+    const std::string name = "shard " + workers[i].range.selector();
+    csv_parts.push_back({name, std::move(p.csv)});
+    jsonl_parts.push_back({name, std::move(p.jsonl)});
     out.groups.insert(out.groups.end(), p.groups.begin(), p.groups.end());
     out.peak_worker_rss_kb = std::max(out.peak_worker_rss_kb, p.rss_kb);
   }
+  const auto merge = [](const std::vector<CellsPart>& parts) {
+    CellsMerge m = merge_cells(parts);
+    WHISK_CHECK(m.diagnostic.empty(),
+                ("distributed merge: " + m.diagnostic).c_str());
+    return std::move(m.merged);
+  };
+  out.cells_csv = merge(csv_parts);
+  out.cells_jsonl = merge(jsonl_parts);
   WHISK_CHECK(out.groups.size() == spec.group_count(),
               "distributed merge did not cover every grid group");
   for (std::size_t g = 0; g < out.groups.size(); ++g) {
     WHISK_CHECK(out.groups[g].group == g,
                 "distributed merge produced out-of-order groups");
+  }
+  return out;
+}
+
+CellsMerge merge_cells(const std::vector<CellsPart>& parts) {
+  const auto is_jsonl = [](const CellsPart& part) {
+    return part.data.empty() || part.data.front() == '{';
+  };
+  const auto format = [&](const CellsPart& part) {
+    return part.data.empty() ? "JSONL (empty)"
+           : is_jsonl(part)  ? "JSONL"
+                             : "CSV";
+  };
+  // The first non-empty part fixes the format; all-empty parts are the
+  // JSONL of a grid slice with no cells.
+  const auto first = std::find_if(
+      parts.begin(), parts.end(),
+      [](const CellsPart& part) { return !part.data.empty(); });
+  if (first == parts.end()) return {};
+  const bool jsonl = is_jsonl(*first);
+  std::string_view header;
+  if (!jsonl) {
+    const std::size_t nl = first->data.find('\n');
+    if (nl == std::string::npos) {
+      return {"", first->name + " has no CSV header row"};
+    }
+    header = std::string_view(first->data).substr(0, nl + 1);
+  }
+
+  CellsMerge out;
+  for (const CellsPart& part : parts) {
+    if (is_jsonl(part) != jsonl) {
+      return {"", part.name + " is " + format(part) + " but " + first->name +
+                      " is " + format(*first)};
+    }
+    if (jsonl) {
+      out.merged += part.data;
+      continue;
+    }
+    if (std::string_view(part.data).substr(0, header.size()) != header) {
+      return {"", part.name + " does not share the CSV header of " +
+                      first->name};
+    }
+    // The first part brings the header row; the rest add their data rows.
+    out.merged.append(part.data, out.merged.empty() ? 0 : header.size(),
+                      std::string::npos);
   }
   return out;
 }

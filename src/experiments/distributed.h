@@ -19,14 +19,8 @@ namespace whisk::experiments {
 // seeded from grid coordinates alone, shards keep global indices, and the
 // merge concatenates in shard (= global cell index) order.
 //
-// Two spawn modes share one wire protocol:
-//   - worker_command non-empty: fork + exec `worker_command... --worker
-//     --shard i/n`, the worker re-parses the grid and speaks the protocol
-//     on its stdout (how `whisk_sweep --workers N` distributes itself).
-//   - worker_command empty: fork only; the child calls
-//     run_worker_protocol in-process and _exit(0)s (how the tests and the
-//     benchmark measure multi-process scaling without binary-path
-//     plumbing).
+// Each worker is a fork of the calling process: the child runs its shard
+// through run_campaign, writes the results to a pipe and _exit(0)s.
 //
 // Fault tolerance: a worker that exits non-zero or dies on a signal is
 // re-spawned (cells are idempotent, so a re-run is byte-identical) up to
@@ -41,10 +35,6 @@ struct DistributedOptions {
   // Forward worker stderr live (and let workers print progress); when
   // false worker stderr is captured and only replayed if the worker fails.
   bool verbose = false;
-  // Command prefix for exec-mode workers (argv[0] + fixed args, e.g.
-  // {"./whisk_sweep", "<grid>", "--threads", "2"}). The driver appends
-  // "--worker --shard i/n". Empty selects fork-only in-process workers.
-  std::vector<std::string> worker_command;
   // Test hook: SIGKILL this shard's FIRST attempt as soon as its protocol
   // header arrives (the worker sends the header before running any cell),
   // exercising the crash-retry path. -1 = off.
@@ -68,8 +58,9 @@ struct DistributedResult {
   // group-aligned, so each group comes from exactly one worker).
   std::vector<GroupSummary> groups;
   std::vector<ShardOutcome> shards;
-  // Max peak RSS any worker reported (ru_maxrss, KiB) — the per-process
-  // memory footprint the sharding is buying down.
+  // Max peak RSS any worker reported, in KiB: the worker's own VmHWM
+  // (reset at worker start) where /proc/self/clear_refs is writable, else
+  // ru_maxrss, which includes the footprint inherited from the driver.
   long peak_worker_rss_kb = 0;
 };
 
@@ -79,16 +70,25 @@ struct DistributedResult {
     const CampaignSpec& spec, const workload::FunctionCatalog& cat,
     const DistributedOptions& options = {});
 
-// Worker side of the wire protocol: run shard `shard_index` of
-// `shard_count` over the grid and write the framed results to `fd`
-// (header line first — before any cell runs — then cells CSV/JSONL
-// frames, per-group summary lines, and a `done` trailer carrying peak
-// RSS). Doubles travel as printf "%a" hexfloats, so the driver-side
-// reconstruction is bit-exact. Used by the fork-only child and by
-// `whisk_sweep --worker`.
-void run_worker_protocol(const CampaignSpec& spec,
-                         const workload::FunctionCatalog& cat,
-                         std::size_t shard_index, std::size_t shard_count,
-                         const DistributedOptions& options, int fd);
+// One shard's cells CSV or cells JSONL, named for diagnostics (a file
+// path, or "shard i/n").
+struct CellsPart {
+  std::string name;
+  std::string data;
+};
+
+// The merged cells file, or why the parts do not merge.
+struct CellsMerge {
+  std::string merged;
+  std::string diagnostic;  // empty when the merge succeeded
+};
+
+// Merge per-shard cells outputs, given in shard order, into the bytes a
+// single-process run writes. A CSV part always carries its header row,
+// even for an empty shard, so an empty part can only be JSONL; every
+// non-empty part must have the format of the first non-empty one (JSONL
+// when it starts with '{'). CSV parts must share one header row, which the
+// merge keeps once; JSONL parts are concatenated.
+[[nodiscard]] CellsMerge merge_cells(const std::vector<CellsPart>& parts);
 
 }  // namespace whisk::experiments

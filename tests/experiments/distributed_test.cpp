@@ -4,14 +4,17 @@
 // (autoscaled cost-metered fleet, resilience policy, crash faults,
 // workflow DAGs); per-group summaries bit-exact across the wire and equal
 // to the pooled in-process samples; empty shards tolerated when workers
-// outnumber groups; and a worker SIGKILLed mid-shard re-run transparently
-// with the merge unchanged.
+// outnumber groups; a worker SIGKILLed mid-shard re-run transparently
+// with the merge unchanged; and the offline merge of separate `--shard i/n`
+// runs' cells files, empty shards included.
 #include "experiments/distributed.h"
 
 #include <gtest/gtest.h>
 
 #include <cstddef>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "experiments/campaign.h"
 #include "util/stats.h"
@@ -184,6 +187,85 @@ TEST_F(DistributedCampaignTest, NoSamplesModeAlsoMergesByteIdentically) {
   const DistributedResult dist = run_distributed(chaos_grid(), cat_, opts);
   EXPECT_EQ(dist.cells_csv, cells_csv(single));
   EXPECT_EQ(dist.cells_jsonl, cells_jsonl(single));
+}
+
+// The cells CSV and JSONL that separate `--shard i/n` runs of the grid
+// write, one part per shard in shard order.
+struct ShardFiles {
+  std::vector<CellsPart> csv;
+  std::vector<CellsPart> jsonl;
+};
+
+ShardFiles run_shards(const CampaignSpec& grid,
+                      const workload::FunctionCatalog& cat, std::size_t n) {
+  ShardFiles out;
+  for (std::size_t i = 0; i < n; ++i) {
+    CampaignOptions opts;
+    opts.threads = 1;
+    opts.shard = grid.normalized().shard(i, n);
+    const CampaignResult part = run_campaign(grid, cat, opts);
+    const std::string name = "part" + std::to_string(i);
+    out.csv.push_back({name + ".csv", cells_csv(part)});
+    out.jsonl.push_back({name + ".jsonl", cells_jsonl(part)});
+  }
+  return out;
+}
+
+TEST_F(DistributedCampaignTest, MergeOfShardRunsMatchesSingleProcess) {
+  const CampaignSpec one_group = CampaignSpec::parse(
+      "schedulers=ours/sept; scenarios=uniform?intensity=30; seeds=0..1; "
+      "cores=5");
+  // More shards than groups in both grids, so shard 0 is empty: its CSV is
+  // a header row alone and its JSONL is an empty file.
+  const std::pair<CampaignSpec, std::size_t> cases[] = {{one_group, 2},
+                                                        {chaos_grid(), 9}};
+  for (const auto& [grid, n] : cases) {
+    ASSERT_LT(grid.group_count(), n);
+    CampaignOptions opts;
+    opts.threads = 1;
+    const CampaignResult single = run_campaign(grid, cat_, opts);
+    const ShardFiles parts = run_shards(grid, cat_, n);
+    EXPECT_TRUE(parts.jsonl.front().data.empty());
+
+    const CellsMerge csv = merge_cells(parts.csv);
+    EXPECT_EQ(csv.diagnostic, "");
+    EXPECT_EQ(csv.merged, cells_csv(single)) << n << " shards";
+    const CellsMerge jsonl = merge_cells(parts.jsonl);
+    EXPECT_EQ(jsonl.diagnostic, "");
+    EXPECT_EQ(jsonl.merged, cells_jsonl(single)) << n << " shards";
+  }
+}
+
+TEST_F(DistributedCampaignTest, MergeRejectsMixedFormatsAndForeignHeaders) {
+  const ShardFiles parts = run_shards(chaos_grid(), cat_, 9);
+  const auto diagnostic = [](std::vector<CellsPart> mix) {
+    const CellsMerge merge = merge_cells(mix);
+    EXPECT_EQ(merge.merged, "");
+    return merge.diagnostic;
+  };
+
+  // A JSONL first part followed by CSV, and the reverse.
+  EXPECT_EQ(diagnostic({parts.jsonl[1], parts.csv[2]}),
+            "part2.csv is CSV but part1.jsonl is JSONL");
+  EXPECT_EQ(diagnostic({parts.csv[1], parts.jsonl[2]}),
+            "part2.jsonl is JSONL but part1.csv is CSV");
+  // An empty part can only be JSONL: a CSV shard always has its header.
+  EXPECT_EQ(diagnostic({parts.jsonl[0], parts.csv[1]}),
+            "part0.jsonl is JSONL (empty) but part1.csv is CSV");
+  EXPECT_EQ(diagnostic({parts.csv[1], parts.jsonl[0]}),
+            "part0.jsonl is JSONL (empty) but part1.csv is CSV");
+
+  CellsPart foreign = parts.csv[2];
+  foreign.data.replace(0, foreign.data.find(','), "id");
+  EXPECT_EQ(diagnostic({parts.csv[1], foreign}),
+            "part2.csv does not share the CSV header of part1.csv");
+  EXPECT_EQ(diagnostic({{"torn.csv", "cell,calls"}, parts.csv[1]}),
+            "torn.csv has no CSV header row");
+
+  // Only empty parts: a grid slice with no cells, as JSONL.
+  const CellsMerge none = merge_cells({parts.jsonl[0], parts.jsonl[0]});
+  EXPECT_EQ(none.diagnostic, "");
+  EXPECT_EQ(none.merged, "");
 }
 
 }  // namespace

@@ -35,6 +35,7 @@
 #include "experiments/campaign.h"
 #include "experiments/distributed.h"
 #include "sim/engine.h"
+#include "util/peak_rss.h"
 #include "util/thread_pool.h"
 
 namespace {
@@ -75,35 +76,6 @@ long process_peak_rss_kb() {
   rusage usage{};
   getrusage(RUSAGE_SELF, &usage);
   return usage.ru_maxrss;  // KiB on Linux
-}
-
-// Resets the kernel's per-mm RSS high-water mark (VmHWM) so the next
-// peak_rss_since_reset_kb() call reflects only the phase that ran in
-// between — the per-thread-count campaign footprint, not whatever earlier
-// phase happened to peak higher. Best-effort: kernels without
-// CONFIG_PROC_PAGE_MONITOR reject the write and the read degrades to the
-// process-lifetime peak.
-void reset_peak_rss() {
-  std::FILE* f = std::fopen("/proc/self/clear_refs", "w");
-  if (f == nullptr) return;
-  std::fputs("5", f);
-  std::fclose(f);
-}
-
-long peak_rss_since_reset_kb() {
-  std::FILE* f = std::fopen("/proc/self/status", "r");
-  if (f != nullptr) {
-    char line[256];
-    while (std::fgets(line, sizeof line, f) != nullptr) {
-      long kb = 0;
-      if (std::sscanf(line, "VmHWM: %ld", &kb) == 1) {
-        std::fclose(f);
-        return kb;
-      }
-    }
-    std::fclose(f);
-  }
-  return process_peak_rss_kb();
 }
 
 // The end-to-end experiment grid the campaign layer is benchmarked on:
@@ -647,10 +619,10 @@ int main(int argc, char** argv) {
     if (!scaling.empty() && scaling.back().threads >= threads) continue;
     std::fprintf(stderr, "measuring campaign cells/sec (%d thread%s)...\n",
                  threads, threads == 1 ? "" : "s");
-    reset_peak_rss();
+    whisk::util::reset_peak_rss();
     const auto m = measure(
         [&cat, threads] { return run_campaign_workload(cat, threads); }, 1.0);
-    scaling.push_back({threads, m, peak_rss_since_reset_kb()});
+    scaling.push_back({threads, m, whisk::util::peak_rss_kb()});
   }
   std::fprintf(stderr, "measuring heterogeneous-fleet cells/sec...\n");
   const auto hetero = measure(

@@ -80,10 +80,9 @@ int usage(const char* argv0) {
       "  --shard i/n        run only shard i of n (group-aligned slice;\n"
       "                     global cell indices/seeds, CSV keeps a header)\n"
       "  --merge OUT F...   merge per-shard --cells-csv/--cells-jsonl\n"
-      "                     partials (shard order) into OUT and exit\n"
-      "  --verbose          in --workers runs: forward worker stderr\n"
-      "  --worker           internal: speak the worker wire protocol on\n"
-      "                     stdout (spawned by --workers drivers)\n",
+      "                     partials (shard order) into OUT and exit; an\n"
+      "                     empty part is JSONL, all parts one format\n"
+      "  --verbose          in --workers runs: forward worker stderr\n",
       argv0);
   return 2;
 }
@@ -224,61 +223,36 @@ int list_registries() {
   return 0;
 }
 
-// Offline deterministic merge of per-shard partial files written by
-// separate `--shard i/n --cells-csv/--cells-jsonl` runs (e.g. shards run
-// on different machines). Inputs must be listed in shard order. CSV
-// partials each carry the header row: the merge keeps the first and
-// verifies the rest match; JSONL (first byte '{') is plain concatenation.
+// Offline merge of per-shard partial files written by separate
+// `--shard i/n --cells-csv/--cells-jsonl` runs (e.g. shards run on
+// different machines), listed in shard order.
 int merge_partials(const std::string& out_path,
                    const std::vector<std::string>& inputs) {
   if (inputs.empty()) {
     std::fprintf(stderr, "--merge needs at least one input file\n");
     return 2;
   }
-  std::string merged;
-  std::string csv_header;
-  bool jsonl = false;
-  for (std::size_t i = 0; i < inputs.size(); ++i) {
-    std::ifstream in(inputs[i], std::ios::binary);
+  std::vector<experiments::CellsPart> parts;
+  for (const std::string& path : inputs) {
+    std::ifstream in(path, std::ios::binary);
     if (!in) {
-      std::fprintf(stderr, "cannot read %s\n", inputs[i].c_str());
+      std::fprintf(stderr, "cannot read %s\n", path.c_str());
       return 1;
     }
     std::ostringstream buf;
     buf << in.rdbuf();
-    const std::string data = buf.str();
-    if (i == 0) {
-      jsonl = !data.empty() && data.front() == '{';
-      if (!jsonl) {
-        const std::size_t nl = data.find('\n');
-        if (nl == std::string::npos) {
-          std::fprintf(stderr, "%s has no CSV header row\n",
-                       inputs[i].c_str());
-          return 1;
-        }
-        csv_header = data.substr(0, nl + 1);
-      }
-      merged = data;
-      continue;
-    }
-    if (jsonl) {
-      merged += data;
-      continue;
-    }
-    const std::size_t nl = data.find('\n');
-    if (nl == std::string::npos || data.substr(0, nl + 1) != csv_header) {
-      std::fprintf(stderr, "%s does not share the first input's CSV header\n",
-                   inputs[i].c_str());
-      return 1;
-    }
-    merged.append(data, nl + 1, std::string::npos);
+    parts.push_back({path, buf.str()});
+  }
+  const experiments::CellsMerge merge = experiments::merge_cells(parts);
+  if (!merge.diagnostic.empty()) {
+    std::fprintf(stderr, "--merge: %s\n", merge.diagnostic.c_str());
+    return 1;
   }
   std::ofstream out(out_path, std::ios::binary);
-  if (!out) {
+  if (!(out << merge.merged)) {
     std::fprintf(stderr, "cannot write %s\n", out_path.c_str());
     return 1;
   }
-  out << merged;
   return 0;
 }
 
@@ -331,7 +305,6 @@ int main(int argc, char** argv) {
   std::string shard_selector;
   std::string merge_out;
   int workers = 0;  // 0 = single-process (no distribution)
-  bool worker_mode = false;
   bool verbose = false;
   bool threads_given = false;
   experiments::CampaignOptions opts;
@@ -373,8 +346,6 @@ int main(int argc, char** argv) {
       }
     } else if (std::strcmp(arg, "--shard") == 0) {
       shard_selector = need_value(i);
-    } else if (std::strcmp(arg, "--worker") == 0) {
-      worker_mode = true;
     } else if (std::strcmp(arg, "--merge") == 0) {
       merge_out = need_value(i);
     } else if (std::strcmp(arg, "--verbose") == 0) {
@@ -419,12 +390,7 @@ int main(int argc, char** argv) {
     return usage(argv[0]);
   }
   if (positional.empty()) return usage(argv[0]);
-  const std::string grid_text = positional.front();
 
-  if (worker_mode && shard_selector.empty()) {
-    std::fprintf(stderr, "--worker needs --shard i/n\n");
-    return usage(argv[0]);
-  }
   if (workers > 0 && !shard_selector.empty()) {
     std::fprintf(stderr, "--workers and --shard are mutually exclusive "
                          "(the driver assigns shards)\n");
@@ -439,24 +405,10 @@ int main(int argc, char** argv) {
   }
 
   const auto cat = workload::sebs_catalog();
-  const auto spec = experiments::CampaignSpec::parse(grid_text);
+  const auto spec = experiments::CampaignSpec::parse(positional.front());
 
-  // Worker mode: run the assigned shard and speak the wire protocol on
-  // stdout. Silent on stderr unless the driver forwarded --verbose.
-  if (worker_mode) {
-    const auto [shard_i, shard_n] =
-        experiments::ShardRange::parse_selector(shard_selector);
-    experiments::DistributedOptions dopts;
-    dopts.worker_threads = threads_given ? opts.threads : 1;
-    dopts.retain_samples = opts.retain_samples;
-    dopts.reservoir_capacity = opts.reservoir_capacity;
-    dopts.verbose = verbose;
-    experiments::run_worker_protocol(spec, cat, shard_i, shard_n, dopts, 1);
-    return 0;
-  }
-
-  // Driver mode: shard the grid across worker processes (self-invocations
-  // of this binary) and merge their output deterministically.
+  // Driver mode: shard the grid across worker processes forked from this
+  // one and merge their output deterministically.
   if (workers > 0) {
     experiments::DistributedOptions dopts;
     dopts.workers = workers;
@@ -464,12 +416,6 @@ int main(int argc, char** argv) {
     dopts.retain_samples = opts.retain_samples;
     dopts.reservoir_capacity = opts.reservoir_capacity;
     dopts.verbose = verbose;
-    dopts.worker_command = {argv[0], grid_text, "--threads",
-                           std::to_string(dopts.worker_threads),
-                           "--reservoir",
-                           std::to_string(dopts.reservoir_capacity)};
-    if (!dopts.retain_samples) dopts.worker_command.push_back("--no-samples");
-    if (verbose) dopts.worker_command.push_back("--verbose");
 
     if (!quiet) {
       std::fprintf(stderr, "campaign: %s\n", spec.to_string().c_str());
