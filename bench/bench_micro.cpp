@@ -101,8 +101,10 @@ BENCHMARK(BM_PoolAcquireRelease);
 
 void BM_EndToEndExperiment(benchmark::State& state) {
   const auto cat = workload::sebs_catalog();
-  auto cfg = experiments::ExperimentSpec().cores(10).intensity(30).scheduler(
-      "ours/sept");
+  auto cfg = experiments::ExperimentSpec()
+                 .cores(10)
+                 .scenario("uniform?intensity=30")
+                 .scheduler("ours/sept");
   for (auto _ : state) {
     cfg.seed(static_cast<std::uint64_t>(state.iterations()));
     auto result = experiments::run_experiment(cfg, cat);

@@ -25,7 +25,7 @@ int main(int argc, char** argv) {
   const auto cfg =
       experiments::ExperimentSpec()
           .cores(10)
-          .intensity(intensity)
+          .scenario("uniform?intensity=" + std::to_string(intensity))
           .seed(3)
           .scheduler(policy == "baseline" ? "baseline/fifo"
                                           : "ours/" + policy);

@@ -17,7 +17,10 @@ int main() {
 
   // One worker with 10 cores for action containers, hit by a 60-second
   // burst at intensity 40 (1.1 * 10 * 40 = 440 requests).
-  auto cfg = experiments::ExperimentSpec().cores(10).intensity(40).seed(1);
+  auto cfg = experiments::ExperimentSpec()
+                 .cores(10)
+                 .scenario("uniform?intensity=40")
+                 .seed(1);
 
   std::printf("One 10-core node, 440 requests in a 60 s burst:\n\n");
   std::printf("%-10s %10s %10s %10s %12s %6s\n", "scheduler", "avg R [s]",

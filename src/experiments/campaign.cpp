@@ -135,19 +135,11 @@ void append_summary_json(std::string& out, const util::Summary& s) {
   out += '}';
 }
 
-// The cell's real initial fleet size: in cluster mode the legacy nodes
-// axis is pinned to {1}, so reporting it would claim a 1-node fleet for
-// any multi-group deployment.
-std::size_t effective_nodes(const CampaignSpec& spec,
-                            const CampaignCell& cell) {
-  return spec.cluster_mode()
-             ? spec.clusters[cell.cluster_i].initial_nodes()
-             : static_cast<std::size_t>(spec.nodes[cell.nodes_i]);
-}
-
-// The cell's deployment as a spec string. In legacy mode the clusters
-// axis is the untouched default placeholder, so render the homogeneous
-// expansion of the nodes axis instead of a misleading "node:1".
+// The cell's clusters item as a spec string, without the autoscalers and
+// faults axis values that deployment() folds in (they have their own
+// columns). In legacy mode the clusters axis is the untouched default
+// placeholder, so render the homogeneous expansion of the nodes axis
+// instead of a misleading "node:1".
 std::string effective_cluster(const CampaignSpec& spec,
                               const CampaignCell& cell) {
   return spec.cluster_mode()
@@ -156,37 +148,9 @@ std::string effective_cluster(const CampaignSpec& spec,
                    .to_compact_string();
 }
 
-// The cell's effective autoscaler as a spec string ("none" when the cell
-// runs a static fleet). The axis owns the dimension when present;
-// otherwise a cluster item may carry its own autoscaler= section.
-std::string effective_autoscaler(const CampaignSpec& spec,
-                                 const CampaignCell& cell) {
-  if (spec.autoscaler_mode()) {
-    return spec.autoscalers[cell.autoscaler_i].to_string();
-  }
-  if (spec.cluster_mode()) {
-    return spec.clusters[cell.cluster_i].autoscaler.to_string();
-  }
-  return cluster::AutoscalerSpec{}.to_string();
-}
-
-// The cell's effective fault regime as a '+'-joined list ("none" for
-// fault-free cells) — same ownership rules as the autoscaler.
-std::string effective_faults(const CampaignSpec& spec,
-                             const CampaignCell& cell) {
-  if (spec.fault_mode()) {
-    return cluster::fault_list_to_string(spec.faults[cell.faults_i], '+');
-  }
-  if (spec.cluster_mode()) {
-    return cluster::fault_list_to_string(spec.clusters[cell.cluster_i].faults,
-                                         '+');
-  }
-  return cluster::fault_list_to_string({}, '+');
-}
-
 // The cell's effective workflow shape as a spec string ("none" for
-// independent-calls cells). Unlike autoscalers/faults the workflow axis is
-// the only carrier (ClusterSpec has no workflow= section).
+// independent-calls cells). The workflow axis is the only carrier
+// (ClusterSpec has no workflow= section).
 std::string effective_workflow(const CampaignSpec& spec,
                                const CampaignCell& cell) {
   if (spec.workflow_mode()) {
@@ -213,21 +177,26 @@ std::string groups_field(const std::vector<cluster::GroupStats>& groups) {
 
 // The cell's coordinates as typed fields, in column order: the leading
 // columns of the cells CSV/JSONL and of every record-context.
+//
+// The nodes, autoscaler and faults columns read the cell's deployment: in
+// cluster mode the legacy nodes axis is pinned to {1}, and the autoscaler
+// and faults come from either the axis or the cluster item's own section.
 std::vector<metrics::RunContextField> coordinate_fields(
     const CampaignSpec& spec, const CampaignCell& cell) {
+  const cluster::ClusterSpec deployment = spec.deployment(cell);
   return {
       {"cell", std::to_string(cell.index), /*numeric=*/true},
       {"scheduler", spec.schedulers[cell.scheduler_i].to_string()},
       {"scenario", spec.scenarios[cell.scenario_i].to_string()},
       {"seed", std::to_string(spec.seeds[cell.seed_i]), /*numeric=*/true},
-      {"nodes", std::to_string(effective_nodes(spec, cell)),
+      {"nodes", std::to_string(deployment.initial_nodes()),
        /*numeric=*/true},
       {"cores", std::to_string(spec.cores[cell.cores_i]), /*numeric=*/true},
       {"memory_mb", util::fmt_g(spec.memories_mb[cell.memory_i]),
        /*numeric=*/true},
       {"cluster", effective_cluster(spec, cell)},
-      {"autoscaler", effective_autoscaler(spec, cell)},
-      {"faults", effective_faults(spec, cell)},
+      {"autoscaler", deployment.autoscaler.to_string()},
+      {"faults", cluster::fault_list_to_string(deployment.faults, '+')},
       {"workflow", effective_workflow(spec, cell)},
   };
 }

@@ -472,6 +472,27 @@ CampaignCell CampaignSpec::coordinates(std::size_t index) const {
   return c;
 }
 
+cluster::ClusterSpec CampaignSpec::deployment(const CampaignCell& cell) const {
+  // The clusters axis and the legacy nodes axis are mutually exclusive
+  // (normalized() enforces it), and so is each of the autoscalers and faults
+  // axes with a cluster item's own section.
+  cluster::ClusterSpec spec =
+      cluster_mode() ? clusters[cell.cluster_i]
+                     : cluster::ClusterSpec::homogeneous(nodes[cell.nodes_i]);
+  if (autoscaler_mode()) {
+    spec.autoscaler = autoscalers[cell.autoscaler_i];
+    spec.autoscaler_set = true;
+  }
+  if (fault_mode()) {
+    spec.faults = faults[cell.faults_i];
+    spec.faults_set = true;
+    // Faults interact with the resilience section (a lost-completion fault
+    // needs a retry timeout), so the folded spec must be validated again.
+    spec.canonical = false;
+  }
+  return spec;
+}
+
 CampaignCell CampaignSpec::cell(std::size_t index) const {
   CampaignCell c = coordinates(index);
   c.spec.scheduler(schedulers[c.scheduler_i])
@@ -479,18 +500,12 @@ CampaignCell CampaignSpec::cell(std::size_t index) const {
       .cores(cores[c.cores_i])
       .memory_mb(memories_mb[c.memory_i])
       .seed(seeds[c.seed_i]);
-  // The clusters axis and the legacy nodes axis are mutually exclusive
-  // (normalized() enforces it), so exactly one of these runs.
-  if (cluster_mode()) {
-    c.spec.cluster(clusters[c.cluster_i]);
+  // A grid with only the legacy nodes axis keeps the nodes() sugar, so its
+  // cells report no explicit cluster.
+  if (cluster_mode() || autoscaler_mode() || fault_mode()) {
+    c.spec.cluster(deployment(c));
   } else {
     c.spec.nodes(nodes[c.nodes_i]);
-  }
-  if (autoscaler_mode()) {
-    c.spec.autoscaler(autoscalers[c.autoscaler_i]);
-  }
-  if (fault_mode()) {
-    c.spec.faults(faults[c.faults_i]);
   }
   if (workflow_mode()) {
     c.spec.workflow(workflows[c.workflow_i]);

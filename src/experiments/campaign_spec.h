@@ -135,9 +135,9 @@ struct ShardRange {
 // since ',' separates axis items.
 //
 // The workload's load knob travels inside the scenario item
-// ("uniform?intensity=60"), never through ExperimentSpec::intensity(): one
-// axis, one spelling, and the scenario generator reads the parameter with
-// exactly the same effect (and rng stream) as the builder knob.
+// ("uniform?intensity=60"), its only spelling. Likewise a cell's whole
+// deployment is one ClusterSpec: deployment() folds the cell's clusters
+// (or nodes), autoscalers and faults values into it.
 //
 // to_string() prints every fixed axis in canonical order (plus the override
 // axes sorted by name), so parse(to_string()) round-trips exactly.
@@ -215,6 +215,12 @@ struct CampaignSpec {
 
   // Expand cell `index` (0 <= index < size()) deterministically.
   [[nodiscard]] CampaignCell cell(std::size_t index) const;
+
+  // The cell's deployment: its clusters item (or the homogeneous expansion
+  // of its nodes value) with the cell's autoscalers and faults values set
+  // on it. Not re-validated: cell() hands it to ExperimentSpec::cluster(),
+  // which checks the faults x resilience combination.
+  [[nodiscard]] cluster::ClusterSpec deployment(const CampaignCell& cell) const;
 
   // Decode only the axis coordinates of cell `index`, leaving the
   // ExperimentSpec member default-constructed — what the per-row output

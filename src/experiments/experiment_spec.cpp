@@ -1,7 +1,6 @@
 #include "experiments/experiment_spec.h"
 
 #include <functional>
-#include <utility>
 
 #include "util/check.h"
 #include "util/registry.h"
@@ -98,36 +97,12 @@ ExperimentSpec& ExperimentSpec::cluster(std::string_view text) {
   return cluster(cluster::ClusterSpec::parse(text));
 }
 
-ExperimentSpec& ExperimentSpec::autoscaler(cluster::AutoscalerSpec spec) {
-  autoscaler_ = spec.normalized();
-  autoscaler_set_ = true;
-  return *this;
-}
-
-ExperimentSpec& ExperimentSpec::autoscaler(std::string_view text) {
-  return autoscaler(cluster::AutoscalerSpec::parse(text));
-}
-
-ExperimentSpec& ExperimentSpec::faults(std::vector<cluster::FaultSpec> specs) {
-  for (auto& f : specs) f = f.normalized();
-  faults_ = std::move(specs);
-  faults_set_ = true;
-  return *this;
-}
-
-ExperimentSpec& ExperimentSpec::faults(std::string_view text) {
-  return faults(cluster::parse_fault_list(text));
-}
-
-ExperimentSpec& ExperimentSpec::resilience(cluster::ResilienceSpec spec) {
-  resilience_ = spec.normalized();
-  resilience_set_ = true;
-  return *this;
+cluster::ClusterSpec ExperimentSpec::cluster() const {
+  return cluster_set_ ? cluster_ : cluster::ClusterSpec::homogeneous(nodes_);
 }
 
 ExperimentSpec& ExperimentSpec::workflow(workload::WorkflowSpec spec) {
   workflow_ = spec.normalized();
-  workflow_set_ = true;
   return *this;
 }
 
@@ -135,71 +110,9 @@ ExperimentSpec& ExperimentSpec::workflow(std::string_view text) {
   return workflow(workload::WorkflowSpec::parse(text));
 }
 
-ExperimentSpec& ExperimentSpec::resilience(std::string_view text) {
-  return resilience(cluster::ResilienceSpec::parse(text));
-}
-
-cluster::ClusterSpec ExperimentSpec::cluster() const {
-  cluster::ClusterSpec spec =
-      cluster_set_ ? cluster_ : cluster::ClusterSpec::homogeneous(nodes_);
-  if (autoscaler_set_) {
-    // The spec-level autoscaler rides on top of the deployment, but a
-    // contradictory pair is a loud error, not a silent win.
-    WHISK_CHECK(!spec.autoscaler_set || spec.autoscaler == autoscaler_,
-                ("the experiment sets autoscaler \"" +
-                 autoscaler_.to_string() +
-                 "\" but the cluster spec already carries \"" +
-                 spec.autoscaler.to_string() + "\"; set it in one place")
-                    .c_str());
-    spec.autoscaler = autoscaler_;
-    spec.autoscaler_set = true;
-    // Both halves were normalized independently and the autoscaler section
-    // interacts with no other, so the fold stays canonical.
-  }
-  bool refold = false;
-  if (faults_set_) {
-    WHISK_CHECK(!spec.faults_set && spec.faults.empty(),
-                ("the experiment sets faults \"" +
-                 cluster::fault_list_to_string(faults_, ',') +
-                 "\" but the cluster spec already carries \"" +
-                 cluster::fault_list_to_string(spec.faults, ',') +
-                 "\"; set them in one place")
-                    .c_str());
-    spec.faults = faults_;
-    spec.faults_set = true;
-    refold = true;
-  }
-  if (resilience_set_) {
-    WHISK_CHECK(!spec.resilience_set && !spec.resilience.enabled(),
-                ("the experiment sets resilience \"" +
-                 resilience_.to_string() +
-                 "\" but the cluster spec already carries \"" +
-                 spec.resilience.to_string() + "\"; set it in one place")
-                    .c_str());
-    spec.resilience = resilience_;
-    spec.resilience_set = true;
-    refold = true;
-  }
-  if (refold) {
-    // Unlike the autoscaler, faults and resilience interact (a
-    // lost-completion fault is only survivable with a retry timeout), so
-    // the folded spec goes through full validation again.
-    spec.canonical = false;
-    spec = spec.normalized();
-  }
-  return spec;
-}
-
 ExperimentSpec& ExperimentSpec::memory_mb(double value) {
   WHISK_CHECK(value > 0.0, "memory_mb must be positive");
   memory_mb_ = value;
-  return *this;
-}
-
-ExperimentSpec& ExperimentSpec::intensity(int value) {
-  WHISK_CHECK(value > 0, "intensity must be positive");
-  intensity_ = value;
-  intensity_set_ = true;
   return *this;
 }
 
@@ -213,37 +126,13 @@ ExperimentSpec& ExperimentSpec::scenario(std::string_view text) {
   return *this;
 }
 
+int ExperimentSpec::intensity() const {
+  return static_cast<int>(
+      scenario_.count("intensity", workload::kPaperIntensity));
+}
+
 workload::ScenarioContext ExperimentSpec::scenario_context(
     const workload::FunctionCatalog& catalog) const {
-  if (intensity_set_) {
-    // intensity() used to be silently ignored by the fixed-total scenario;
-    // refuse contradictory workload sizing instead.
-    const auto& declared = workload::ScenarioSpec::probe(scenario_.name).params;
-    bool takes_intensity = false;
-    for (const auto& param : declared) {
-      takes_intensity = takes_intensity || param.name == "intensity";
-    }
-    if (!takes_intensity) {
-      std::vector<std::string> names;
-      for (const auto& param : declared) names.push_back(param.name);
-      WHISK_CHECK(false, ("intensity(" + std::to_string(intensity_) +
-                          ") conflicts with scenario \"" + scenario_.name +
-                          "\", which does not take an intensity — it sizes "
-                          "the burst via: " +
-                          util::join(names) +
-                          ". Drop intensity() or pick an intensity-driven "
-                          "scenario")
-                             .c_str());
-    }
-    if (scenario_.has("intensity")) {
-      WHISK_CHECK(false, ("intensity is set twice: intensity(" +
-                          std::to_string(intensity_) +
-                          ") and scenario parameter intensity=" +
-                          scenario_.text("intensity", "") +
-                          "; set it in one place")
-                             .c_str());
-    }
-  }
   workload::ScenarioContext ctx;
   ctx.catalog = &catalog;
   if (cluster_set_) {
@@ -255,7 +144,6 @@ workload::ScenarioContext ExperimentSpec::scenario_context(
     ctx.cores = cores_;
     ctx.nodes = nodes_;
   }
-  ctx.intensity = intensity_;
   return ctx;
 }
 

@@ -16,24 +16,24 @@
 namespace whisk::experiments {
 
 // A declarative description of one experiment: the scheduler (as registry
-// names), the deployment size, the workload (as a registry-named
-// ScenarioSpec), and a *named* map of ablation overrides (replacing the old
-// flat struct of sentinel -1.0 fields). Chainable builder setters share
-// their getter's name:
+// names), the deployment, the workload (as a registry-named ScenarioSpec),
+// and a *named* map of ablation overrides (replacing the old flat struct of
+// sentinel -1.0 fields). Chainable builder setters share their getter's
+// name:
 //
 //   auto spec = ExperimentSpec()
 //                   .scheduler("ours/sept")
 //                   .cores(10)
-//                   .scenario("poisson?rate=40&mix=random")
+//                   .scenario("uniform?intensity=60")
 //                   .with_override("history_window", 5);
 //   run_experiment(spec, catalog);
 //
-// The workload defaults to the paper's uniform burst; .intensity() is its
-// load knob. Unknown scenario names, parameter keys, and override names all
-// abort immediately, listing the valid alternatives. Setting intensity
-// together with a scenario that does not take one (e.g. fixed-total, which
-// sizes the burst via its `total` parameter) is rejected rather than
-// silently ignored.
+// Every setting has one spelling. The deployment — node groups,
+// keep-alive, autoscaler, faults, resilience — is one cluster::ClusterSpec
+// (nodes() is sugar for a homogeneous one), and the workload's load knob is
+// the scenario's own intensity= parameter (the paper's uniform burst at
+// intensity 30 by default). Unknown scenario names, parameter keys, and
+// override names all abort immediately, listing the valid alternatives.
 class ExperimentSpec {
  public:
   ExperimentSpec() = default;
@@ -56,44 +56,6 @@ class ExperimentSpec {
   [[nodiscard]] cluster::ClusterSpec cluster() const;
   [[nodiscard]] bool has_explicit_cluster() const { return cluster_set_; }
 
-  // Closed-loop scaling controller (cluster::AutoscalerSpec grammar, e.g.
-  // "target-util?low=0.3&high=0.85"). Sugar for setting the deployment's
-  // autoscaler section: cluster() folds it into the effective ClusterSpec.
-  // Setting it both here and inside an explicit cluster() to different
-  // values is rejected.
-  ExperimentSpec& autoscaler(cluster::AutoscalerSpec spec);
-  ExperimentSpec& autoscaler(std::string_view text);
-  [[nodiscard]] const cluster::AutoscalerSpec& autoscaler() const {
-    return autoscaler_;
-  }
-  [[nodiscard]] bool has_explicit_autoscaler() const {
-    return autoscaler_set_;
-  }
-
-  // Stochastic fault processes (cluster::FaultRegistry grammar, e.g.
-  // "crash-restart?mtbf-s=120&mttr-s=15,slow-node?factor=4"; "none" for an
-  // explicit empty list). Sugar for the deployment's faults= section:
-  // cluster() folds it in and re-validates the combined spec. Setting
-  // faults both here and inside an explicit cluster() is rejected.
-  ExperimentSpec& faults(std::vector<cluster::FaultSpec> specs);
-  ExperimentSpec& faults(std::string_view text);  // parse_fault_list
-  [[nodiscard]] const std::vector<cluster::FaultSpec>& faults() const {
-    return faults_;
-  }
-  [[nodiscard]] bool has_explicit_faults() const { return faults_set_; }
-
-  // Controller-side recovery policy (cluster::ResilienceSpec grammar, e.g.
-  // "timeout-s=2&max-attempts=3&hedge-p=0.95"). Same fold-and-conflict
-  // contract as faults().
-  ExperimentSpec& resilience(cluster::ResilienceSpec spec);
-  ExperimentSpec& resilience(std::string_view text);
-  [[nodiscard]] const cluster::ResilienceSpec& resilience() const {
-    return resilience_;
-  }
-  [[nodiscard]] bool has_explicit_resilience() const {
-    return resilience_set_;
-  }
-
   // Composite-function shape (workload::WorkflowSpec grammar, e.g.
   // "chain?stages=4" or "fanout?width=8&join=all"; "none" keeps calls
   // independent). Every scenario call then roots one workflow instance.
@@ -102,7 +64,6 @@ class ExperimentSpec {
   [[nodiscard]] const workload::WorkflowSpec& workflow() const {
     return workflow_;
   }
-  [[nodiscard]] bool has_explicit_workflow() const { return workflow_set_; }
 
   ExperimentSpec& cores(int value);
   [[nodiscard]] int cores() const { return cores_; }
@@ -117,14 +78,11 @@ class ExperimentSpec {
   [[nodiscard]] const workload::ScenarioSpec& scenario() const {
     return scenario_;
   }
-  // The paper's load knob v (1.1 * cores * v requests). Only valid with
-  // scenarios that declare an `intensity` parameter.
-  ExperimentSpec& intensity(int value);
-  [[nodiscard]] int intensity() const { return intensity_; }
+  // The paper's load knob v (1.1 * cores * v requests): the scenario's
+  // intensity= parameter, or the paper default when it has none.
+  [[nodiscard]] int intensity() const;
 
-  // The deployment-side knobs handed to the scenario generator; aborts if
-  // intensity() was set but the chosen scenario does not take one (or sets
-  // its own intensity parameter as well).
+  // The deployment-side knobs handed to the scenario generator.
   [[nodiscard]] workload::ScenarioContext scenario_context(
       const workload::FunctionCatalog& catalog) const;
 
@@ -152,18 +110,9 @@ class ExperimentSpec {
   bool nodes_set_ = false;
   cluster::ClusterSpec cluster_;
   bool cluster_set_ = false;
-  cluster::AutoscalerSpec autoscaler_;
-  bool autoscaler_set_ = false;
-  std::vector<cluster::FaultSpec> faults_;
-  bool faults_set_ = false;
-  cluster::ResilienceSpec resilience_;
-  bool resilience_set_ = false;
   workload::WorkflowSpec workflow_;  // "none" unless set
-  bool workflow_set_ = false;
   double memory_mb_ = 32.0 * 1024.0;
   workload::ScenarioSpec scenario_;  // defaults to "uniform"
-  int intensity_ = 30;
-  bool intensity_set_ = false;
   std::uint64_t seed_ = 0;  // repetition index; drives scenario + node noise
   std::map<std::string, double> overrides_;
 };

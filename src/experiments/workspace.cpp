@@ -12,19 +12,18 @@ namespace whisk::experiments {
 const workload::Scenario& CellWorkspace::scenario_for(
     const ExperimentSpec& spec, const workload::FunctionCatalog& cat) {
   // Every input of make_scenario: the spec string (name + parameters), the
-  // seed that derives the generator's rng stream, the deployment-side
-  // ScenarioContext knobs, and the catalog identity.
+  // seed that derives the generator's rng stream, and the ScenarioContext
+  // it is handed (deployment cores and nodes, catalog identity).
+  const workload::ScenarioContext ctx = spec.scenario_context(cat);
   std::string key = spec.scenario().to_string();
   key += '\x1f';
   key += std::to_string(spec.seed());
   key += '\x1f';
-  key += std::to_string(spec.cores());
+  key += std::to_string(ctx.cores);
   key += '\x1f';
-  key += std::to_string(spec.nodes());
+  key += std::to_string(ctx.nodes);
   key += '\x1f';
-  key += std::to_string(spec.intensity());
-  key += '\x1f';
-  key += std::to_string(reinterpret_cast<std::uintptr_t>(&cat));
+  key += std::to_string(reinterpret_cast<std::uintptr_t>(ctx.catalog));
 
   const auto it = scenarios_.find(key);
   if (it != scenarios_.end()) return it->second;
@@ -36,9 +35,7 @@ const workload::Scenario& CellWorkspace::scenario_for(
       sim::Rng(spec.seed()).fork(sim::hash_tag("scenario"));
   return scenarios_
       .emplace(std::move(key),
-               workload::make_scenario(spec.scenario(),
-                                       spec.scenario_context(cat),
-                                       scenario_rng))
+               workload::make_scenario(spec.scenario(), ctx, scenario_rng))
       .first->second;
 }
 

@@ -24,9 +24,9 @@ namespace whisk::experiments {
 //     (clear-not-free), so record collection stops allocating once the
 //     columns have grown to the grid's largest cell;
 //   * generated scenarios are memoized by their full identity (spec string,
-//     seed, cores/nodes/intensity context, catalog), so a grid that crosses
-//     S schedulers with the same scenario x seed axis generates each call
-//     sequence once instead of S times.
+//     seed, and the ScenarioContext's cores, nodes and catalog), so a grid
+//     that crosses S schedulers with the same scenario x seed axis
+//     generates each call sequence once instead of S times.
 //
 // The Cluster itself is reconstructed per cell — its invokers, pools and
 // balancer are seeded from the cell's coordinates, so their state can never

@@ -172,53 +172,4 @@ util::Summary StreamingSummary::summary() const {
   return s;
 }
 
-void StreamingSummarySink::on_record(const CallRecord& record) {
-  // Shed/dropped calls have no latency; only ok records enter the
-  // distributions (mirrors Collector).
-  if (record.disposition != Disposition::kOk) return;
-  const double r = record.response();
-  response_.add(r);
-  stretch_.add(r / catalog_->reference_median(record.function));
-  max_completion_ = std::max(max_completion_, record.completion);
-}
-
-// --- FunctionIndexSink -------------------------------------------------------
-
-void FunctionIndexSink::on_record(const CallRecord& record) {
-  WHISK_CHECK(record.function >= 0, "record without a function id");
-  if (record.disposition != Disposition::kOk) return;
-  const auto f = static_cast<std::size_t>(record.function);
-  if (f >= by_function_.size()) by_function_.resize(f + 1);
-  if (by_function_[f] == nullptr) {
-    by_function_[f] = std::make_unique<PerFunction>(reservoir_capacity_);
-  }
-  const double r = record.response();
-  by_function_[f]->response.add(r);
-  by_function_[f]->stretch.add(
-      r / catalog_->reference_median(record.function));
-}
-
-std::size_t FunctionIndexSink::calls_of(workload::FunctionId f) const {
-  const auto* s = response_of(f);
-  return s == nullptr ? 0 : s->stats.count();
-}
-
-const StreamingSummary* FunctionIndexSink::response_of(
-    workload::FunctionId f) const {
-  if (f < 0 || static_cast<std::size_t>(f) >= by_function_.size() ||
-      by_function_[static_cast<std::size_t>(f)] == nullptr) {
-    return nullptr;
-  }
-  return &by_function_[static_cast<std::size_t>(f)]->response;
-}
-
-const StreamingSummary* FunctionIndexSink::stretch_of(
-    workload::FunctionId f) const {
-  if (f < 0 || static_cast<std::size_t>(f) >= by_function_.size() ||
-      by_function_[static_cast<std::size_t>(f)] == nullptr) {
-    return nullptr;
-  }
-  return &by_function_[static_cast<std::size_t>(f)]->stretch;
-}
-
 }  // namespace whisk::metrics

@@ -149,59 +149,4 @@ struct StreamingSummary {
   util::Reservoir reservoir;
 };
 
-// Response-time and stretch summaries of everything that flows past,
-// without retaining records. O(1) memory in the record count.
-class StreamingSummarySink final : public Sink {
- public:
-  explicit StreamingSummarySink(const workload::FunctionCatalog& catalog,
-                                std::size_t reservoir_capacity = 4096)
-      : catalog_(&catalog),
-        response_(reservoir_capacity),
-        stretch_(reservoir_capacity) {}
-
-  void on_record(const CallRecord& record) override;
-
-  [[nodiscard]] const StreamingSummary& response() const { return response_; }
-  [[nodiscard]] const StreamingSummary& stretch() const { return stretch_; }
-  [[nodiscard]] double max_completion() const { return max_completion_; }
-  [[nodiscard]] std::size_t calls() const { return response_.stats.count(); }
-
- private:
-  const workload::FunctionCatalog* catalog_;
-  StreamingSummary response_;
-  StreamingSummary stretch_;
-  double max_completion_ = 0.0;
-};
-
-// Per-function streaming summaries, indexed by FunctionId for O(1) lookup —
-// the pipeline's answer to the fairness experiment's per-function queries,
-// with memory bounded by (functions x reservoir), not the call count.
-class FunctionIndexSink final : public Sink {
- public:
-  explicit FunctionIndexSink(const workload::FunctionCatalog& catalog,
-                             std::size_t reservoir_capacity = 1024)
-      : catalog_(&catalog), reservoir_capacity_(reservoir_capacity) {}
-
-  void on_record(const CallRecord& record) override;
-
-  [[nodiscard]] std::size_t calls_of(workload::FunctionId f) const;
-  // nullptr when the function has no recorded call.
-  [[nodiscard]] const StreamingSummary* response_of(
-      workload::FunctionId f) const;
-  [[nodiscard]] const StreamingSummary* stretch_of(
-      workload::FunctionId f) const;
-
- private:
-  struct PerFunction {
-    StreamingSummary response;
-    StreamingSummary stretch;
-    explicit PerFunction(std::size_t cap) : response(cap), stretch(cap) {}
-  };
-
-  const workload::FunctionCatalog* catalog_;
-  std::size_t reservoir_capacity_;
-  // FunctionIds are dense catalog indices, so a plain vector is the index.
-  std::vector<std::unique_ptr<PerFunction>> by_function_;
-};
-
 }  // namespace whisk::metrics

@@ -20,8 +20,8 @@ namespace whisk::util {
 // `whisk_sweep --list`.
 struct ParamDecl {
   std::string name;
-  // Display form, e.g. "60" or "experiment intensity"; the component
-  // resolves the actual fallback itself. Empty when there is none.
+  // Display form, e.g. "60" or "round-robin"; the component resolves the
+  // actual fallback itself. Empty when there is none.
   std::string default_value;
   std::string help;
 };

@@ -34,9 +34,8 @@ sim::SimTime window_param(const ScenarioSpec& spec) {
   return window;
 }
 
-int effective_intensity(const ScenarioSpec& spec, const ScenarioContext& ctx) {
-  const std::size_t raw = spec.count(
-      "intensity", static_cast<std::size_t>(std::max(ctx.intensity, 0)));
+int effective_intensity(const ScenarioSpec& spec) {
+  const std::size_t raw = spec.count("intensity", kPaperIntensity);
   WHISK_CHECK(raw > 0 && raw <= static_cast<std::size_t>(
                                     std::numeric_limits<int>::max()),
               ("scenario \"" + spec.name +
@@ -51,14 +50,14 @@ std::size_t paper_total(const ScenarioSpec& spec, const ScenarioContext& ctx) {
   WHISK_CHECK(cores > 0, ("scenario \"" + spec.name +
                           "\": deployment cores must be positive")
                              .c_str());
-  const int intensity = effective_intensity(spec, ctx);
+  const int intensity = effective_intensity(spec);
   return static_cast<std::size_t>(1.1 * cores * intensity + 0.5);
 }
 
 const util::ParamDecl kWindowParam{"window", "60",
                                   "burst duration in seconds"};
 const util::ParamDecl kIntensityParam{
-    "intensity", "experiment intensity",
+    "intensity", std::to_string(kPaperIntensity),
     "load knob v: 1.1 * cores * v requests"};
 const util::ParamDecl kMixParam{
     "mix", "round-robin", "function mix: round-robin | random | weighted"};

@@ -12,15 +12,19 @@
 
 namespace whisk::workload {
 
+// The paper's load knob v when a scenario's intensity= parameter is
+// omitted.
+inline constexpr int kPaperIntensity = 30;
+
 // Deployment-side knobs a scenario generator may scale with. The paper's
-// bursts size themselves as 1.1 * (nodes * cores) * intensity; trace
-// replays and rate-driven processes may ignore everything but the catalog.
+// bursts size themselves as 1.1 * (nodes * cores) * intensity, where the
+// intensity is the scenario's own parameter (default kPaperIntensity);
+// trace replays and rate-driven processes may ignore everything but the
+// catalog.
 struct ScenarioContext {
   const FunctionCatalog* catalog = nullptr;
-  int cores = 10;      // per node
+  int cores = 10;  // per node
   int nodes = 1;
-  int intensity = 30;  // the paper's load knob; a scenario's own
-                       // intensity parameter takes precedence
 };
 
 // One registered scenario generator: its declared parameters plus the

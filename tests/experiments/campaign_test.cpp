@@ -120,8 +120,9 @@ TEST_F(CampaignTest, GroupPoolingMatchesSerialRepetitions) {
   ASSERT_EQ(result.group_count(), 1u);
 
   const auto serial = run_repetitions(
-      ExperimentSpec().cores(5).intensity(30).scheduler("ours/fifo"), cat_,
-      3);
+      ExperimentSpec().cores(5).scenario("uniform?intensity=30").scheduler(
+          "ours/fifo"),
+      cat_, 3);
   std::vector<double> serial_pool;
   for (const auto& r : serial) {
     serial_pool.insert(serial_pool.end(), r.responses.begin(),
@@ -464,6 +465,20 @@ TEST_F(CampaignTest, ChaosCellsAreInvariantUnderThreadCount) {
     }
   }
   EXPECT_GT(faulted_injections, 0u);
+}
+
+// A faults axis value is folded into the cell's deployment and validated
+// together with the cluster item's resilience section: lost completions are
+// only survivable with a retry timeout.
+TEST(CampaignSpecFaultsDeath, AxisValueIsValidatedWithTheClusterResilience) {
+  const auto cat = workload::sebs_catalog();
+  const auto spec = CampaignSpec::parse(
+      "schedulers=ours/sept; scenarios=uniform?intensity=30; seeds=0; "
+      "clusters=node:2; faults=lost-completion");
+  CampaignOptions opts;
+  opts.threads = 1;
+  EXPECT_DEATH((void)run_campaign(spec, cat, opts),
+               "resilience sets no timeout-s");
 }
 
 // Quote-aware CSV split of one line (no embedded newlines in cells rows).

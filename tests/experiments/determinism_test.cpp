@@ -17,9 +17,11 @@ namespace {
 
 std::string run_csv(const std::string& scheduler, std::uint64_t seed) {
   const auto cat = workload::sebs_catalog();
-  auto spec =
-      ExperimentSpec().cores(10).intensity(30).seed(seed).scheduler(
-          scheduler);
+  auto spec = ExperimentSpec()
+                  .cores(10)
+                  .scenario("uniform?intensity=30")
+                  .seed(seed)
+                  .scheduler(scheduler);
   const auto result = run_experiment(spec, cat);
   return metrics::to_csv(result.records, cat);
 }

@@ -25,7 +25,8 @@ TEST_P(EndToEndInvariants, HoldForEveryScheduler) {
   for (const auto& sched : paper_schedulers()) {
     const auto cfg = ExperimentSpec()
                          .cores(cores)
-                         .intensity(intensity)
+                         .scenario("uniform?intensity=" +
+                                   std::to_string(intensity))
                          .seed(seed)
                          .scheduler(sched);
     const auto run = run_experiment(cfg, cat_);
@@ -83,7 +84,7 @@ TEST(CrossScheduler, TotalServiceTimeIsScheduleIndependent) {
   // execution order, the per-function service *distributions* must agree
   // across schedulers (no policy can change what the workload demands).
   const auto cat = workload::sebs_catalog();
-  auto cfg = ExperimentSpec().cores(5).intensity(30).seed(0);
+  auto cfg = ExperimentSpec().cores(5).scenario("uniform?intensity=30").seed(0);
 
   std::vector<double> totals;
   for (const auto& sched : paper_schedulers()) {
@@ -107,7 +108,7 @@ TEST(CrossScheduler, StarvationFreePoliciesBoundTheTail) {
   const auto cat = workload::sebs_catalog();
   for (const std::string_view policy : {"eect", "rect", "sjf-aging"}) {
     const auto cfg =
-        ExperimentSpec().cores(10).intensity(60).scheduler(
+        ExperimentSpec().cores(10).scenario("uniform?intensity=60").scheduler(
             SchedulerSpec{"ours", std::string(policy)});
     const auto run = run_experiment(cfg, cat);
     for (const auto& rec : run.records) {
@@ -119,8 +120,10 @@ TEST(CrossScheduler, StarvationFreePoliciesBoundTheTail) {
 TEST(CrossScheduler, SeptMayStarveLongCallsUntilDrainEnd) {
   // SEPT's known trade-off: the very last completions are the long calls.
   const auto cat = workload::sebs_catalog();
-  const auto cfg =
-      ExperimentSpec().cores(10).intensity(60).scheduler("ours/sept");
+  const auto cfg = ExperimentSpec()
+                       .cores(10)
+                       .scenario("uniform?intensity=60")
+                       .scheduler("ours/sept");
   const auto run = run_experiment(cfg, cat);
   const auto dna = *cat.find("dna-visualisation");
   // The call that completes last is a dna-visualisation call.
@@ -135,8 +138,11 @@ TEST(CrossScheduler, SeptMayStarveLongCallsUntilDrainEnd) {
 TEST(Determinism, WholeGridIsSeedDeterministic) {
   const auto cat = workload::sebs_catalog();
   for (const auto& sched : paper_schedulers()) {
-    const auto cfg =
-        ExperimentSpec().cores(5).intensity(30).seed(11).scheduler(sched);
+    const auto cfg = ExperimentSpec()
+                         .cores(5)
+                         .scenario("uniform?intensity=30")
+                         .seed(11)
+                         .scheduler(sched);
     const auto a = run_experiment(cfg, cat);
     const auto b = run_experiment(cfg, cat);
     ASSERT_EQ(a.max_completion, b.max_completion) << sched.label();

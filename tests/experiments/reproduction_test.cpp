@@ -73,7 +73,8 @@ TEST_F(Reproduction, Fig2a_BaselineColdStartsScaleWithIntensityNotMemory) {
   auto colds = [&](int intensity, double memory_mb) {
     const auto cfg = ExperimentSpec()
                          .cores(10)
-                         .intensity(intensity)
+                         .scenario("uniform?intensity=" +
+                                   std::to_string(intensity))
                          .memory_mb(memory_mb)
                          .scheduler(baseline());
     const auto run = run_experiment(cfg, cat_);
@@ -97,7 +98,7 @@ TEST_F(Reproduction, Fig2b_OurColdStartsVanishWithMemory) {
   auto colds = [&](double memory_mb) {
     const auto cfg = ExperimentSpec()
                          .cores(10)
-                         .intensity(120)
+                         .scenario("uniform?intensity=120")
                          .memory_mb(memory_mb)
                          .scheduler(ours("fifo"));
     const auto run = run_experiment(cfg, cat_);

@@ -30,7 +30,7 @@ TEST_F(RunnerTest, PaperSchedulersInFigureOrder) {
 }
 
 TEST_F(RunnerTest, RunProducesOneRecordPerRequest) {
-  const auto cfg = ExperimentSpec().cores(5).intensity(30);
+  const auto cfg = ExperimentSpec().cores(5).scenario("uniform?intensity=30");
   const auto run = run_experiment(cfg, cat_);
   EXPECT_EQ(run.records.size(), 165u);
   EXPECT_EQ(run.responses.size(), 165u);
@@ -39,7 +39,8 @@ TEST_F(RunnerTest, RunProducesOneRecordPerRequest) {
 }
 
 TEST_F(RunnerTest, SameSeedIsReproducible) {
-  const auto cfg = ExperimentSpec().cores(5).intensity(30).seed(3);
+  const auto cfg =
+      ExperimentSpec().cores(5).scenario("uniform?intensity=30").seed(3);
   const auto a = run_experiment(cfg, cat_);
   const auto b = run_experiment(cfg, cat_);
   ASSERT_EQ(a.responses.size(), b.responses.size());
@@ -49,7 +50,7 @@ TEST_F(RunnerTest, SameSeedIsReproducible) {
 }
 
 TEST_F(RunnerTest, SchedulersShareTheCallSequencePerSeed) {
-  auto cfg = ExperimentSpec().cores(5).intensity(30).seed(2);
+  auto cfg = ExperimentSpec().cores(5).scenario("uniform?intensity=30").seed(2);
   cfg.scheduler("ours/fifo");
   const auto fifo = run_experiment(cfg, cat_);
   cfg.scheduler("ours/sept");
@@ -74,7 +75,7 @@ TEST_F(RunnerTest, SchedulersShareTheCallSequencePerSeed) {
 }
 
 TEST_F(RunnerTest, RepetitionsUseDistinctSeeds) {
-  const auto cfg = ExperimentSpec().cores(5).intensity(30);
+  const auto cfg = ExperimentSpec().cores(5).scenario("uniform?intensity=30");
   const auto reps = run_repetitions(cfg, cat_, 3);
   ASSERT_EQ(reps.size(), 3u);
   EXPECT_NE(reps[0].responses, reps[1].responses);
@@ -84,7 +85,7 @@ TEST_F(RunnerTest, RepetitionsUseDistinctSeeds) {
 TEST_F(RunnerTest, RepetitionsDeriveSeedsFromTheBaseSeed) {
   // The old implementation clobbered the caller's seed with 0..reps-1;
   // the contract is now spec.seed() + r.
-  auto cfg = ExperimentSpec().cores(5).intensity(30).seed(3);
+  auto cfg = ExperimentSpec().cores(5).scenario("uniform?intensity=30").seed(3);
   const auto reps = run_repetitions(cfg, cat_, 2);
   ASSERT_EQ(reps.size(), 2u);
   cfg.seed(3);
@@ -166,7 +167,7 @@ TEST_F(RunnerTest, UnknownOverrideDiesListingValidNames) {
 }
 
 TEST_F(RunnerTest, FairnessScenarioHasRareFunction) {
-  const auto cfg = ExperimentSpec().cores(5).intensity(30).scenario(
+  const auto cfg = ExperimentSpec().cores(5).scenario(
       "fairness?rare-function=dna-visualisation&rare-calls=4");
   const auto run = run_experiment(cfg, cat_);
   const auto dna = *cat_.find("dna-visualisation");
@@ -200,27 +201,6 @@ TEST_F(RunnerTest, RateDrivenScenariosRunEndToEnd) {
 TEST_F(RunnerTest, ScenarioSpecSurvivesTheBuilderRoundTrip) {
   const auto cfg = ExperimentSpec().scenario("FIXED?total=110");
   EXPECT_EQ(cfg.scenario().to_string(), "fixed-total?total=110");
-}
-
-TEST_F(RunnerTest, IntensityConflictsWithFixedTotalScenario) {
-  // intensity() used to be silently ignored by the fixed-total scenario;
-  // now the contradiction is fatal and names both knobs.
-  const auto cfg =
-      ExperimentSpec().intensity(60).scenario("fixed-total?total=110");
-  EXPECT_DEATH((void)run_experiment(cfg, cat_),
-               "intensity\\(60\\) conflicts with scenario "
-               "\"fixed-total\".*total");
-  // Order of the builder calls does not matter.
-  const auto cfg2 =
-      ExperimentSpec().scenario("fixed-total?total=110").intensity(60);
-  EXPECT_DEATH((void)run_experiment(cfg2, cat_), "conflicts with scenario");
-}
-
-TEST_F(RunnerTest, IntensitySetTwiceIsRejected) {
-  const auto cfg =
-      ExperimentSpec().intensity(60).scenario("uniform?intensity=90");
-  EXPECT_DEATH((void)run_experiment(cfg, cat_),
-               "intensity is set twice.*intensity\\(60\\).*intensity=90");
 }
 
 TEST_F(RunnerTest, IdleBenchmarkHasRequestedCalls) {

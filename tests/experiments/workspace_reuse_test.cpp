@@ -5,7 +5,8 @@
 // once (bounded autoscaled fleet, resilience policies, crash faults,
 // workflow DAGs). The campaign-level corollary: per-worker workspaces keep
 // cells_csv/cells_jsonl and the streamed record CSV/JSONL invariant under
-// the thread count on the same chaos grid.
+// the thread count on the same chaos grid, and on a grid whose cluster
+// items size the scenario differently.
 #include "experiments/workspace.h"
 
 #include <gtest/gtest.h>
@@ -46,6 +47,15 @@ class WorkspaceReuseTest : public ::testing::Test {
         "seeds=0..1; cores=5");
   }
 
+  // Two cluster items of different sizes: the scenario is sized by the
+  // deployment's total cores, so the node:4 cells run twice the node:2
+  // cells' calls and must not share their memoized scenario.
+  static CampaignSpec sized_clusters_grid() {
+    return CampaignSpec::parse(
+        "schedulers=ours/sept; scenarios=uniform?intensity=30; seeds=0..1; "
+        "cores=5; clusters=node:2,node:4");
+  }
+
   // Run every cell of `spec` through the shared long-lived workspace and
   // through the fresh-construction path, and require record-level equality.
   void expect_reuse_matches_fresh(CellWorkspace& ws,
@@ -77,6 +87,32 @@ class WorkspaceReuseTest : public ::testing::Test {
     }
   }
 
+  // Run `spec` as a campaign at several thread counts and require the same
+  // bytes from every output.
+  void expect_thread_invariant(const CampaignSpec& spec) {
+    auto run_at = [&](int threads) {
+      CampaignOptions opts;
+      opts.threads = threads;
+      std::ostringstream csv, jsonl;
+      metrics::MetricsPipeline pipeline;
+      pipeline.emplace<metrics::CsvSink>(csv, cat_);
+      pipeline.emplace<metrics::JsonlSink>(jsonl, cat_);
+      opts.pipeline = &pipeline;
+      const auto result = run_campaign(spec, cat_, opts);
+      // Aggregated per-cell CSV/JSONL plus the streamed full-record
+      // CSV/JSONL — every byte the sweep tool can produce.
+      return cells_csv(result) + "\n---\n" + cells_jsonl(result) +
+             "\n---\n" + csv.str() + "\n---\n" + jsonl.str();
+    };
+    const std::string at1 = run_at(1);
+    ASSERT_FALSE(at1.empty());
+    EXPECT_EQ(at1, run_at(2)) << spec.to_string();
+    const int hw = util::ThreadPool::hardware_threads();
+    if (hw > 2) {
+      EXPECT_EQ(at1, run_at(hw)) << spec.to_string();
+    }
+  }
+
   workload::FunctionCatalog cat_ = workload::sebs_catalog();
 };
 
@@ -89,6 +125,7 @@ TEST_F(WorkspaceReuseTest, ReusedWorkspaceMatchesFreshConstruction) {
   expect_reuse_matches_fresh(ws, chaos_grid());
   expect_reuse_matches_fresh(ws, plain_grid());
   expect_reuse_matches_fresh(ws, chaos_grid());
+  expect_reuse_matches_fresh(ws, sized_clusters_grid());
 }
 
 TEST_F(WorkspaceReuseTest, RecordFreeRunStillCountsCalls) {
@@ -104,28 +141,9 @@ TEST_F(WorkspaceReuseTest, RecordFreeRunStillCountsCalls) {
   }
 }
 
-TEST_F(WorkspaceReuseTest, ChaosCampaignOutputInvariantUnderThreadCount) {
-  const auto spec = chaos_grid();
-  auto run_at = [&](int threads) {
-    CampaignOptions opts;
-    opts.threads = threads;
-    std::ostringstream csv, jsonl;
-    metrics::MetricsPipeline pipeline;
-    pipeline.emplace<metrics::CsvSink>(csv, cat_);
-    pipeline.emplace<metrics::JsonlSink>(jsonl, cat_);
-    opts.pipeline = &pipeline;
-    const auto result = run_campaign(spec, cat_, opts);
-    // Aggregated per-cell CSV/JSONL plus the streamed full-record
-    // CSV/JSONL — every byte the sweep tool can produce.
-    return cells_csv(result) + "\n---\n" + cells_jsonl(result) + "\n---\n" +
-           csv.str() + "\n---\n" + jsonl.str();
-  };
-  const std::string at1 = run_at(1);
-  ASSERT_FALSE(at1.empty());
-  EXPECT_EQ(at1, run_at(2));
-  const int hw = util::ThreadPool::hardware_threads();
-  if (hw > 2) {
-    EXPECT_EQ(at1, run_at(hw));
+TEST_F(WorkspaceReuseTest, CampaignOutputInvariantUnderThreadCount) {
+  for (const auto& spec : {chaos_grid(), sized_clusters_grid()}) {
+    expect_thread_invariant(spec);
   }
 }
 

@@ -5,7 +5,6 @@
 #include <algorithm>
 #include <sstream>
 
-#include "metrics/collector.h"
 #include "metrics/csv.h"
 #include "util/stats.h"
 
@@ -48,21 +47,24 @@ class SinkTest : public ::testing::Test {
 };
 
 TEST_F(SinkTest, StreamingSummaryMatchesSummarizeExactlyWhileExact) {
-  // Satellite contract: the bounded-memory sink equals util::summarize on
-  // the retained sample, exactly, for n <= reservoir capacity.
+  // The bounded-memory summary equals util::summarize on the retained
+  // sample, exactly, for n <= reservoir capacity.
   const auto records = stream(50);
-  StreamingSummarySink sink(cat_, /*reservoir_capacity=*/64);
+  StreamingSummary response(/*reservoir_capacity=*/64);
+  StreamingSummary stretch(/*reservoir_capacity=*/64);
   std::vector<double> responses;
   std::vector<double> stretches;
   for (const auto& r : records) {
-    sink.on_record(r);
+    const double s = r.response() / cat_.reference_median(r.function);
+    response.add(r.response());
+    stretch.add(s);
     responses.push_back(r.response());
-    stretches.push_back(r.response() / cat_.reference_median(r.function));
+    stretches.push_back(s);
   }
-  ASSERT_TRUE(sink.response().exact());
+  ASSERT_TRUE(response.exact());
 
   const util::Summary exact_r = util::summarize(responses);
-  const util::Summary got_r = sink.response().summary();
+  const util::Summary got_r = response.summary();
   EXPECT_EQ(got_r.count, exact_r.count);
   // Quantiles come from the full retained sample: bit-exact.
   EXPECT_DOUBLE_EQ(got_r.p25, exact_r.p25);
@@ -78,23 +80,23 @@ TEST_F(SinkTest, StreamingSummaryMatchesSummarizeExactlyWhileExact) {
   EXPECT_NEAR(got_r.stddev, exact_r.stddev, 1e-9);
 
   const util::Summary exact_s = util::summarize(stretches);
-  const util::Summary got_s = sink.stretch().summary();
+  const util::Summary got_s = stretch.summary();
   EXPECT_DOUBLE_EQ(got_s.p50, exact_s.p50);
   EXPECT_NEAR(got_s.mean, exact_s.mean, 1e-12);
 }
 
 TEST_F(SinkTest, StreamingSummaryStaysCloseBeyondTheReservoir) {
   const auto records = stream(5000);
-  StreamingSummarySink sink(cat_, /*reservoir_capacity=*/256);
+  StreamingSummary response(/*reservoir_capacity=*/256);
   std::vector<double> responses;
   for (const auto& r : records) {
-    sink.on_record(r);
+    response.add(r.response());
     responses.push_back(r.response());
   }
-  EXPECT_FALSE(sink.response().exact());
+  EXPECT_FALSE(response.exact());
 
   const util::Summary exact = util::summarize(responses);
-  const util::Summary got = sink.response().summary();
+  const util::Summary got = response.summary();
   // Count/mean/min/max/stddev are exact regardless of the reservoir.
   EXPECT_EQ(got.count, exact.count);
   EXPECT_NEAR(got.mean, exact.mean, 1e-12);
@@ -202,41 +204,15 @@ TEST(JsonEscape, EscapesQuotesBackslashesAndControls) {
   EXPECT_EQ(json_escape(std::string("a\rb\x01" "c")), "a\\u000db\\u0001c");
 }
 
-TEST_F(SinkTest, FunctionIndexSinkMatchesCollectorQueries) {
-  const auto records = stream(60);
-  Collector collector(cat_);
-  FunctionIndexSink sink(cat_);
-  for (const auto& r : records) {
-    collector.add(r);
-    sink.on_record(r);
-  }
-  for (const auto& spec : cat_.specs()) {
-    EXPECT_EQ(sink.calls_of(spec.id), collector.calls_of(spec.id))
-        << spec.name;
-    const auto exact = collector.response_times_of(spec.id);
-    if (exact.empty()) {
-      EXPECT_EQ(sink.response_of(spec.id), nullptr);
-      continue;
-    }
-    ASSERT_NE(sink.response_of(spec.id), nullptr);
-    EXPECT_NEAR(sink.response_of(spec.id)->stats.mean(), util::mean(exact),
-                1e-12);
-    // Per-function reservoirs kept the whole (small) stream: quantiles
-    // equal the exact per-function percentiles.
-    EXPECT_DOUBLE_EQ(sink.response_of(spec.id)->summary().p50,
-                     util::percentile(exact, 50.0));
-  }
-  EXPECT_EQ(sink.calls_of(workload::kInvalidFunction), 0u);
-}
-
 TEST_F(SinkTest, PipelineFansOutToEverySink) {
   std::ostringstream csv_out;
+  std::ostringstream jsonl_out;
   MetricsPipeline pipeline;
   auto* csv = pipeline.emplace<CsvSink>(csv_out, cat_);
-  auto* summary = pipeline.emplace<StreamingSummarySink>(cat_);
-  auto* index = pipeline.emplace<FunctionIndexSink>(cat_);
+  auto* jsonl = pipeline.emplace<JsonlSink>(jsonl_out, cat_);
   ASSERT_NE(csv, nullptr);
-  EXPECT_EQ(pipeline.size(), 3u);
+  ASSERT_NE(jsonl, nullptr);
+  EXPECT_EQ(pipeline.size(), 2u);
 
   const auto records = stream(30);
   pipeline.begin_run(RunContext{});
@@ -244,8 +220,10 @@ TEST_F(SinkTest, PipelineFansOutToEverySink) {
   pipeline.end_run();
 
   EXPECT_EQ(csv_out.str(), to_csv(records, cat_));
-  EXPECT_EQ(summary->calls(), records.size());
-  EXPECT_EQ(index->calls_of(*cat_.find("graph-bfs")), 10u);
+  const std::string jsonl_text = jsonl_out.str();
+  EXPECT_EQ(static_cast<std::size_t>(
+                std::count(jsonl_text.begin(), jsonl_text.end(), '\n')),
+            records.size());
 }
 
 }  // namespace

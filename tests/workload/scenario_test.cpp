@@ -31,13 +31,13 @@ TEST_F(ScenarioTest, UniformBurstRequestCountMatchesFormula) {
   EXPECT_EQ(make("uniform?intensity=120", 1, /*cores=*/20).size(), 2640u);
 }
 
-TEST_F(ScenarioTest, UniformIntensityDefaultsToTheContext) {
+TEST_F(ScenarioTest, UniformIntensityDefaultsToThePaperValue) {
+  // Without an intensity= parameter the burst is sized at kPaperIntensity.
   ScenarioContext ctx;
   ctx.catalog = &cat_;
   ctx.cores = 10;
-  ctx.intensity = 60;
   sim::Rng rng(1);
-  EXPECT_EQ(make_scenario("uniform", ctx, rng).size(), 660u);
+  EXPECT_EQ(make_scenario("uniform", ctx, rng).size(), 330u);
 }
 
 TEST_F(ScenarioTest, UniformBurstEqualCallsPerFunction) {
