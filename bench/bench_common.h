@@ -6,9 +6,10 @@
 // experiment index and EXPERIMENTS.md for the recorded comparison).
 //
 // The benches run their grids through experiments::run_campaign: the sweep
-// is declared once as a CampaignSpec and executed on the work-stealing
-// pool. Campaign determinism guarantees the printed numbers are identical
-// to the old serial rep loops (and to any WHISK_BENCH_THREADS value).
+// is declared once as a CampaignSpec and executed by the striped
+// util::ThreadPool::parallel_for. Campaign determinism guarantees the
+// printed numbers are identical to the old serial rep loops (and to any
+// WHISK_BENCH_THREADS value).
 
 #include <cstdio>
 #include <cstdlib>

@@ -5,8 +5,8 @@
 // the very short graph functions.
 //
 // The closed-loop idle benchmark is not grid-shaped (no seeds/schedulers to
-// sweep), so it rides the campaign pool directly: one task per function,
-// results printed in catalog order regardless of completion order.
+// sweep), so it calls the campaign's parallel_for directly: one index per
+// function, results printed in catalog order regardless of completion order.
 #include "bench_common.h"
 
 using namespace whisk;
@@ -18,11 +18,11 @@ int main() {
       "Simulated value with the paper's measurement in parentheses.\n\n");
 
   std::vector<std::vector<double>> responses(cat.size());
-  util::ThreadPool pool(bench::threads());
-  pool.parallel_for(cat.size(), [&](std::size_t i) {
-    responses[i] = experiments::run_idle_function_benchmark(
-        cat, cat.specs()[i].id, 50, /*seed=*/7);
-  });
+  util::ThreadPool::parallel_for(
+      cat.size(), bench::threads(), [&](std::size_t i, int /*worker*/) {
+        responses[i] = experiments::run_idle_function_benchmark(
+            cat, cat.specs()[i].id, 50, /*seed=*/7);
+      });
 
   util::Table table({"function", "5th perc.", "median", "95th perc."});
   for (std::size_t i = 0; i < cat.size(); ++i) {

@@ -1,5 +1,6 @@
 #include "experiments/campaign.h"
 
+#include <algorithm>
 #include <charconv>
 #include <cstdio>
 #include <mutex>
@@ -324,7 +325,8 @@ CampaignResult run_campaign(const CampaignSpec& raw_spec,
   // mutex below guards only the post-cell flush bookkeeping).
   const bool want_records =
       options.retain_records || options.pipeline != nullptr;
-  std::vector<CellWorkspace> workspaces(static_cast<std::size_t>(threads));
+  std::vector<CellWorkspace> workspaces(
+      std::min(static_cast<std::size_t>(threads), total));
 
   // Flush/progress state; cells finish in schedule order, the pipeline
   // consumes them in index order. `flushing` elects one worker to stream
@@ -383,22 +385,10 @@ CampaignResult run_campaign(const CampaignSpec& raw_spec,
     }
   };
 
-  if (threads == 1 || total <= 1) {
-    for (std::size_t i = 0; i < total; ++i) run_cell(i, workspaces[0]);
-  } else {
-    util::ThreadPool pool(threads);
-    for (std::size_t i = 0; i < total; ++i) {
-      pool.submit([&run_cell, &workspaces, i] {
-        // Tasks only ever run on this pool's workers, whose indices are
-        // 0..threads-1 by construction.
-        const int w = util::ThreadPool::worker_index();
-        WHISK_CHECK(w >= 0 && static_cast<std::size_t>(w) < workspaces.size(),
-                    "campaign cell ran off its own pool");
-        run_cell(i, workspaces[static_cast<std::size_t>(w)]);
+  util::ThreadPool::parallel_for(
+      total, threads, [&](std::size_t i, int worker) {
+        run_cell(i, workspaces[static_cast<std::size_t>(worker)]);
       });
-    }
-    pool.wait_idle();
-  }
   return out;
 }
 

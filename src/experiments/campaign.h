@@ -161,8 +161,9 @@ class CampaignResult {
 };
 
 // Execute every cell of the grid — one independent sim::Engine per cell,
-// seeded from the cell's seed-axis value only — on a work-stealing thread
-// pool. Results are byte-identical for any thread count and any schedule:
+// seeded from the cell's seed-axis value only — on util::ThreadPool's
+// striped parallel_for, one reusable CellWorkspace per worker. Results are
+// byte-identical for any thread count and any schedule:
 // cells write to pre-assigned slots, aggregation folds them in index order,
 // and pipeline sinks see cells in index order.
 [[nodiscard]] CampaignResult run_campaign(const CampaignSpec& spec,
@@ -194,7 +195,7 @@ class CampaignResult {
 
 // One CSV row per cell (coordinates + summary statistics) — the
 // whisk_sweep --cells-csv format, also what the thread-count-invariance
-// test compares across pool sizes.
+// test compares across thread counts.
 [[nodiscard]] std::string cells_csv(const CampaignResult& result);
 
 // One JSON object per cell, same content as cells_csv — the whisk_sweep

@@ -42,8 +42,8 @@ namespace whisk::experiments {
 // run_experiment across grids, including chaos (faults + workflows) cells.
 //
 // Not thread-safe: one workspace per worker (run_campaign keeps a vector of
-// them, one per pool thread). Cached scenarios identify their catalog by
-// address, so catalogs must outlive the workspace.
+// them, indexed by parallel_for's worker id). Cached scenarios identify
+// their catalog by address, so catalogs must outlive the workspace.
 class CellWorkspace {
  public:
   CellWorkspace() = default;

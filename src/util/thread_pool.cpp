@@ -1,95 +1,48 @@
 #include "util/thread_pool.h"
 
-#include <utility>
+#include <algorithm>
+#include <atomic>
+#include <thread>
+#include <vector>
 
 #include "util/check.h"
 
 namespace whisk::util {
-namespace {
-
-// Set once at worker start; a thread belongs to at most one pool.
-thread_local int tl_worker_index = -1;
-
-}  // namespace
-
-ThreadPool::ThreadPool(int threads) {
-  WHISK_CHECK(threads >= 1, "a thread pool needs at least one worker");
-  queues_.resize(static_cast<std::size_t>(threads));
-  threads_.reserve(static_cast<std::size_t>(threads));
-  for (int i = 0; i < threads; ++i) {
-    threads_.emplace_back(
-        [this, i] { worker_loop(static_cast<std::size_t>(i)); });
-  }
-}
-
-ThreadPool::~ThreadPool() {
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    stop_ = true;
-  }
-  work_cv_.notify_all();
-  for (auto& t : threads_) t.join();
-}
-
-void ThreadPool::submit(std::function<void()> task) {
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    queues_[next_queue_].push_back(std::move(task));
-    next_queue_ = (next_queue_ + 1) % queues_.size();
-    ++pending_;
-  }
-  work_cv_.notify_one();
-}
-
-void ThreadPool::wait_idle() {
-  std::unique_lock<std::mutex> lock(mutex_);
-  idle_cv_.wait(lock, [this] { return pending_ == 0; });
-}
 
 void ThreadPool::parallel_for(
-    std::size_t count, const std::function<void(std::size_t)>& body) {
-  for (std::size_t i = 0; i < count; ++i) {
-    submit([&body, i] { body(i); });
+    std::size_t count, int threads,
+    const std::function<void(std::size_t index, int worker)>& body) {
+  WHISK_CHECK(threads >= 1, "parallel_for needs at least one thread");
+  const std::size_t stripes =
+      std::min(static_cast<std::size_t>(threads), count);
+  if (stripes == 0) return;
+  // claimed[s]: how many indices of stripe s have been handed out.
+  std::vector<std::atomic<std::size_t>> claimed(stripes);
+
+  auto work = [&](int worker) {
+    for (std::size_t j = 0; j < stripes; ++j) {
+      const std::size_t s = (static_cast<std::size_t>(worker) + j) % stripes;
+      for (;;) {
+        const std::size_t i = s + claimed[s].fetch_add(1) * stripes;
+        if (i >= count) break;
+        body(i, worker);
+      }
+    }
+  };
+
+  // jthreads join on every exit path, including a throwing body on the
+  // calling thread.
+  std::vector<std::jthread> helpers;
+  helpers.reserve(stripes - 1);
+  for (std::size_t w = 1; w < stripes; ++w) {
+    helpers.emplace_back(work, static_cast<int>(w));
   }
-  wait_idle();
+  work(0);
 }
 
 int ThreadPool::hardware_threads() {
   const unsigned n = std::thread::hardware_concurrency();
   return n == 0 ? 1 : static_cast<int>(n);
-}
-
-int ThreadPool::worker_index() { return tl_worker_index; }
-
-void ThreadPool::worker_loop(std::size_t index) {
-  tl_worker_index = static_cast<int>(index);
-  std::unique_lock<std::mutex> lock(mutex_);
-  for (;;) {
-    std::function<void()> task;
-    if (!queues_[index].empty()) {
-      task = std::move(queues_[index].front());  // own work: oldest first
-      queues_[index].pop_front();
-    } else {
-      for (std::size_t j = 1; j < queues_.size(); ++j) {
-        auto& victim = queues_[(index + j) % queues_.size()];
-        if (!victim.empty()) {
-          task = std::move(victim.front());  // stolen work: oldest first
-          victim.pop_front();
-          break;
-        }
-      }
-    }
-    if (task) {
-      lock.unlock();
-      task();
-      task = nullptr;  // destroy captures outside the lock
-      lock.lock();
-      if (--pending_ == 0) idle_cv_.notify_all();
-      continue;
-    }
-    if (stop_) return;
-    work_cv_.wait(lock);
-  }
 }
 
 }  // namespace whisk::util

@@ -1,77 +1,44 @@
 #pragma once
 
-#include <condition_variable>
 #include <cstddef>
-#include <deque>
 #include <functional>
-#include <mutex>
-#include <thread>
-#include <vector>
 
 namespace whisk::util {
 
-// Work-stealing thread pool sized for campaign cells: tasks are whole
-// simulation runs (milliseconds to seconds each), so queue operations are
-// nowhere near the critical path and all deques share one lock. Each worker
-// owns a deque; it drains its own queue oldest-first and, when empty,
-// steals the oldest task from the next busy worker. Oldest-first matters to
-// run_campaign's streaming pipeline: cells flush in ascending index order,
-// so executing near submission order keeps the reorder buffer at O(threads)
-// cells instead of stalling the lowest index behind a worker's whole queue
-// (the classic LIFO own-pop would do exactly that; its cache-warmth
-// rationale is irrelevant for tasks this coarse).
-//
-// Determinism contract: the pool guarantees nothing about execution order —
-// callers must make tasks independent and write to pre-assigned slots.
-// run_campaign does exactly that, which is why its output is byte-identical
-// for any thread count.
+// Parallel loops sized for campaign cells: each index is a whole simulation
+// run (milliseconds to seconds), so claiming one costs nothing next to
+// running it.
 class ThreadPool {
  public:
-  // Spawns `threads` workers (>= 1).
-  explicit ThreadPool(int threads);
-  ~ThreadPool();
+  ThreadPool() = delete;
 
-  ThreadPool(const ThreadPool&) = delete;
-  ThreadPool& operator=(const ThreadPool&) = delete;
-
-  [[nodiscard]] int threads() const {
-    return static_cast<int>(threads_.size());
-  }
-
-  // Enqueue one task (round-robin over the worker deques). May be called
-  // while the pool is busy, including from inside a task.
-  void submit(std::function<void()> task);
-
-  // Block until every submitted task has finished. The pool is reusable
-  // afterwards.
-  void wait_idle();
-
-  // submit + wait_idle over [0, count): body(i) runs exactly once per index,
-  // in unspecified order, on unspecified threads.
-  void parallel_for(std::size_t count,
-                    const std::function<void(std::size_t)>& body);
+  // Runs body(i, worker) exactly once for every i in [0, count) on
+  // T = min(threads, count) workers, worker ids 0..T-1. Worker 0 is the
+  // calling thread, so threads == 1 is the plain serial loop in index
+  // order; the other T-1 are std::threads joined before the call returns.
+  //
+  // Indices are claimed by stripe: stripe s is {s, s+T, s+2T, ...}. Worker
+  // w drains its own stripe lowest-first, then claims from stripes w+1,
+  // w+2, ... in turn. Two properties follow that run_campaign relies on:
+  //  - execution tracks index order, so its in-index-order flush buffer
+  //    stays O(T) cells instead of stalling the lowest index behind one
+  //    worker's whole share;
+  //  - a worker's own share is a fixed residue class mod T, not whatever a
+  //    shared counter hands out: in a seed-innermost grid whose seed count
+  //    is a multiple of T, every cell of one (scenario, seed) pair lands
+  //    on the same worker and so hits the same scenario memo.
+  //
+  // Determinism contract: no execution order is guaranteed beyond
+  // threads == 1. Callers make iterations independent and write to
+  // pre-assigned slots; run_campaign does exactly that, which is why its
+  // output is byte-identical for any thread count. Dies if threads < 1.
+  static void parallel_for(
+      std::size_t count, int threads,
+      const std::function<void(std::size_t index, int worker)>& body);
 
   // std::thread::hardware_concurrency with the zero-means-unknown case
   // clamped to 1.
   [[nodiscard]] static int hardware_threads();
-
-  // Index of the calling thread within its owning pool (0-based), or -1
-  // off any pool worker. Lets a task pick its per-worker slot (e.g.
-  // run_campaign's one-CellWorkspace-per-worker array) without threading an
-  // index through every submit.
-  [[nodiscard]] static int worker_index();
-
- private:
-  void worker_loop(std::size_t index);
-
-  std::vector<std::deque<std::function<void()>>> queues_;  // one per worker
-  std::mutex mutex_;                  // guards queues_, pending_, stop_
-  std::condition_variable work_cv_;   // task queued or stop
-  std::condition_variable idle_cv_;   // pending_ hit zero
-  std::size_t pending_ = 0;           // queued + running tasks
-  std::size_t next_queue_ = 0;        // round-robin submit cursor
-  bool stop_ = false;
-  std::vector<std::thread> threads_;
 };
 
 }  // namespace whisk::util

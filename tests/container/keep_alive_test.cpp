@@ -79,7 +79,7 @@ TEST(KeepAliveRegistry, BuiltinsRegisteredAndRuntimeExtensible) {
           return std::make_unique<KeepNewest>();
         });
   }
-  ContainerPool pool(2.0 * kMb, make_keep_alive(KeepAliveSpec{"keep-newest"}));
+  ContainerPool pool(2.0 * kMb, make_keep_alive(KeepAliveSpec{"keep-newest", {}}));
   make_idle(pool, 1, 1.0);
   make_idle(pool, 2, 5.0);
   pool.evict_idle_until_free(kMb);

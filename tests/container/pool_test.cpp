@@ -179,7 +179,7 @@ TEST(PoolDeath, ReleaseNonBusyAborts) {
 
 TEST(PoolDeath, UnknownIdAborts) {
   ContainerPool pool(1024.0);
-  EXPECT_DEATH(pool.info(42), "unknown container");
+  EXPECT_DEATH((void)pool.info(42), "unknown container");
 }
 
 TEST(PoolDeath, FinishCreationTwiceAborts) {

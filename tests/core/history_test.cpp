@@ -222,7 +222,7 @@ TEST(HistoryDeath, QueryWiderThanRegisteredHorizonAborts) {
   h.record_runtime(1, 0.1, 100.0);
   // Timestamps past the horizon may already be pruned; a wider query must
   // fail loudly instead of silently undercounting.
-  EXPECT_DEATH(h.completions_within(1, 120.0, 100.0), "horizon");
+  EXPECT_DEATH((void)h.completions_within(1, 120.0, 100.0), "horizon");
 }
 
 TEST(HistoryDeath, NegativeRuntimeAborts) {

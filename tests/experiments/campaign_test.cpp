@@ -82,6 +82,8 @@ TEST_F(CampaignTest, OutputIsInvariantUnderThreadCount) {
     EXPECT_EQ(at1, run_at(hw));
   }
   EXPECT_EQ(at1, run_at(0)) << "0 = auto thread count";
+  EXPECT_EQ(at1, run_at(static_cast<int>(spec.size()) + 3))
+      << "more threads than cells";
 }
 
 TEST_F(CampaignTest, PipelineSeesCellsInIndexOrder) {

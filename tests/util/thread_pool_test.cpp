@@ -2,104 +2,80 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <thread>
+#include <utility>
 #include <vector>
 
 namespace whisk::util {
 namespace {
 
-TEST(ThreadPoolTest, RunsEveryTaskExactlyOnce) {
-  for (int threads : {1, 2, 4}) {
-    ThreadPool pool(threads);
-    constexpr std::size_t kTasks = 200;
-    std::vector<std::atomic<int>> hits(kTasks);
-    for (auto& h : hits) h = 0;
-    for (std::size_t i = 0; i < kTasks; ++i) {
-      pool.submit([&hits, i] { hits[i]++; });
-    }
-    pool.wait_idle();
-    for (std::size_t i = 0; i < kTasks; ++i) {
-      EXPECT_EQ(hits[i].load(), 1) << "task " << i << " on " << threads
+TEST(ParallelForTest, RunsEveryIndexExactlyOnce) {
+  constexpr std::size_t kCount = 200;
+  for (int threads : {1, 2, 4, static_cast<int>(kCount) + 3}) {
+    std::vector<std::atomic<int>> hits(kCount);
+    ThreadPool::parallel_for(kCount, threads,
+                             [&](std::size_t i, int /*worker*/) { hits[i]++; });
+    for (std::size_t i = 0; i < kCount; ++i) {
+      EXPECT_EQ(hits[i].load(), 1) << "index " << i << " on " << threads
                                    << " threads";
     }
   }
 }
 
-TEST(ThreadPoolTest, ParallelForCoversTheRange) {
-  ThreadPool pool(3);
-  std::vector<std::atomic<int>> hits(100);
-  for (auto& h : hits) h = 0;
-  pool.parallel_for(hits.size(), [&](std::size_t i) { hits[i]++; });
-  for (std::size_t i = 0; i < hits.size(); ++i) {
-    EXPECT_EQ(hits[i].load(), 1);
+TEST(ParallelForTest, ZeroCountNeverCallsTheBody) {
+  for (int threads : {1, 4}) {
+    std::atomic<int> calls{0};
+    ThreadPool::parallel_for(0, threads,
+                             [&](std::size_t, int) { calls++; });
+    EXPECT_EQ(calls.load(), 0);
   }
 }
 
-TEST(ThreadPoolTest, WaitIdleOnEmptyPoolReturnsImmediately) {
-  ThreadPool pool(2);
-  pool.wait_idle();  // must not hang
-  SUCCEED();
-}
-
-TEST(ThreadPoolTest, PoolIsReusableAfterWaitIdle) {
-  ThreadPool pool(2);
-  std::atomic<int> count{0};
-  for (int round = 0; round < 3; ++round) {
-    for (int i = 0; i < 50; ++i) {
-      pool.submit([&count] { count++; });
+TEST(ParallelForTest, WorkerIdsLieBelowMinOfThreadsAndCount) {
+  for (auto [count, threads] : {std::pair<std::size_t, int>{100, 3},
+                                {5, 8},
+                                {1, 4}}) {
+    const int workers = std::min(threads, static_cast<int>(count));
+    std::vector<std::atomic<int>> worker_of(count);
+    for (auto& w : worker_of) w = -1;
+    ThreadPool::parallel_for(count, threads, [&](std::size_t i, int worker) {
+      worker_of[i] = worker;
+    });
+    for (std::size_t i = 0; i < count; ++i) {
+      EXPECT_GE(worker_of[i].load(), 0);
+      EXPECT_LT(worker_of[i].load(), workers)
+          << "count " << count << ", threads " << threads;
     }
-    pool.wait_idle();
-    EXPECT_EQ(count.load(), 50 * (round + 1));
   }
 }
 
-TEST(ThreadPoolTest, TasksMaySubmitMoreTasks) {
-  ThreadPool pool(2);
-  std::atomic<int> count{0};
-  pool.submit([&pool, &count] {
-    count++;
-    for (int i = 0; i < 10; ++i) {
-      pool.submit([&count] { count++; });
-    }
-  });
-  pool.wait_idle();
-  EXPECT_EQ(count.load(), 11);
-}
-
-TEST(ThreadPoolTest, DestructorDrainsQueuedTasks) {
-  std::atomic<int> count{0};
-  {
-    ThreadPool pool(2);
-    for (int i = 0; i < 100; ++i) {
-      pool.submit([&count] { count++; });
-    }
-    // No wait_idle: the destructor must still run everything queued.
-  }
-  EXPECT_EQ(count.load(), 100);
-}
-
-TEST(ThreadPoolTest, SingleWorkerRunsInSubmissionOrder) {
-  // Oldest-first own-queue draining: run_campaign's streaming pipeline
-  // relies on execution tracking submission order so the in-index-order
-  // flush buffer stays O(threads) instead of O(all cells).
-  ThreadPool pool(1);
+TEST(ParallelForTest, OneThreadRunsOnTheCallerInIndexOrder) {
+  // run_campaign's in-index-order flush buffer relies on execution tracking
+  // index order; with one thread it is exactly the serial loop.
+  const std::thread::id caller = std::this_thread::get_id();
   std::vector<std::size_t> order;
-  for (std::size_t i = 0; i < 50; ++i) {
-    pool.submit([&order, i] { order.push_back(i); });
-  }
-  pool.wait_idle();
+  ThreadPool::parallel_for(50, 1, [&](std::size_t i, int worker) {
+    EXPECT_EQ(worker, 0);
+    EXPECT_EQ(std::this_thread::get_id(), caller);
+    order.push_back(i);
+  });
   ASSERT_EQ(order.size(), 50u);
   for (std::size_t i = 0; i < order.size(); ++i) {
     EXPECT_EQ(order[i], i);
   }
 }
 
-TEST(ThreadPoolTest, HardwareThreadsIsAtLeastOne) {
+TEST(ParallelForTest, HardwareThreadsIsAtLeastOne) {
   EXPECT_GE(ThreadPool::hardware_threads(), 1);
 }
 
-TEST(ThreadPoolDeath, RejectsZeroWorkers) {
-  EXPECT_DEATH(ThreadPool pool(0), "at least one worker");
+TEST(ParallelForDeath, RejectsFewerThanOneThread) {
+  for (int threads : {0, -1}) {
+    EXPECT_DEATH(ThreadPool::parallel_for(3, threads, [](std::size_t, int) {}),
+                 "at least one thread");
+  }
 }
 
 }  // namespace

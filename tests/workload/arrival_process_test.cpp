@@ -30,7 +30,9 @@ TEST(PoissonArrivals_, CountConcentratesAroundRateTimesWindow) {
   for (std::size_t i = 0; i < times.size(); ++i) {
     ASSERT_GE(times[i], 0.0);
     ASSERT_LT(times[i], 60.0);
-    if (i > 0) ASSERT_GT(times[i], times[i - 1]) << "strictly increasing";
+    if (i > 0) {
+      ASSERT_GT(times[i], times[i - 1]) << "strictly increasing";
+    }
   }
 }
 

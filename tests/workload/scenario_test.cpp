@@ -53,7 +53,9 @@ TEST_F(ScenarioTest, ReleasesInsideWindowAndSorted) {
   for (std::size_t i = 0; i < s.calls.size(); ++i) {
     ASSERT_GE(s.calls[i].release, 0.0);
     ASSERT_LT(s.calls[i].release, 60.0);
-    if (i > 0) ASSERT_GE(s.calls[i].release, s.calls[i - 1].release);
+    if (i > 0) {
+      ASSERT_GE(s.calls[i].release, s.calls[i - 1].release);
+    }
   }
 }
 

@@ -5,6 +5,8 @@
 #include <string>
 
 #include "experiments/campaign.h"
+#include "experiments/paper_data.h"
+#include "util/check.h"
 #include "util/stats.h"
 #include "util/thread_pool.h"
 
@@ -12,45 +14,24 @@ using namespace whisk;
 
 namespace {
 
-struct Target {
+struct Anchor {
   int cores;
   int intensity;
   const char* scheduler;  // "baseline" or policy name
-  double paper_avg_r;     // Table III average response [s]
-  double paper_p50_r;
-  double paper_max_c;     // max completion [s]
-  double paper_avg_s;     // average stretch
 };
 
-// Selected anchor rows from Table III.
-const Target kTargets[] = {
-    {5, 30, "baseline", 3.79, 0.49, 73.53, 18.40},
-    {5, 30, "FIFO", 10.79, 10.97, 87.56, 267.49},
-    {5, 120, "baseline", 120.51, 121.39, 345.26, 3399.50},
-    {5, 120, "FIFO", 124.95, 124.89, 317.34, 3692.52},
-    {10, 30, "baseline", 14.78, 2.82, 128.65, 261.61},
-    {10, 30, "FIFO", 36.42, 37.97, 150.51, 1000.59},
-    {10, 30, "SEPT", 12.52, 1.73, 174.91, 104.11},
-    {10, 30, "FC", 10.67, 1.62, 150.75, 83.59},
-    {10, 40, "baseline", 64.43, 61.00, 251.03, 1837.13},
-    {10, 40, "FIFO", 58.29, 59.30, 194.84, 1647.40},
-    {10, 40, "SEPT", 17.01, 1.53, 216.74, 130.87},
-    {10, 60, "baseline", 123.36, 116.07, 369.25, 3608.83},
-    {10, 60, "FIFO", 101.76, 102.51, 277.47, 2959.46},
-    {10, 60, "SEPT", 25.14, 1.07, 314.87, 164.52},
-    {10, 60, "EECT", 40.93, 14.05, 283.88, 766.19},
-    {10, 60, "RECT", 40.42, 13.38, 274.04, 763.78},
-    {10, 60, "FC", 22.65, 1.07, 280.89, 134.24},
-    {10, 120, "baseline", 340.28, 334.90, 816.32, 10098.53},
-    {10, 120, "FIFO", 233.94, 233.63, 540.65, 6893.03},
-    {20, 30, "baseline", 157.13, 154.36, 421.43, 4656.11},
-    {20, 30, "FIFO", 85.78, 85.75, 293.68, 2406.78},
-    {20, 40, "baseline", 244.43, 242.17, 611.27, 7261.72},
-    {20, 40, "FIFO", 123.64, 127.04, 363.43, 3538.65},
-    {20, 40, "SEPT", 33.92, 1.21, 433.72, 220.89},
-    {20, 120, "baseline", 833.48, 830.32, 1815.17, 24885.55},
-    {20, 120, "FIFO", 441.81, 441.75, 1000.99, 13051.82},
-    {20, 120, "FC", 91.91, 0.67, 1090.75, 526.71},
+// Selected anchor rows of Table III; the paper's values come from
+// experiments::paper::table3().
+const Anchor kAnchors[] = {
+    {5, 30, "baseline"},   {5, 30, "FIFO"},      {5, 120, "baseline"},
+    {5, 120, "FIFO"},      {10, 30, "baseline"}, {10, 30, "FIFO"},
+    {10, 30, "SEPT"},      {10, 30, "FC"},       {10, 40, "baseline"},
+    {10, 40, "FIFO"},      {10, 40, "SEPT"},     {10, 60, "baseline"},
+    {10, 60, "FIFO"},      {10, 60, "SEPT"},     {10, 60, "EECT"},
+    {10, 60, "RECT"},      {10, 60, "FC"},       {10, 120, "baseline"},
+    {10, 120, "FIFO"},     {20, 30, "baseline"}, {20, 30, "FIFO"},
+    {20, 40, "baseline"},  {20, 40, "FIFO"},     {20, 40, "SEPT"},
+    {20, 120, "baseline"}, {20, 120, "FIFO"},    {20, 120, "FC"},
 };
 
 }  // namespace
@@ -65,7 +46,11 @@ int main(int argc, char** argv) {
       "p50R_pap", "maxC_sim", "maxC_pap", "avgS_sim", "avgS_pap", "cold");
   experiments::CampaignOptions opts;
   opts.threads = util::ThreadPool::hardware_threads();
-  for (const auto& t : kTargets) {
+  for (const auto& t : kAnchors) {
+    const auto paper =
+        experiments::paper::find_single_node(t.cores, t.intensity,
+                                             t.scheduler);
+    WHISK_CHECK(paper.has_value(), "calibration anchor missing from Table III");
     // One single-group campaign per anchor row (the target list is sparse,
     // not a cross product); the pool still parallelizes over its seeds.
     experiments::CampaignSpec grid;
@@ -88,9 +73,9 @@ int main(int argc, char** argv) {
     std::printf(
         "%5d %4d %-8s | %9.2f %9.2f | %9.2f %9.2f | %9.1f %9.1f | %10.1f "
         "%10.1f | %6zu\n",
-        t.cores, t.intensity, t.scheduler, sum_r.mean, t.paper_avg_r,
-        sum_r.p50, t.paper_p50_r, max_c, t.paper_max_c, sum_s.mean,
-        t.paper_avg_s, cold / cells.size());
+        t.cores, t.intensity, t.scheduler, sum_r.mean, paper->r_avg,
+        sum_r.p50, paper->r_p50, max_c, paper->max_c, sum_s.mean,
+        paper->s_avg, cold / cells.size());
   }
   return 0;
 }
