@@ -84,18 +84,15 @@ Cluster::Cluster(sim::Engine& engine,
     const ResilienceSpec& r = deployment.resilience;
     resilience_ = std::make_unique<ResilienceConfig>();
     resilience_->timeout_s = r.number("timeout-s", 0.0);
-    resilience_->max_attempts =
-        static_cast<int>(r.count("max-attempts", 4));
     resilience_->retry_budget = r.number("retry-budget", 0.2);
     resilience_->hedge_p = r.number("hedge-p", 0.0);
     resilience_->hedge_min_samples = r.count("hedge-min-samples", 32);
     resilience_->breaker_failures = r.count("breaker-failures", 0);
     resilience_->breaker_cooldown_s = r.number("breaker-cooldown-s", 30.0);
     resilience_->max_queue = r.count("max-queue", 0);
-    // Only timeouts and hedges need the per-call Outstanding map; shedding
-    // and attempt bounds decide from state the cluster already keeps.
-    track_calls_ =
-        resilience_->timeout_s > 0.0 || resilience_->hedge_p > 0.0;
+    if (timers_armed()) {
+      max_attempts_ = static_cast<int>(r.count("max-attempts", 4));
+    }
     if (resilience_->breaker_failures > 0) breakers_.resize(nodes_.size());
     if (resilience_->hedge_p > 0.0) {
       latency_ring_.reserve(kLatencyRingCapacity);
@@ -275,10 +272,11 @@ void Cluster::run_scenario(const workload::Scenario& scenario) {
     collector_.reserve_workflows(scenario.size());
   }
   collector_.reserve(expected_calls_);
+  ledger_.resize(expected_calls_);
   for (const auto& call : scenario.calls) {
     workload::CallRequest submit = call;
     if (workflow_ != nullptr) submit.cp_hint = workflow_->root_hint(submit);
-    engine_->schedule_at(submit.release + params_.client_to_controller_s,
+    engine_->schedule_at(submit.release + kClientToControllerS,
                          [this, submit] { submit_to_controller(submit); });
   }
   if (autoscaler_ != nullptr && !tick_scheduled_) {
@@ -287,10 +285,18 @@ void Cluster::run_scenario(const workload::Scenario& scenario) {
   }
 }
 
+Cluster::CallState& Cluster::call_state(workload::CallId id) {
+  WHISK_CHECK(id >= 0 && static_cast<std::size_t>(id) < ledger_.size(),
+              "call id outside [0, calls scheduled): run_scenario needs the "
+              "dense ids finalize_scenario assigns");
+  return ledger_[static_cast<std::size_t>(id)];
+}
+
 void Cluster::submit_to_controller(const workload::CallRequest& call) {
+  CallState& state = call_state(call.id);
   // A retry or failure re-submission scheduled before the call resolved
   // (hedge won, attempts exhausted) must not resurrect it.
-  if (track_calls_ && resolved_.count(call.id) != 0) return;
+  if (state.resolved) return;
   // Total outage under a disruptive fault regime: every node is down at
   // once, but a crashed node restarts, so the call parks until
   // rebuild_view() sees capacity again. Without such faults an empty view
@@ -314,8 +320,7 @@ void Cluster::submit_to_controller(const workload::CallRequest& call) {
   // Retries and re-submissions represent work the cluster already
   // admitted, so they always pass.
   if (resilience_ != nullptr && resilience_->max_queue > 0 &&
-      outstanding_.count(call.id) == 0 &&
-      resubmitted_.count(call.id) == 0) {
+      !state.routed) {
     bool saturated = true;
     for (const NodeRef& ref : view_) {
       if (ref.load() + nodes_[ref.node_index].in_transit <
@@ -332,6 +337,7 @@ void Cluster::submit_to_controller(const workload::CallRequest& call) {
       rec.release = call.release;
       rec.completion = engine_->now();
       rec.disposition = metrics::Disposition::kShed;
+      state.resolved = true;
       collect_record(rec);
       return;
     }
@@ -339,7 +345,8 @@ void Cluster::submit_to_controller(const workload::CallRequest& call) {
   const std::size_t pick = balancer_->pick(call, view_);
   WHISK_CHECK(pick < view_.size(), "balancer picked a bad index");
   const std::size_t target = view_[pick].node_index;
-  if (track_calls_) {
+  state.routed = true;
+  if (timers_armed()) {
     const auto [it, fresh] = outstanding_.try_emplace(call.id);
     Outstanding& entry = it->second;
     if (fresh) entry.first_submit = engine_->now();
@@ -362,7 +369,7 @@ void Cluster::submit_to_controller(const workload::CallRequest& call) {
     }
   }
   ++nodes_[target].in_transit;
-  engine_->schedule_in(params_.controller_to_invoker_s,
+  engine_->schedule_in(kControllerToInvokerS,
                        [this, call, target] { arrive_at_node(call, target); });
 }
 
@@ -381,31 +388,18 @@ void Cluster::arrive_at_node(const workload::CallRequest& call,
 }
 
 void Cluster::resubmit(const workload::CallRequest& call) {
-  if (track_calls_) {
-    const auto it = outstanding_.find(call.id);
-    // No entry means the call already resolved (a timeout dropped it, or
-    // its hedge won) — nothing left to recover.
-    if (it == outstanding_.end()) return;
-    if (it->second.attempts >= resilience_->max_attempts) {
-      drop_call(call, it->second.attempts);
-      return;
-    }
-    ++it->second.attempts;
-    ++resubmissions_;
-    // The armed timeout stays: it covers the call, not the lost attempt.
-    engine_->schedule_in(params_.resubmit_delay_s,
-                         [this, call] { submit_to_controller(call); });
+  CallState& state = call_state(call.id);
+  // Already resolved (a timeout dropped it, or its hedge won): nothing
+  // left to recover.
+  if (state.resolved) return;
+  if (state.attempts >= max_attempts_) {
+    drop_call(call);
     return;
   }
-  const auto it = resubmitted_.find(call.id);
-  const int attempts_so_far = 1 + (it == resubmitted_.end() ? 0 : it->second);
-  if (attempts_so_far >= params_.max_attempts) {
-    drop_call(call, attempts_so_far);
-    return;
-  }
+  ++state.attempts;
   ++resubmissions_;
-  ++resubmitted_[call.id];
-  engine_->schedule_in(params_.resubmit_delay_s,
+  // An armed timeout stays: it covers the call, not the lost attempt.
+  engine_->schedule_in(kResubmitDelayS,
                        [this, call] { submit_to_controller(call); });
 }
 
@@ -431,11 +425,14 @@ void Cluster::deliver(const metrics::CallRecord& record) {
         engine_->now());
   }
   metrics::CallRecord rec = record;
-  if (track_calls_) {
+  CallState& state = call_state(rec.id);
+  // A hedge loser or a late duplicate of an already-resolved call: the
+  // first completion won; this one is discarded.
+  if (state.resolved) return;
+  if (timers_armed()) {
     const auto it = outstanding_.find(rec.id);
-    // No entry: a hedge loser or a late duplicate of an already-resolved
-    // call. First completion won; this one is discarded.
-    if (it == outstanding_.end()) return;
+    WHISK_CHECK(it != outstanding_.end(),
+                "unresolved call delivered without its timer state");
     Outstanding& entry = it->second;
     if (entry.timeout_ev != sim::kInvalidEvent) {
       engine_->cancel(entry.timeout_ev);
@@ -461,16 +458,13 @@ void Cluster::deliver(const metrics::CallRecord& record) {
       }
       ++latencies_observed_;
     }
-    rec.attempts = entry.attempts;
-    resolved_.insert(rec.id);
     outstanding_.erase(it);
-  } else if (!resubmitted_.empty()) {
-    const auto it = resubmitted_.find(rec.id);
-    if (it != resubmitted_.end()) rec.attempts = 1 + it->second;
   }
+  rec.attempts = state.attempts;
+  state.resolved = true;
   // Response travels back to the blocking HTTP client; c(i) is stamped on
   // arrival there.
-  engine_->schedule_in(params_.response_return_s, [this, rec]() mutable {
+  engine_->schedule_in(kResponseReturnS, [this, rec]() mutable {
     rec.completion = engine_->now();
     collect_record(rec);
   });
@@ -480,6 +474,7 @@ void Cluster::on_timeout(const workload::CallRequest& call) {
   const auto it = outstanding_.find(call.id);
   if (it == outstanding_.end()) return;  // resolved at the same timestamp
   Outstanding& entry = it->second;
+  CallState& state = call_state(call.id);
   entry.timeout_ev = sim::kInvalidEvent;
   ++timeouts_;
   if (!breakers_.empty() && entry.primary != FaultHost::npos) {
@@ -488,21 +483,24 @@ void Cluster::on_timeout(const workload::CallRequest& call) {
   const auto budget = static_cast<std::size_t>(
       std::ceil(resilience_->retry_budget *
                 static_cast<double>(expected_calls_)));
-  if (entry.attempts >= resilience_->max_attempts ||
-      retries_spent_ >= budget) {
-    drop_call(call, entry.attempts);
+  if (state.attempts >= max_attempts_ || retries_spent_ >= budget) {
+    drop_call(call);
     return;
   }
   ++retries_spent_;
   ++retries_;
-  ++entry.retries;
-  ++entry.attempts;
+  // Saturating: the exponent below caps at 30 long before the counter
+  // could wrap.
+  if (state.retries < std::numeric_limits<std::uint16_t>::max()) {
+    ++state.retries;
+  }
+  ++state.attempts;
   // Deterministic exponential backoff on the failure re-route base:
-  // resubmit_delay_s, 2x it, 4x it, ... The pending retry rides in
+  // kResubmitDelayS, 2x it, 4x it, ... The pending retry rides in
   // timeout_ev so drop_call can cancel it.
   const double delay =
-      params_.resubmit_delay_s *
-      static_cast<double>(1ULL << std::min(entry.retries - 1, 30));
+      kResubmitDelayS *
+      static_cast<double>(1ULL << std::min(state.retries - 1, 30));
   entry.timeout_ev = engine_->schedule_in(
       delay, [this, call] { submit_to_controller(call); });
 }
@@ -529,14 +527,14 @@ void Cluster::on_hedge(const workload::CallRequest& call) {
   }
   if (best == FaultHost::npos) return;  // view is just the primary
   entry.hedge = best;
-  ++entry.attempts;
+  ++call_state(call.id).attempts;
   ++hedges_;
   ++nodes_[best].in_transit;
-  engine_->schedule_in(params_.controller_to_invoker_s,
+  engine_->schedule_in(kControllerToInvokerS,
                        [this, call, best] { arrive_at_node(call, best); });
 }
 
-void Cluster::drop_call(const workload::CallRequest& call, int attempts) {
+void Cluster::drop_call(const workload::CallRequest& call) {
   const auto it = outstanding_.find(call.id);
   if (it != outstanding_.end()) {
     if (it->second.timeout_ev != sim::kInvalidEvent) {
@@ -547,14 +545,15 @@ void Cluster::drop_call(const workload::CallRequest& call, int attempts) {
     }
     outstanding_.erase(it);
   }
-  if (track_calls_) resolved_.insert(call.id);
+  CallState& state = call_state(call.id);
+  state.resolved = true;
   metrics::CallRecord rec;
   rec.id = call.id;
   rec.function = call.function;
   rec.node = -1;
   rec.release = call.release;
   rec.completion = engine_->now();
-  rec.attempts = attempts;
+  rec.attempts = state.attempts;
   rec.disposition = metrics::Disposition::kDropped;
   collect_record(rec);
 }
@@ -616,7 +615,7 @@ void Cluster::collect_record(const metrics::CallRecord& record) {
   // The last expected call just resolved: cancel every pending fault draw
   // and breaker cooldown so a far-future timer cannot keep the engine
   // ticking past the workload.
-  if (!pending_timers_.empty() && expected_calls_ > 0 &&
+  if (live_timers_ > 0 && expected_calls_ > 0 &&
       collector_.size() >= expected_calls_) {
     cancel_pending_timers();
   }
@@ -624,18 +623,22 @@ void Cluster::collect_record(const metrics::CallRecord& record) {
 
 void Cluster::schedule_cancellable(double delay_s,
                                    std::function<void()> fn) {
-  const std::uint64_t key = next_timer_key_++;
-  const sim::EventId id = engine_->schedule_in(
-      delay_s, [this, key, fn = std::move(fn)] {
-        pending_timers_.erase(key);
+  const std::size_t slot = timers_.size();
+  timers_.push_back(engine_->schedule_in(
+      delay_s, [this, slot, fn = std::move(fn)] {
+        timers_[slot] = sim::kInvalidEvent;
+        --live_timers_;
         fn();
-      });
-  pending_timers_.emplace(key, id);
+      }));
+  ++live_timers_;
 }
 
 void Cluster::cancel_pending_timers() {
-  for (const auto& [key, id] : pending_timers_) engine_->cancel(id);
-  pending_timers_.clear();
+  for (const sim::EventId id : timers_) {
+    if (id != sim::kInvalidEvent) engine_->cancel(id);
+  }
+  timers_.clear();
+  live_timers_ = 0;
 }
 
 sim::SimTime Cluster::fault_now() const { return engine_->now(); }

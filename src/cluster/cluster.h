@@ -1,9 +1,9 @@
 #pragma once
 
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "cluster/autoscaler.h"
@@ -25,6 +25,21 @@ namespace whisk::cluster {
 
 class WorkflowEngine;
 
+// Request-path latencies (the ~10 ms client-observable overhead of Table I
+// splits across these plus the node-side idle op costs).
+inline constexpr double kClientToControllerS = 0.002;  // Gatling/NGINX hop
+inline constexpr double kControllerToInvokerS = 0.003;  // Kafka hop, r'(i)
+inline constexpr double kResponseReturnS = 0.004;       // node -> end client
+// Controller-side detect-and-reroute latency for a call interrupted by a
+// node failure (re-submission enters at submit_to_controller again). Also
+// the base of the resilience layer's exponential retry backoff
+// (kResubmitDelayS * 2^retry).
+inline constexpr double kResubmitDelayS = 0.010;
+// Total submissions allowed per call before the controller gives up and
+// records it with a `dropped` disposition. A resilience= section that arms
+// timeouts or hedges replaces the bound with its max-attempts.
+inline constexpr int kMaxResubmitAttempts = 16;
+
 struct ClusterParams {
   // Which node-level resource manager runs on the workers: any name
   // registered with node::InvokerRegistry ("baseline", "ours", ...).
@@ -44,22 +59,6 @@ struct ClusterParams {
   // Base per-node model constants; each group applies its overrides (and
   // the deployment's keep-alive) on top.
   node::NodeParams node;
-
-  // Request-path latencies (the ~10 ms client-observable overhead of
-  // Table I splits across these plus the node-side idle op costs).
-  double client_to_controller_s = 0.002;  // Gatling/NGINX -> controller
-  double controller_to_invoker_s = 0.003;  // Kafka hop, r'(i) stamp
-  double response_return_s = 0.004;        // node -> end client
-  // Controller-side detect-and-reroute latency for a call interrupted by a
-  // node failure (re-submission enters at submit_to_controller again). Also
-  // the base of the resilience layer's exponential retry backoff
-  // (resubmit_delay_s * 2^retry).
-  double resubmit_delay_s = 0.010;
-  // Total submissions allowed per call through the failure re-submission
-  // loop before the controller gives up and records the call with a
-  // `dropped` disposition (the loop used to retry forever). A resilience=
-  // section's max-attempts takes over for calls it tracks.
-  int max_attempts = 16;
 
   // Composite-function shape: when enabled, every scenario call becomes
   // the root of one workflow instance and completed stages release their
@@ -133,9 +132,14 @@ struct GroupStats {
 // cancelled in O(log n)), per-node circuit breakers that eject repeatedly
 // timing-out nodes from the NodeView until a post-cooldown probe succeeds,
 // and queue-depth admission control that sheds fresh calls when every
-// routable node is saturated. All of it is pay-for-what-you-use: with no
-// faults and no resilience the request path takes the exact pre-PR7 code
-// path, byte for byte.
+// routable node is saturated.
+//
+// Every call owns one 8-byte entry in a dense ledger indexed by call id:
+// its attempt count, its timeout-retry count, whether it passed admission
+// and whether it resolved. Failure re-submission, timeout retries and
+// hedges all count attempts there, against one bound (kMaxResubmitAttempts,
+// or max-attempts once timeouts or hedges are armed). Only the timer state
+// of calls in flight under armed timeouts or hedges lives in a sparse map.
 class Cluster : public FaultHost {
  public:
   Cluster(sim::Engine& engine, const workload::FunctionCatalog& catalog,
@@ -148,7 +152,10 @@ class Cluster : public FaultHost {
 
   // Schedule the whole scenario. The caller then drives `engine.run()`
   // until the event queue drains (Gatling "waits until all the responses
-  // are returned").
+  // are returned"). Call ids must lie in [0, calls scheduled so far), as
+  // finalize_scenario assigns them: they index the per-call ledger, and
+  // call_state() aborts on an id outside it. A second run_scenario extends
+  // the range by its own size.
   void run_scenario(const workload::Scenario& scenario);
 
   [[nodiscard]] const metrics::Collector& collector() const {
@@ -290,19 +297,33 @@ class Cluster : public FaultHost {
   void resubmit(const workload::CallRequest& call);
   void deliver(const metrics::CallRecord& record);
 
+  // One ledger entry per call id: the only place attempts are counted and
+  // resolution is recorded.
+  struct CallState {
+    // Submissions so far: first + failure re-submissions + timeout
+    // retries + hedges; stamped into the terminal record.
+    std::int32_t attempts = 1;
+    std::uint16_t retries = 0;  // timeout retries (the backoff exponent)
+    bool routed = false;    // passed admission; never shed afterwards
+    bool resolved = false;  // terminal record issued; later copies vanish
+  };
+  static_assert(sizeof(CallState) == 8);
+  // Ledger entry of `id`; aborts when the id lies outside the calls
+  // scheduled so far.
+  [[nodiscard]] CallState& call_state(workload::CallId id);
+
   // Resilience internals (no-ops unless the deployment arms them).
+  // Timer state of one call in flight while timeouts or hedges are armed;
+  // erased when the call resolves.
   struct Outstanding {
-    int attempts = 1;  // submissions so far: first + retries + hedges
-    int retries = 0;   // timeout retries only (drives the backoff exponent)
     sim::EventId timeout_ev = sim::kInvalidEvent;
     sim::EventId hedge_ev = sim::kInvalidEvent;
+    sim::SimTime first_submit = 0.0;
     std::size_t primary = FaultHost::npos;  // latest primary target
     std::size_t hedge = FaultHost::npos;    // hedge target, npos until sent
-    sim::SimTime first_submit = 0.0;
   };
   struct ResilienceConfig {
     double timeout_s = 0.0;
-    int max_attempts = 4;
     double retry_budget = 0.2;
     double hedge_p = 0.0;
     std::size_t hedge_min_samples = 32;
@@ -316,11 +337,17 @@ class Cluster : public FaultHost {
     std::size_t consecutive_timeouts = 0;
   };
 
+  // Only timeouts and hedges need per-call timer state; the attempt bound
+  // and admission control read the ledger alone.
+  [[nodiscard]] bool timers_armed() const {
+    return resilience_ != nullptr &&
+           (resilience_->timeout_s > 0.0 || resilience_->hedge_p > 0.0);
+  }
   void on_timeout(const workload::CallRequest& call);
   void on_hedge(const workload::CallRequest& call);
   // Write the terminal `dropped` record for a call that exhausted its
-  // attempts and forget its resilience state.
-  void drop_call(const workload::CallRequest& call, int attempts);
+  // attempts, mark it resolved and cancel its timers.
+  void drop_call(const workload::CallRequest& call);
   // Breaker transitions fed by per-node timeout/success signals.
   void breaker_note_timeout(std::size_t node);
   void breaker_note_success(std::size_t node);
@@ -378,10 +405,11 @@ class Cluster : public FaultHost {
   std::size_t scale_downs_ = 0;
 
   std::size_t resubmissions_ = 0;
-  // Re-submission count per interrupted call id; stamped into the record's
-  // attempts on delivery. Empty unless a fail event fired. Unused for
-  // calls the resilience layer tracks (Outstanding::attempts wins).
-  std::unordered_map<workload::CallId, int> resubmitted_;
+  // The per-call ledger, sized by run_scenario to expected_calls_.
+  std::vector<CallState> ledger_;
+  // Attempt bound for every path: kMaxResubmitAttempts, or the resilience
+  // section's max-attempts when it arms timeouts or hedges.
+  int max_attempts_ = kMaxResubmitAttempts;
 
   // Workflow subsystem; null unless params_.workflow is enabled
   // (workflow-free runs take the exact pre-workflow code path).
@@ -391,24 +419,21 @@ class Cluster : public FaultHost {
   std::vector<std::unique_ptr<FaultProcess>> fault_processes_;
   // The drops_completions() subset, consulted per delivery.
   std::vector<FaultProcess*> droppers_;
-  // Pending cancellable timers (fault self-schedules, breaker cooldowns),
-  // keyed by an issue counter; cancelled en masse once the workload is
-  // fully collected so far-future draws cannot extend the run.
-  std::unordered_map<std::uint64_t, sim::EventId> pending_timers_;
-  std::uint64_t next_timer_key_ = 0;
+  // Cancellable timers (fault self-schedules, breaker cooldowns) in issue
+  // order, kInvalidEvent once fired, plus how many still pend; the pending
+  // ones are cancelled en masse once the workload is fully collected so
+  // far-future draws cannot extend the run.
+  std::vector<sim::EventId> timers_;
+  std::size_t live_timers_ = 0;
   std::size_t faults_injected_ = 0;
   double unavailability_accrued_s_ = 0.0;
 
   // Resilience subsystem; null unless the deployment has a resilience=
-  // section. track_calls_ adds the per-call Outstanding bookkeeping, which
-  // only timeouts and hedges need — shedding and attempt bounds are free.
+  // section.
   std::unique_ptr<ResilienceConfig> resilience_;
-  bool track_calls_ = false;
+  // Timer state of unresolved calls; empty unless timeouts or hedges are
+  // armed.
   std::unordered_map<workload::CallId, Outstanding> outstanding_;
-  // Ids of tracked calls that already resolved (completed or dropped) —
-  // the guard that keeps a stale retry or failure re-submission scheduled
-  // before resolution from resurrecting the call afterwards.
-  std::unordered_set<workload::CallId> resolved_;
   std::vector<Breaker> breakers_;  // per node; empty unless breaker armed
   // Ring of recent controller-observed latencies feeding the hedge
   // quantile, plus the total observed count gating hedge arming.

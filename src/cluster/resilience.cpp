@@ -9,7 +9,9 @@ const std::vector<util::ParamDecl>& resilience_params() {
       {"timeout-s", "0",
        "per-attempt controller timeout in seconds (0 = disabled)"},
       {"max-attempts", "4",
-       "total attempts per call across timeout retries (>= 1)"},
+       "total submissions per call across timeout retries, hedges and "
+       "failure re-submissions (>= 1; requires timeout-s > 0 or "
+       "hedge-p > 0, else the bound is 16)"},
       {"retry-budget", "0.2",
        "fraction of the workload's calls that may be retried"},
       {"hedge-p", "0",
@@ -60,6 +62,12 @@ ResilienceSpec ResilienceSpec::normalized() const {
   WHISK_CHECK(hedge_p >= 0.0 && hedge_p < 1.0,
               "resilience: hedge-p must be in [0, 1) — it is a latency "
               "quantile, 0 disables hedging");
+  if (out.has("max-attempts")) {
+    WHISK_CHECK(timeout > 0.0 || hedge_p > 0.0,
+                "resilience: max-attempts needs timeout-s > 0 or "
+                "hedge-p > 0 — without them failure re-submission keeps "
+                "its fixed bound of 16");
+  }
   WHISK_CHECK(out.count("hedge-min-samples", 32) >= 2,
               "resilience: hedge-min-samples must be >= 2");
   const std::size_t breaker = out.count("breaker-failures", 0);

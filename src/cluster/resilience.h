@@ -30,10 +30,13 @@ namespace whisk::cluster {
 // Knobs (see resilience_params() for the authoritative list):
 //   timeout-s          per-attempt controller timeout; 0 disables. Expired
 //                      attempts retry with deterministic exponential backoff
-//                      (base = ClusterParams::resubmit_delay_s, doubling per
+//                      (base = kResubmitDelayS in cluster.h, doubling per
 //                      retry) until max-attempts or the retry budget runs out,
 //                      then the call is recorded with a `dropped` disposition.
-//   max-attempts       total attempts per call across timeout retries (>= 1).
+//   max-attempts       total submissions per call across timeout retries,
+//                      hedges and failure re-submissions (>= 1); requires
+//                      timeout-s > 0 or hedge-p > 0. Without either, failure
+//                      re-submission stays bounded at kMaxResubmitAttempts.
 //   retry-budget       fraction of the workload's calls that may be retried;
 //                      once ceil(budget * calls) retries are spent, further
 //                      expiries drop instead of retrying.

@@ -162,7 +162,7 @@ void WorkflowEngine::release_stage(std::size_t instance, int stage,
   // Same client hop the scenario roots take: released downstream stages are
   // ordinary arrivals on the cell's single engine.
   cluster.engine_->schedule_in(
-      cluster.params_.client_to_controller_s,
+      kClientToControllerS,
       [c = &cluster, call] { c->submit_to_controller(call); });
 }
 

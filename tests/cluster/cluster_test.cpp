@@ -46,9 +46,6 @@ TEST_F(ClusterTest, ResponseIncludesNetworkPath) {
   sim::Engine engine;
   ClusterParams params;
   params.node.cores = 2;
-  params.client_to_controller_s = 0.002;
-  params.controller_to_invoker_s = 0.003;
-  params.response_return_s = 0.004;
   Cluster cluster(engine, catalog_, params, 1);
   cluster.warmup();
   workload::Scenario s;
@@ -58,9 +55,10 @@ TEST_F(ClusterTest, ResponseIncludesNetworkPath) {
   engine.run();
   const auto rec = cluster.collector().record(0);
   // r'(i) = release + client->controller + controller->invoker.
-  EXPECT_NEAR(rec.received - rec.release, 0.005, 1e-9);
+  EXPECT_NEAR(rec.received - rec.release,
+              kClientToControllerS + kControllerToInvokerS, 1e-9);
   // c(i) >= exec_end + return path.
-  EXPECT_GE(rec.completion - rec.exec_end, 0.004 - 1e-9);
+  EXPECT_GE(rec.completion - rec.exec_end, kResponseReturnS - 1e-9);
 }
 
 TEST_F(ClusterTest, IdleResponseMatchesTableOneOverhead) {
@@ -309,6 +307,35 @@ TEST_F(ClusterTest, FailedNodeCallsAreResubmittedAndAccounted) {
   EXPECT_EQ(stats.calls_completed, scenario.size());
 }
 
+// No resilience section: a call interrupted by crash after crash is
+// re-submitted until its kMaxResubmitAttempts-th submission, then recorded
+// as dropped with exactly that many attempts.
+TEST_F(ClusterTest, FailureResubmissionDropsAtTheFixedBound) {
+  const auto result = experiments::run_experiment(
+      experiments::ExperimentSpec()
+          .scheduler("ours/fifo")
+          .scenario("uniform?intensity=60")
+          .cluster("node:1; faults=crash-restart?mtbf-s=5&mttr-s=1")
+          .cores(10)
+          .seed(0),
+      catalog_);
+  ASSERT_EQ(result.calls, 660u);
+  EXPECT_EQ(result.dropped_calls, 467u);
+  ASSERT_EQ(result.records.size(), result.calls);
+  std::size_t dropped = 0;
+  std::size_t extra_submissions = 0;
+  for (const auto& rec : result.records) {
+    EXPECT_LE(rec.attempts, kMaxResubmitAttempts);
+    extra_submissions += static_cast<std::size_t>(rec.attempts - 1);
+    if (rec.disposition == metrics::Disposition::kDropped) {
+      ++dropped;
+      EXPECT_EQ(rec.attempts, kMaxResubmitAttempts);
+    }
+  }
+  EXPECT_EQ(dropped, result.dropped_calls);
+  EXPECT_EQ(extra_submissions, result.resubmissions);
+}
+
 TEST_F(ClusterTest, DaemonQueueWaitSurfacesInStats) {
   sim::Engine engine;
   ClusterParams params;
@@ -338,6 +365,18 @@ TEST(ClusterDeath, AllNodesGoneAborts) {
   s.calls.push_back(workload::CallRequest{0, 0, 1.0});
   cluster.run_scenario(s);
   EXPECT_DEATH(engine.run(), "no routable nodes");
+}
+
+TEST(ClusterDeath, CallIdOutsideTheScheduledRangeAborts) {
+  // Call ids index the per-call ledger: one call scheduled means id 0.
+  const auto catalog = workload::sebs_catalog();
+  sim::Engine engine;
+  Cluster cluster(engine, catalog, ClusterParams{}, 1);
+  cluster.warmup();
+  workload::Scenario s;
+  s.calls.push_back(workload::CallRequest{1, 0, 1.0});
+  cluster.run_scenario(s);
+  EXPECT_DEATH(engine.run(), "call id outside");
 }
 
 }  // namespace

@@ -36,6 +36,8 @@ TEST(ResilienceSpecTest, ValidationNamesTheKnob) {
                "timeout-s must be >= 0");
   EXPECT_DEATH((void)ResilienceSpec::parse("max-attempts=0"),
                "max-attempts must be >= 1");
+  EXPECT_DEATH((void)ResilienceSpec::parse("max-queue=40&max-attempts=1"),
+               "max-attempts needs timeout-s > 0 or hedge-p > 0");
   EXPECT_DEATH((void)ResilienceSpec::parse("hedge-p=1"), "hedge-p");
   EXPECT_DEATH((void)ResilienceSpec::parse("breaker-failures=3"),
                "needs timeout-s");
@@ -195,6 +197,36 @@ TEST_F(ResilienceClusterTest, AdmissionShedsWhenEveryNodeIsSaturated) {
     if (rec.disposition == metrics::Disposition::kShed) {
       EXPECT_EQ(rec.node, -1);
       EXPECT_GE(rec.attempts, 1);
+    }
+  }
+}
+
+// Failures under admission control: re-submitted calls were admitted
+// once, so they are never shed, and every re-submission lands in some
+// record's attempts.
+TEST_F(ResilienceClusterTest, AdmissionNeverShedsARoutedCall) {
+  sim::Engine engine;
+  ClusterParams params;
+  params.node.cores = 5;
+  params.deployment = ClusterSpec::parse(
+      "node:2; resilience=max-queue=6; "
+      "faults=crash-restart?mtbf-s=10&mttr-s=2");
+  Cluster cluster(engine, catalog_, params, 7);
+  cluster.warmup();
+
+  const auto scenario = burst("uniform?intensity=60", 7, /*cores=*/10);
+  cluster.run_scenario(scenario);
+  engine.run();
+
+  const auto& col = cluster.collector();
+  EXPECT_EQ(col.size(), scenario.size());
+  EXPECT_GT(col.shed_calls(), 0u);
+  EXPECT_GT(cluster.resubmissions(), 0u);
+  EXPECT_EQ(col.resubmissions(), cluster.resubmissions())
+      << "a shed record would lose its call's earlier attempts";
+  for (const auto& rec : col.records()) {
+    if (rec.disposition == metrics::Disposition::kShed) {
+      EXPECT_EQ(rec.attempts, 1);
     }
   }
 }
