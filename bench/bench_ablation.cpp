@@ -1,4 +1,4 @@
-// Ablation benches for the design choices DESIGN.md calls out. Each panel
+// Ablation benches for the node model's design choices. Each panel
 // is one campaign whose override axis sweeps one knob at the intermediate
 // configuration (10 cores, intensity 60) and reports average/median
 // response time of the affected scheduler.
@@ -40,12 +40,11 @@ void run_panel(const workload::FunctionCatalog& cat, const char* title,
   const auto result = experiments::run_campaign(
       panel_grid(scheduler, knob, values, reps), cat,
       bench::campaign_options());
-  const auto rows = bench::summarize_groups(result);
 
   std::printf("-- %s --\n", title);
   util::Table table({"variant", "avg R", "p50 R", "p95 R", "avg S"});
-  for (std::size_t g = 0; g < rows.size(); ++g) {
-    const auto& r = rows[g];
+  for (std::size_t g = 0; g < result.group_count(); ++g) {
+    const auto r = result.group_summary(g);
     table.add_row({label_fn(values[g]), util::fmt(r.response.mean),
                    util::fmt(r.response.p50), util::fmt(r.response.p95),
                    util::fmt(r.stretch.mean, 1)});

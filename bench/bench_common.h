@@ -2,8 +2,8 @@
 
 // Shared helpers for the paper-reproduction bench binaries. Each binary
 // regenerates one table or figure of the paper and prints simulated values
-// next to the paper's measured ones where available (see DESIGN.md for the
-// experiment index and EXPERIMENTS.md for the recorded comparison).
+// next to the paper's measured ones where available (README, "Figure
+// benches as campaigns", lists each bench's grid).
 //
 // The benches run their grids through experiments::run_campaign: the sweep
 // is declared once as a CampaignSpec and executed by the striped
@@ -19,7 +19,6 @@
 #include "experiments/campaign.h"
 #include "experiments/paper_data.h"
 #include "experiments/runner.h"
-#include "util/stats.h"
 #include "util/table.h"
 #include "util/thread_pool.h"
 
@@ -59,33 +58,6 @@ inline experiments::CampaignOptions campaign_options() {
 // "value (paper ref)" cell, or just the value when no reference exists.
 inline std::string with_ref(double value, double ref, int precision = 2) {
   return util::fmt(value, precision) + " (" + util::fmt(ref, precision) + ")";
-}
-
-// One aggregated row per campaign group: exact summaries pooled over the
-// group's seeds, plus summed counters — what every figure/table prints.
-struct SweepRow {
-  std::string label;
-  util::Summary response;
-  util::Summary stretch;
-  double max_completion = 0.0;
-  node::InvokerStats stats;
-};
-
-inline std::vector<SweepRow> summarize_groups(
-    const experiments::CampaignResult& result) {
-  std::vector<SweepRow> rows;
-  rows.reserve(result.group_count());
-  for (std::size_t g = 0; g < result.group_count(); ++g) {
-    const auto cells = result.group(g);
-    SweepRow row;
-    row.label = result.group_label(g);
-    row.response = util::summarize(experiments::pooled_responses(cells));
-    row.stretch = util::summarize(experiments::pooled_stretches(cells));
-    row.max_completion = experiments::max_completion(cells);
-    row.stats = experiments::total_stats(cells);
-    rows.push_back(std::move(row));
-  }
-  return rows;
 }
 
 // The six paper schedulers (figure order) over one scenario/deployment;

@@ -34,13 +34,12 @@ int main(int argc, char** argv) {
           "uniform?intensity=" + std::to_string(v), cores, reps);
       const auto result =
           experiments::run_campaign(grid, cat, bench::campaign_options());
-      const auto rows = bench::summarize_groups(result);
 
       std::printf("-- %d CPU cores, intensity %d --\n", cores, v);
       util::Table table(
           {"scheduler", "avg", "p50", "p75", "p95", "p99", "max c(i)"});
-      for (std::size_t g = 0; g < rows.size(); ++g) {
-        const auto& s = rows[g];
+      for (std::size_t g = 0; g < result.group_count(); ++g) {
+        const auto s = result.group_summary(g);
         const std::string label = experiments::paper_schedulers()[g].label();
         const auto ref =
             experiments::paper::find_single_node(cores, v, label);

@@ -51,8 +51,7 @@ int main() {
                      "dna: p50 S", "bfs: avg S", "bfs: p50 S"});
   for (std::size_t g = 0; g < result.group_count(); ++g) {
     const auto cells = result.group(g);
-    const auto all =
-        util::summarize(experiments::pooled_stretches(cells));
+    const auto all = result.group_summary(g).stretch;
     const auto dna_s = pooled_stretch_of(cells, cat, dna);
     const auto bfs_s = pooled_stretch_of(cells, cat, bfs);
     table.add_row({experiments::paper_schedulers()[g].label(),

@@ -20,7 +20,6 @@
 #include <vector>
 
 #include "experiments/campaign.h"
-#include "util/stats.h"
 #include "util/thread_pool.h"
 
 using namespace whisk;
@@ -76,20 +75,19 @@ int main(int argc, char** argv) {
               "node-hrs", "cost [$]", "avg R", "p95 R", "p99 R", "SLO ok",
               "up/down");
   for (std::size_t c = 0; c < grid.clusters.size(); ++c) {
-    const auto cells =
-        result.group(grid.group_index(0, 0, 0, 0, 0, /*cluster_i=*/c));
-    const auto sum = util::summarize(experiments::pooled_responses(cells));
+    const std::size_t g = grid.group_index(0, 0, 0, 0, 0, /*cluster_i=*/c);
+    const auto cells = result.group(g);
+    const auto group = result.group_summary(g);
+    const auto& sum = group.response;
     double node_hours = 0.0;
     double cost = 0.0;
     std::size_t violations = 0;
-    std::size_t calls = 0;
     std::size_t ups = 0;
     std::size_t downs = 0;
     for (const auto& cell : cells) {
       node_hours += cell.node_hours;
       cost += cell.cost_usd;
       violations += cell.slo_violations;
-      calls += cell.calls;
       ups += cell.scale_ups;
       downs += cell.scale_downs;
     }
@@ -97,8 +95,8 @@ int main(int argc, char** argv) {
     std::printf("%-17s %9.3f %9.4f %8.1f %8.1f %8.1f %6.1f%% %6zu/%zu\n",
                 labels[c].c_str(), node_hours / seeds, cost / seeds,
                 sum.mean, sum.p95, sum.p99,
-                100.0 * static_cast<double>(calls - violations) /
-                    static_cast<double>(calls),
+                100.0 * static_cast<double>(group.calls - violations) /
+                    static_cast<double>(group.calls),
                 ups, downs);
   }
 

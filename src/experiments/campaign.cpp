@@ -202,28 +202,17 @@ std::vector<metrics::RunContextField> coordinate_fields(
   };
 }
 
-// Fold cells in order, reading exact samples where retained and the
-// bounded stream otherwise. When every cell carries exact samples the
-// reservoir holds all of them, so the fold stays exact.
-template <typename Samples, typename Stream>
-metrics::StreamingSummary aggregate_cells(std::span<const CellResult> cells,
-                                          Samples&& samples,
-                                          Stream&& stream) {
-  bool exact = true;
-  std::size_t pooled = 0;
-  for (const auto& cell : cells) {
-    exact = exact && samples(cell).size() == cell.ok_calls;
-    pooled += cell.ok_calls;
-  }
+// Fold the cells' bounded streams in cell order. A cell that kept its
+// samples has an empty stream, so folding it would lose them: abort.
+metrics::StreamingSummary fold_streams(
+    std::span<const CellResult> cells,
+    std::vector<double> CellResult::*samples,
+    metrics::StreamingSummary CellResult::*stream, const char* message) {
   metrics::StreamingSummary agg(
-      exact ? pooled : stream(cells.front()).reservoir.capacity());
-  for (const auto& cell : cells) {
-    const std::vector<double>& kept = samples(cell);
-    if (kept.size() == cell.ok_calls && cell.ok_calls > 0) {
-      for (double x : kept) agg.add(x);
-    } else {
-      agg.merge(stream(cell));
-    }
+      cells.empty() ? 0 : (cells.front().*stream).reservoir.capacity());
+  for (const CellResult& cell : cells) {
+    WHISK_CHECK((cell.*samples).empty(), message);
+    agg.merge(cell.*stream);
   }
   return agg;
 }
@@ -264,14 +253,18 @@ GroupSummary CampaignResult::group_summary(std::size_t g) const {
   const std::span<const CellResult> members = group(g);
   GroupSummary out;
   out.group = global_group(g);
+  bool kept = true;
   for (const CellResult& c : members) {
     out.calls += c.calls;
     out.ok_calls += c.ok_calls;
+    kept = kept && c.responses.size() == c.ok_calls;
   }
   out.cold_starts = total_stats(members).cold_starts;
   out.max_completion = max_completion(members);
-  out.response = aggregate_responses(members);
-  out.stretch = aggregate_stretches(members);
+  out.response = kept ? util::summarize(pooled_responses(members))
+                      : aggregate_responses(members).summary();
+  out.stretch = kept ? util::summarize(pooled_stretches(members))
+                     : aggregate_stretches(members).summary();
   return out;
 }
 
@@ -414,24 +407,18 @@ std::vector<double> pooled_stretches(std::span<const CellResult> cells) {
 
 metrics::StreamingSummary aggregate_responses(
     std::span<const CellResult> cells) {
-  return aggregate_cells(
-      cells, [](const CellResult& c) -> const std::vector<double>& {
-        return c.responses;
-      },
-      [](const CellResult& c) -> const metrics::StreamingSummary& {
-        return c.response_stream;
-      });
+  return fold_streams(cells, &CellResult::responses,
+                      &CellResult::response_stream,
+                      "aggregate_responses needs a campaign run without "
+                      "retain_samples");
 }
 
 metrics::StreamingSummary aggregate_stretches(
     std::span<const CellResult> cells) {
-  return aggregate_cells(
-      cells, [](const CellResult& c) -> const std::vector<double>& {
-        return c.stretches;
-      },
-      [](const CellResult& c) -> const metrics::StreamingSummary& {
-        return c.stretch_stream;
-      });
+  return fold_streams(cells, &CellResult::stretches,
+                      &CellResult::stretch_stream,
+                      "aggregate_stretches needs a campaign run without "
+                      "retain_samples");
 }
 
 double max_completion(std::span<const CellResult> cells) {

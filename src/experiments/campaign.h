@@ -81,7 +81,7 @@ struct CellResult {
 
   // Populated only when samples are NOT retained (with samples present the
   // exact vectors already answer everything and the streams would be
-  // redundant copies); the aggregate_* helpers use whichever is present.
+  // redundant copies); the aggregate_* helpers fold these.
   metrics::StreamingSummary response_stream;
   metrics::StreamingSummary stretch_stream;
 
@@ -120,20 +120,17 @@ struct CampaignOptions {
   std::function<void(std::size_t, std::size_t)> progress;
 };
 
-// One group's pooled figures — what the group tables print and what a
-// distributed worker ships back for each of its groups: counters plus the
-// StreamingSummary state (Welford accumulator + reservoir) from
-// aggregate_responses/aggregate_stretches.
+// One group's figures pooled over its seeds, as the paper's Table III
+// reports each configuration: a row of the group tables, and what a
+// distributed worker ships back for each of its groups.
 struct GroupSummary {
   std::size_t group = 0;  // global group index
   std::size_t calls = 0;
   std::size_t ok_calls = 0;
   std::size_t cold_starts = 0;
   double max_completion = 0.0;
-  metrics::StreamingSummary response;
-  metrics::StreamingSummary stretch;
-
-  GroupSummary() : response(0), stretch(0) {}
+  util::Summary response;
+  util::Summary stretch;
 };
 
 class CampaignResult {
@@ -157,6 +154,8 @@ class CampaignResult {
   // The group's first cell, for axis coordinates.
   [[nodiscard]] CampaignCell group_cell(std::size_t g) const;
   [[nodiscard]] std::string group_label(std::size_t g) const;
+  // The group's pooled row: util::summarize over pooled_* when every cell
+  // kept its samples, aggregate_*(cells).summary() otherwise.
   [[nodiscard]] GroupSummary group_summary(std::size_t g) const;
 };
 
@@ -178,11 +177,10 @@ class CampaignResult {
 [[nodiscard]] std::vector<double> pooled_stretches(
     std::span<const CellResult> cells);
 
-// Aggregate across cells, folded in cell order (works with or without
-// retained samples). Exact when every cell retained its samples — the
-// reservoir is then sized to the pooled ok count, so the quantiles equal
-// util::summarize over the pooled samples; bounded by the cells' reservoir
-// capacity otherwise.
+// Fold the cells' bounded streams in cell order — the pooled_* stand-in
+// for a campaign run without retain_samples. The quantiles are exact while
+// the group's calls fit one cell's reservoir capacity, estimates beyond.
+// Aborts if a cell kept its samples.
 [[nodiscard]] metrics::StreamingSummary aggregate_responses(
     std::span<const CellResult> cells);
 [[nodiscard]] metrics::StreamingSummary aggregate_stretches(

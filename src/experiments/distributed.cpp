@@ -22,20 +22,21 @@ namespace {
 //
 // The protocol is line-framed text over the worker's output pipe:
 //
-//   whisk-shard 1 <i>/<n> groups <bg> <eg> cells <bc> <ec>\n   (header,
+//   whisk-shard 2 <i>/<n> groups <bg> <eg> cells <bc> <ec>\n   (header,
 //       written BEFORE any cell runs — the driver's liveness signal and
 //       the anchor for the crash-injection test hook)
 //   csv <nbytes>\n<nbytes raw bytes>
 //   jsonl <nbytes>\n<nbytes raw bytes>
 //   groups <count>\n
 //   g <global> <calls> <ok> <cold> <max_completion>\n        (per group)
-//   r <n> <mean> <m2> <min> <max> <cap> <seen> <k> <k samples>\n
-//   s <n> <mean> <m2> <min> <max> <cap> <seen> <k> <k samples>\n
+//   r <count> <mean> <min> <p25> <p50> <p75> <p95> <p99> <max> <stddev>\n
+//   s <count> <mean> <min> <p25> <p50> <p75> <p95> <p99> <max> <stddev>\n
 //   done rss <kb>\n
 //
-// Every double travels as printf "%a" (hexfloat), so the driver-side
-// StreamingSummary state is reconstructed bit-for-bit and the merged
-// summaries match a single-process run exactly.
+// Shards are group-aligned, so each group's summary is final on the
+// worker: the r/s lines carry its GroupSummary::response and ::stretch.
+// Every double travels as printf "%a" (hexfloat), so the merged group
+// table is bit-identical to a single-process run's.
 
 void write_all(int fd, std::string_view data) {
   std::size_t off = 0;
@@ -55,16 +56,16 @@ std::string hex_double(double x) {
   return buf;
 }
 
-void append_summary_line(std::string* out, char tag,
-                         const metrics::StreamingSummary& s) {
-  const util::StreamingStatsState st = s.stats.state();
+// A util::Summary's doubles, in wire order after its count.
+constexpr double util::Summary::*kSummaryDoubles[] = {
+    &util::Summary::mean, &util::Summary::min, &util::Summary::p25,
+    &util::Summary::p50,  &util::Summary::p75, &util::Summary::p95,
+    &util::Summary::p99,  &util::Summary::max, &util::Summary::stddev};
+
+void append_summary_line(std::string* out, char tag, const util::Summary& s) {
   *out += tag;
-  *out += ' ' + std::to_string(st.n) + ' ' + hex_double(st.mean) + ' ' +
-          hex_double(st.m2) + ' ' + hex_double(st.min) + ' ' +
-          hex_double(st.max) + ' ' + std::to_string(s.reservoir.capacity()) +
-          ' ' + std::to_string(s.reservoir.seen()) + ' ' +
-          std::to_string(s.reservoir.size());
-  for (const double x : s.reservoir.samples()) *out += ' ' + hex_double(x);
+  *out += ' ' + std::to_string(s.count);
+  for (const auto field : kSummaryDoubles) *out += ' ' + hex_double(s.*field);
   *out += '\n';
 }
 
@@ -125,30 +126,17 @@ std::vector<std::string_view> tokens(std::string_view line) {
   return out;
 }
 
-metrics::StreamingSummary parse_summary_line(std::string_view line,
-                                             char expect_tag) {
+util::Summary parse_summary_line(std::string_view line, char expect_tag) {
   const std::vector<std::string_view> t = tokens(line);
-  WHISK_CHECK(t.size() >= 9 && t[0].size() == 1 && t[0][0] == expect_tag,
+  WHISK_CHECK(t.size() == 2 + std::size(kSummaryDoubles) &&
+                  t[0].size() == 1 && t[0][0] == expect_tag,
               "distributed protocol: malformed group summary line");
-  util::StreamingStatsState st;
-  st.n = parse_size(t[1], "stats n");
-  st.mean = parse_double(t[2], "stats mean");
-  st.m2 = parse_double(t[3], "stats m2");
-  st.min = parse_double(t[4], "stats min");
-  st.max = parse_double(t[5], "stats max");
-  const std::size_t cap = parse_size(t[6], "reservoir capacity");
-  const std::size_t seen = parse_size(t[7], "reservoir seen");
-  const std::size_t k = parse_size(t[8], "reservoir size");
-  WHISK_CHECK(t.size() == 9 + k,
-              "distributed protocol: group summary sample count mismatch");
-  std::vector<double> samples;
-  samples.reserve(k);
-  for (std::size_t j = 0; j < k; ++j) {
-    samples.push_back(parse_double(t[9 + j], "reservoir sample"));
+  util::Summary out;
+  out.count = parse_size(t[1], "summary count");
+  std::size_t k = 2;
+  for (const auto field : kSummaryDoubles) {
+    out.*field = parse_double(t[k++], "summary value");
   }
-  metrics::StreamingSummary out(cap);
-  out.stats = util::StreamingStats::from_state(st);
-  out.reservoir = util::Reservoir::from_state(cap, seen, std::move(samples));
   return out;
 }
 
@@ -165,7 +153,7 @@ struct ShardPayload {
 // into the worker (or the worker binary disagrees about the partition).
 void check_header(std::string_view line, const ShardRange& expect) {
   const std::vector<std::string_view> t = tokens(line);
-  WHISK_CHECK(t.size() == 9 && t[0] == "whisk-shard" && t[1] == "1" &&
+  WHISK_CHECK(t.size() == 9 && t[0] == "whisk-shard" && t[1] == "2" &&
                   t[3] == "groups" && t[6] == "cells",
               "distributed protocol: malformed shard header");
   WHISK_CHECK(t[2] == expect.selector(),
@@ -288,7 +276,7 @@ void run_worker_protocol(const CampaignSpec& raw_spec,
   // Header first — before any cell runs — so the driver can tell "alive
   // and started" from "never came up", and so the crash-injection test can
   // kill a worker that is provably mid-shard.
-  write_all(fd, "whisk-shard 1 " + range.selector() + " groups " +
+  write_all(fd, "whisk-shard 2 " + range.selector() + " groups " +
                     std::to_string(range.begin_group) + ' ' +
                     std::to_string(range.end_group) + " cells " +
                     std::to_string(range.begin_cell()) + ' ' +

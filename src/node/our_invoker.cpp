@@ -217,7 +217,7 @@ void OurInvoker::on_exec_complete(os::CpuSystem::TaskId task) {
   // Serialized post-execution result/log processing, proportional to what
   // the call produced (its execution time). This is the order-dependent
   // bottleneck cost that makes short-first policies win on *average*
-  // response time (DESIGN.md Sec. 5).
+  // response time (insight 2 in node/params.h).
   const double act = activity();
   const double exec_s = active.record.exec_end - active.record.exec_start;
   const double f = params_.ramp(act);

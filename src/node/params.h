@@ -12,7 +12,7 @@ namespace whisk::node {
 // the paper's measured behaviour; every experiment can override them (the
 // ablation benches sweep several).
 //
-// Two modelling insights drive the constants (DESIGN.md Sec. 5):
+// Two modelling insights drive the constants:
 //
 // 1. Per-activation management is nearly free on an idle node (Table I
 //    shows ~10 ms total overhead) but inflates under concurrent load — the

@@ -66,20 +66,6 @@ class Reservoir {
 
   [[nodiscard]] const std::vector<double>& samples() const { return samples_; }
 
-  // Rebuild a reservoir from transported state (distributed-campaign group
-  // summaries crossing a worker pipe). The SplitMix64 stream restarts from
-  // the seed, NOT from where the source reservoir left off — fine for the
-  // intended use, where rebuilt reservoirs are only merge()d and read,
-  // never add()ed to.
-  [[nodiscard]] static Reservoir from_state(std::size_t capacity,
-                                            std::size_t seen,
-                                            std::vector<double> samples) {
-    Reservoir out(capacity);
-    out.seen_ = seen;
-    out.samples_ = std::move(samples);
-    return out;
-  }
-
  private:
   std::uint64_t next_u64() {
     std::uint64_t z = (state_ += 0x9e3779b97f4a7c15ULL);

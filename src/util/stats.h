@@ -38,17 +38,6 @@ struct Summary {
 // Full summary; sorts a copy once and derives all quantiles from it.
 [[nodiscard]] Summary summarize(std::span<const double> xs);
 
-// The exact internal state of a StreamingStats accumulator — what a
-// distributed-campaign worker ships over its pipe so the driver can resume
-// the accumulator bit-for-bit (doubles travel as hexfloats).
-struct StreamingStatsState {
-  std::size_t n = 0;
-  double mean = 0.0;
-  double m2 = 0.0;
-  double min = 0.0;
-  double max = 0.0;
-};
-
 // Welford-style streaming accumulator for mean/variance. Used where
 // retaining every observation would be wasteful (e.g. ablation sweeps).
 class StreamingStats {
@@ -64,22 +53,6 @@ class StreamingStats {
   [[nodiscard]] double stddev() const;
   [[nodiscard]] double min() const { return min_; }
   [[nodiscard]] double max() const { return max_; }
-
-  // Exact-state transport: from_state(state()) is indistinguishable from
-  // the original accumulator for every further add/merge.
-  [[nodiscard]] StreamingStatsState state() const {
-    return {n_, mean_, m2_, min_, max_};
-  }
-  [[nodiscard]] static StreamingStats from_state(
-      const StreamingStatsState& s) {
-    StreamingStats out;
-    out.n_ = s.n;
-    out.mean_ = s.mean;
-    out.m2_ = s.m2;
-    out.min_ = s.min;
-    out.max_ = s.max;
-    return out;
-  }
 
  private:
   std::size_t n_ = 0;

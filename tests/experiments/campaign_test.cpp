@@ -15,6 +15,7 @@
 #include <string>
 #include <vector>
 
+#include "expect_summary.h"
 #include "experiments/runner.h"
 #include "metrics/csv.h"
 #include "metrics/sink.h"
@@ -633,6 +634,49 @@ TEST_F(CampaignTest, PooledHelpersNeedRetainedSamples) {
   opts.retain_samples = false;
   const auto result = run_campaign(spec, cat_, opts);
   EXPECT_DEATH((void)pooled_responses(result.group(0)), "retain_samples");
+}
+
+TEST_F(CampaignTest, AggregateHelpersNeedStreamedCells) {
+  CampaignSpec spec;
+  spec.scenarios = {workload::ScenarioSpec::parse("uniform?intensity=30")};
+  spec.cores = {5};
+  spec.seeds = {0};
+  const auto result = run_campaign(spec, cat_, {});
+  EXPECT_DEATH((void)aggregate_responses(result.group(0)), "retain_samples");
+}
+
+TEST_F(CampaignTest, GroupSummaryPoolsKeptSamplesExactly) {
+  const auto result = run_campaign(small_grid(), cat_, {});
+  for (std::size_t g = 0; g < result.group_count(); ++g) {
+    const auto cells = result.group(g);
+    GroupSummary want;
+    want.group = g;
+    for (const CellResult& c : cells) {
+      want.calls += c.calls;
+      want.ok_calls += c.ok_calls;
+    }
+    want.cold_starts = total_stats(cells).cold_starts;
+    want.max_completion = max_completion(cells);
+    want.response = util::summarize(pooled_responses(cells));
+    want.stretch = util::summarize(pooled_stretches(cells));
+    expect_same_group(result.group_summary(g), want);
+  }
+}
+
+TEST_F(CampaignTest, GroupSummaryFoldsStreamsWithoutSamples) {
+  CampaignOptions opts;
+  opts.retain_samples = false;
+  opts.reservoir_capacity = 64;  // below a cell's calls: estimates
+  const auto result = run_campaign(small_grid(), cat_, opts);
+  for (std::size_t g = 0; g < result.group_count(); ++g) {
+    const auto cells = result.group(g);
+    const GroupSummary got = result.group_summary(g);
+    expect_same_summary(got.response, aggregate_responses(cells).summary(),
+                        "response");
+    expect_same_summary(got.stretch, aggregate_stretches(cells).summary(),
+                        "stretch");
+    EXPECT_FALSE(aggregate_responses(cells).exact());
+  }
 }
 
 }  // namespace

@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "experiments/campaign.h"
+#include "expect_summary.h"
 #include "util/stats.h"
 
 namespace whisk::experiments {
@@ -72,36 +73,12 @@ TEST_F(DistributedCampaignTest, GroupSummariesAreBitExactAcrossTheWire) {
   opts.workers = 3;
   const DistributedResult dist = run_distributed(chaos_grid(), cat_, opts);
 
+  // The worker computes each group's summary in full (shards are
+  // group-aligned); hexfloat transport keeps every field bit identical.
   ASSERT_EQ(dist.groups.size(), single.group_count());
   for (std::size_t g = 0; g < dist.groups.size(); ++g) {
-    const GroupSummary& got = dist.groups[g];
-    EXPECT_EQ(got.group, g);
-    const auto cells = single.group(g);
-    std::size_t calls = 0;
-    std::size_t ok = 0;
-    for (const CellResult& c : cells) {
-      calls += c.calls;
-      ok += c.ok_calls;
-    }
-    EXPECT_EQ(got.calls, calls);
-    EXPECT_EQ(got.ok_calls, ok);
-    EXPECT_EQ(got.cold_starts, total_stats(cells).cold_starts);
-    EXPECT_EQ(got.max_completion, max_completion(cells));
-    // The worker folds its cells exactly as the driver-side helper would;
-    // hexfloat transport keeps every accumulator bit identical.
-    const metrics::StreamingSummary want_r = aggregate_responses(cells);
-    const metrics::StreamingSummary want_s = aggregate_stretches(cells);
-    const util::StreamingStatsState a = got.response.stats.state();
-    const util::StreamingStatsState b = want_r.stats.state();
-    EXPECT_EQ(a.n, b.n);
-    EXPECT_EQ(a.mean, b.mean);
-    EXPECT_EQ(a.m2, b.m2);
-    EXPECT_EQ(a.min, b.min);
-    EXPECT_EQ(a.max, b.max);
-    EXPECT_EQ(got.response.reservoir.seen(), want_r.reservoir.seen());
-    EXPECT_EQ(got.response.reservoir.samples(), want_r.reservoir.samples());
-    EXPECT_EQ(got.stretch.stats.state().m2, want_s.stats.state().m2);
-    EXPECT_EQ(got.stretch.reservoir.samples(), want_s.reservoir.samples());
+    EXPECT_EQ(dist.groups[g].group, g);
+    expect_same_group(dist.groups[g], single.group_summary(g));
   }
 }
 
@@ -126,18 +103,8 @@ TEST_F(DistributedCampaignTest, DriverGroupTableMatchesPooledSamples) {
   opts.workers = 1;
   const DistributedResult dist = run_distributed(grid, cat_, opts);
   ASSERT_EQ(dist.groups.size(), 1u);
-  const auto check = [](const util::Summary& got, const util::Summary& want,
-                        const char* what) {
-    EXPECT_EQ(got.count, want.count) << what;
-    EXPECT_EQ(got.p50, want.p50) << what;
-    EXPECT_EQ(got.p75, want.p75) << what;
-    EXPECT_EQ(got.p95, want.p95) << what;
-    EXPECT_EQ(got.p99, want.p99) << what;
-    EXPECT_EQ(got.max, want.max) << what;
-    EXPECT_NEAR(got.mean, want.mean, 1e-9 * want.mean) << what;
-  };
-  check(dist.groups[0].response.summary(), want_r, "response");
-  check(dist.groups[0].stretch.summary(), want_s, "stretch");
+  expect_same_summary(dist.groups[0].response, want_r, "response");
+  expect_same_summary(dist.groups[0].stretch, want_s, "stretch");
 }
 
 TEST_F(DistributedCampaignTest, MoreWorkersThanGroupsYieldsEmptyShards) {
@@ -187,6 +154,12 @@ TEST_F(DistributedCampaignTest, NoSamplesModeAlsoMergesByteIdentically) {
   const DistributedResult dist = run_distributed(chaos_grid(), cat_, opts);
   EXPECT_EQ(dist.cells_csv, cells_csv(single));
   EXPECT_EQ(dist.cells_jsonl, cells_jsonl(single));
+  // The groups fold the cells' 64-sample reservoirs on the worker and
+  // cross the wire as finished summaries.
+  ASSERT_EQ(dist.groups.size(), single.group_count());
+  for (std::size_t g = 0; g < dist.groups.size(); ++g) {
+    expect_same_group(dist.groups[g], single.group_summary(g));
+  }
 }
 
 // The cells CSV and JSONL that separate `--shard i/n` runs of the grid

@@ -1,7 +1,7 @@
 // End-to-end reproduction tests: assert the *shapes* of the paper's
 // results (who wins, rough factors, crossovers) rather than absolute
-// numbers. These are the contract of the whole library; see EXPERIMENTS.md
-// for the full measured-vs-paper record.
+// numbers. These are the contract of the whole library; the bench binaries
+// and tools/calibrate print the full measured-vs-paper record.
 //
 // To keep test time low the shapes are checked with 2 seeds; the bench
 // binaries run the full 5-seed versions. The sweeps run through
@@ -225,7 +225,7 @@ TEST_F(Reproduction, Fig5_FcFairToRareLongFunction) {
   // FC treats the rare long function much better than SEPT (paper: avg
   // stretch 5.3 -> 2.1, median 5.2 -> 1.6). Our reproduction preserves the
   // direction and a several-fold margin; the absolute median lands higher
-  // than the paper's 1.6 (see EXPERIMENTS.md, Fig. 5 notes).
+  // than the paper's 1.6 (bench_fig5_fairness prints both).
   EXPECT_LT(fc.mean, 0.8 * sept.mean);
   EXPECT_LT(fc.p50, 0.8 * sept.p50);
   EXPECT_LT(fc.p50, 15.0);

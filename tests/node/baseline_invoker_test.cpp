@@ -37,7 +37,7 @@ TEST_F(BaselineInvokerTest, WarmupUnderProvisionsShortFunctions) {
   const auto dna = *catalog_.find("dna-visualisation");
   const auto bfs = *catalog_.find("graph-bfs");
   // Long functions end warm-up with close to `cores` containers, short
-  // ones with only one or two (Sec. VI / DESIGN.md): this asymmetry seeds
+  // ones with only one or two (paper Sec. VI): this asymmetry seeds
   // the baseline's cold starts.
   EXPECT_GE(inv->pool().idle_count_of(dna), 7u);
   EXPECT_LE(inv->pool().idle_count_of(bfs), 2u);

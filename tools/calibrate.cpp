@@ -7,7 +7,6 @@
 #include "experiments/campaign.h"
 #include "experiments/paper_data.h"
 #include "util/check.h"
-#include "util/stats.h"
 #include "util/thread_pool.h"
 
 using namespace whisk;
@@ -63,19 +62,14 @@ int main(int argc, char** argv) {
     grid.cores = {t.cores};
     grid.seeds = experiments::CampaignSpec::first_seeds(reps);
     const auto result = experiments::run_campaign(grid, cat, opts);
-    const auto cells = result.group(0);
-    const auto sum_r =
-        util::summarize(experiments::pooled_responses(cells));
-    const auto sum_s =
-        util::summarize(experiments::pooled_stretches(cells));
-    const double max_c = experiments::max_completion(cells);
-    const std::size_t cold = experiments::total_stats(cells).cold_starts;
+    const auto group = result.group_summary(0);
     std::printf(
         "%5d %4d %-8s | %9.2f %9.2f | %9.2f %9.2f | %9.1f %9.1f | %10.1f "
         "%10.1f | %6zu\n",
-        t.cores, t.intensity, t.scheduler, sum_r.mean, paper->r_avg,
-        sum_r.p50, paper->r_p50, max_c, paper->max_c, sum_s.mean,
-        paper->s_avg, cold / cells.size());
+        t.cores, t.intensity, t.scheduler, group.response.mean, paper->r_avg,
+        group.response.p50, paper->r_p50, group.max_completion, paper->max_c,
+        group.stretch.mean, paper->s_avg,
+        group.cold_starts / result.cells.size());
   }
   return 0;
 }

@@ -263,8 +263,8 @@ void print_group_table(const experiments::CampaignSpec& spec,
                      "p99 R", "avg S", "p50 S", "max c(i)", "cold"});
   const std::size_t per = spec.seeds_per_group();
   for (const auto& g : groups) {
-    const util::Summary r = g.response.summary();
-    const util::Summary s = g.stretch.summary();
+    const util::Summary& r = g.response;
+    const util::Summary& s = g.stretch;
     table.add_row({spec.label(spec.coordinates(g.group * per),
                               /*with_seed=*/false),
                    std::to_string(per), std::to_string(r.count),
