@@ -191,23 +191,22 @@ std::string render(const ClusterSpec& spec, char section_sep,
     if (i > 0) out += list_sep;
     out += group_to_string(spec.groups[i]);
   }
-  const container::KeepAliveSpec default_keep_alive;
-  if (spec.keep_alive_set || spec.keep_alive != default_keep_alive) {
+  if (spec.keep_alive != container::KeepAliveSpec{}) {
     out += section_sep;
     if (section_sep == ';') out += ' ';
     out += "keep-alive=" + spec.keep_alive.to_string();
   }
-  if (spec.autoscaler_set || spec.autoscaler.enabled()) {
+  if (spec.autoscaler.enabled()) {
     out += section_sep;
     if (section_sep == ';') out += ' ';
     out += "autoscaler=" + spec.autoscaler.to_string();
   }
-  if (spec.faults_set || !spec.faults.empty()) {
+  if (!spec.faults.empty()) {
     out += section_sep;
     if (section_sep == ';') out += ' ';
     out += "faults=" + fault_list_to_string(spec.faults, list_sep);
   }
-  if (spec.resilience_set || spec.resilience.enabled()) {
+  if (spec.resilience.enabled()) {
     out += section_sep;
     if (section_sep == ';') out += ' ';
     out += "resilience=" + spec.resilience.to_string();
@@ -280,7 +279,6 @@ ClusterSpec ClusterSpec::parse(std::string_view text) {
                    "\" sets autoscaler twice")
                       .c_str());
       autoscaler_seen = true;
-      spec.autoscaler_set = true;
       spec.autoscaler = AutoscalerSpec::parse(
           trim_ws(section.substr(section.find('=') + 1)));
     } else if (lowered.rfind("faults=", 0) == 0) {
@@ -288,7 +286,6 @@ ClusterSpec ClusterSpec::parse(std::string_view text) {
                                  "\" sets faults twice")
                                     .c_str());
       faults_seen = true;
-      spec.faults_set = true;
       spec.faults =
           parse_fault_list(trim_ws(section.substr(section.find('=') + 1)));
     } else if (lowered.rfind("resilience=", 0) == 0) {
@@ -297,7 +294,6 @@ ClusterSpec ClusterSpec::parse(std::string_view text) {
                    "\" sets resilience twice")
                       .c_str());
       resilience_seen = true;
-      spec.resilience_set = true;
       spec.resilience = ResilienceSpec::parse(
           trim_ws(section.substr(section.find('=') + 1)));
     } else if (lowered.rfind("slo=", 0) == 0) {
@@ -315,7 +311,6 @@ ClusterSpec ClusterSpec::parse(std::string_view text) {
                    "\" sets keep-alive twice")
                       .c_str());
       keep_alive_seen = true;
-      spec.keep_alive_set = true;
       spec.keep_alive = container::KeepAliveSpec::parse(
           trim_ws(section.substr(section.find('=') + 1)));
     } else if (lowered.rfind("events=", 0) == 0) {
@@ -355,6 +350,9 @@ ClusterSpec ClusterSpec::homogeneous(int nodes) {
   WHISK_CHECK(nodes > 0, "cluster needs at least one node");
   ClusterSpec spec;
   spec.groups = {NodeGroupSpec{"node", nodes, {}}};
+  // Nothing to validate or canonicalize beyond the positive count, so the
+  // per-cell deployments of a nodes= grid skip normalized()'s walk.
+  spec.canonical = true;
   return spec;
 }
 
@@ -469,18 +467,12 @@ ClusterSpec ClusterSpec::normalized() const {
               "group a positive count");
 
   out.keep_alive = out.keep_alive.normalized();
-  // Canonicalize the flag: a non-default policy behaves exactly like an
-  // explicitly named one (to_string renders it either way), so equality
-  // and round-trips see one representation.
-  out.keep_alive_set =
-      keep_alive_set || out.keep_alive != container::KeepAliveSpec{};
   for (const auto& [key, value] : out.keep_alive.params) {
     check_value_has_no_separators(
         "cluster keep-alive \"" + out.keep_alive.name + "\"", key, value);
   }
 
   out.autoscaler = out.autoscaler.normalized();
-  out.autoscaler_set = autoscaler_set || out.autoscaler.enabled();
   for (const auto& [key, value] : out.autoscaler.params) {
     check_value_has_no_separators(
         "cluster autoscaler \"" + out.autoscaler.name + "\"", key, value);
@@ -510,10 +502,8 @@ ClusterSpec ClusterSpec::normalized() const {
     drops_completions =
         drops_completions || fault_drops_completions(fault.name);
   }
-  out.faults_set = faults_set || !out.faults.empty();
 
   out.resilience = out.resilience.normalized();
-  out.resilience_set = resilience_set || out.resilience.enabled();
   for (const auto& [key, value] : out.resilience.params) {
     check_value_has_no_separators("cluster resilience", key, value);
   }
@@ -686,21 +676,7 @@ node::NodeParams ClusterSpec::node_params(
     std::size_t group, const node::NodeParams& base) const {
   WHISK_CHECK(group < groups.size(), "cluster group index out of range");
   node::NodeParams params = base;
-  // The deployment's keep-alive applies fleet-wide, but a policy set
-  // directly on the base NodeParams is honored like every other base
-  // field — and a contradictory pair is a loud error, not a silent win.
-  const container::KeepAliveSpec default_keep_alive;
-  if (keep_alive_set || keep_alive != default_keep_alive) {
-    WHISK_CHECK(base.keep_alive == default_keep_alive ||
-                    base.keep_alive == keep_alive,
-                ("the deployment sets keep-alive \"" +
-                 keep_alive.to_string() +
-                 "\" but the base NodeParams already carries \"" +
-                 base.keep_alive.to_string() +
-                 "\"; set it in one place")
-                    .c_str());
-    params.keep_alive = keep_alive;
-  }
+  params.keep_alive = keep_alive;
   const NodeGroupSpec& g = groups[group];
   if (const auto it = g.params.find("cores"); it != g.params.end()) {
     unsigned long long cores = 0;

@@ -112,9 +112,11 @@ struct LifecycleEvent {
 // breakers, shedding — see resilience.h); `slo=` states the response-time
 // objective runs are scored against; `events=` lists scheduled lifecycle events
 // `kind@time:group[/node]` (drain/fail require the /node index, join takes
-// just the group). Group/policy names are case-insensitive; unknown
-// groups, policies and parameter keys abort with diagnostics that echo the
-// input and list the valid names.
+// just the group). A section spelled at its default value
+// ("keep-alive=lru", "autoscaler=none", "faults=none", "resilience=none")
+// is the same spec as one without it. Group/policy names are
+// case-insensitive; unknown groups, policies and parameter keys abort with
+// diagnostics that echo the input and list the valid names.
 //
 // Because campaign grids split their axes on ';' and ',', ClusterSpec also
 // accepts '|' wherever ';' appears and '+' wherever a list ',' appears, so
@@ -127,26 +129,19 @@ struct LifecycleEvent {
 // order is preserved; parameters and events are canonicalized).
 struct ClusterSpec {
   std::vector<NodeGroupSpec> groups = {NodeGroupSpec{}};
+  // to_string() renders each section below only when it differs from its
+  // default.
   container::KeepAliveSpec keep_alive;
-  // Set by parse() when the spec names a keep-alive section, so an
-  // explicit "keep-alive=lru" still overrides (and conflicts with) a
-  // policy stamped on the base NodeParams, instead of reading as unset.
-  bool keep_alive_set = false;
   // Closed-loop scaling controller; default "none" (fixed fleet or
-  // pre-scheduled events only). `autoscaler_set` mirrors keep_alive_set:
-  // an explicit "autoscaler=none" still reads as a deliberate choice.
+  // pre-scheduled events only).
   AutoscalerSpec autoscaler;
-  bool autoscaler_set = false;
   // Stochastic fault processes active for the whole run; empty = no faults
-  // (the default, byte-identical to the pre-fault simulator). `faults_set`
-  // mirrors autoscaler_set: an explicit "faults=none" is a deliberate
-  // choice that conflicts with a `faults=` campaign axis.
+  // (the default, byte-identical to the pre-fault simulator).
   std::vector<FaultSpec> faults;
-  bool faults_set = false;
   // Controller-side recovery policy; empty = none (legacy behavior).
   ResilienceSpec resilience;
-  bool resilience_set = false;
-  // Response-time objective; meaningful only when slo_set.
+  // Response-time objective; meaningful only when slo_set (an SLO has no
+  // "none" value to fall back on).
   SloSpec slo;
   bool slo_set = false;
   std::vector<LifecycleEvent> events;
@@ -158,8 +153,9 @@ struct ClusterSpec {
   bool canonical = false;
 
   [[nodiscard]] static ClusterSpec parse(std::string_view text);
-  // The legacy deployment: `nodes` identical workers, LRU keep-alive, no
-  // churn (what the flat nodes()/cores()/memory_mb() sugar expands to).
+  // `nodes` identical workers, LRU keep-alive, no churn (what
+  // ExperimentSpec::nodes() and a campaign's nodes= axis expand to).
+  // Already canonical: normalized() returns it unchanged.
   [[nodiscard]] static ClusterSpec homogeneous(int nodes);
 
   [[nodiscard]] std::string to_string() const;
@@ -198,17 +194,14 @@ struct ClusterSpec {
   [[nodiscard]] std::size_t group_index(std::string_view name) const;
 
   // The group's NodeParams: `base` with the group's overrides and this
-  // spec's keep-alive applied.
+  // spec's keep-alive applied (the deployment owns the keep-alive policy).
   [[nodiscard]] node::NodeParams node_params(
       std::size_t group, const node::NodeParams& base) const;
 
   friend bool operator==(const ClusterSpec& a, const ClusterSpec& b) {
     return a.groups == b.groups && a.keep_alive == b.keep_alive &&
-           a.keep_alive_set == b.keep_alive_set &&
-           a.autoscaler == b.autoscaler &&
-           a.autoscaler_set == b.autoscaler_set && a.faults == b.faults &&
-           a.faults_set == b.faults_set && a.resilience == b.resilience &&
-           a.resilience_set == b.resilience_set && a.slo == b.slo &&
+           a.autoscaler == b.autoscaler && a.faults == b.faults &&
+           a.resilience == b.resilience && a.slo == b.slo &&
            a.slo_set == b.slo_set && a.events == b.events;
   }
   friend bool operator!=(const ClusterSpec& a, const ClusterSpec& b) {

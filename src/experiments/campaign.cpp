@@ -149,17 +149,6 @@ std::string effective_cluster(const CampaignSpec& spec,
                    .to_compact_string();
 }
 
-// The cell's effective workflow shape as a spec string ("none" for
-// independent-calls cells). The workflow axis is the only carrier
-// (ClusterSpec has no workflow= section).
-std::string effective_workflow(const CampaignSpec& spec,
-                               const CampaignCell& cell) {
-  if (spec.workflow_mode()) {
-    return spec.workflows[cell.workflow_i].to_string();
-  }
-  return workload::WorkflowSpec{}.to_string();
-}
-
 // Per-group telemetry as one CSV-friendly field:
 // "big:nodes_ever=2:calls=120:cold=3|small:nodes_ever=4:calls=310:cold=0".
 // nodes_ever counts every node the group ever had (joins included) — a
@@ -198,7 +187,8 @@ std::vector<metrics::RunContextField> coordinate_fields(
       {"cluster", effective_cluster(spec, cell)},
       {"autoscaler", deployment.autoscaler.to_string()},
       {"faults", cluster::fault_list_to_string(deployment.faults, '+')},
-      {"workflow", effective_workflow(spec, cell)},
+      // "none" for independent-calls cells, the axis default.
+      {"workflow", spec.workflows[cell.workflow_i].to_string()},
   };
 }
 

@@ -218,7 +218,6 @@ CampaignSpec CampaignSpec::parse(std::string_view text) {
         spec.memories_mb.push_back(parse_positive_double(trim_ws(item), key));
       }
     } else if (key == "clusters") {
-      spec.clusters_set = true;
       spec.clusters.clear();
       for (std::string_view item : split(value, ',')) {
         // Items arrive in the ClusterSpec compact form ('+'/'|'), since ','
@@ -226,14 +225,12 @@ CampaignSpec CampaignSpec::parse(std::string_view text) {
         spec.clusters.push_back(cluster::ClusterSpec::parse(trim_ws(item)));
       }
     } else if (key == "autoscalers") {
-      spec.autoscalers_set = true;
       spec.autoscalers.clear();
       for (std::string_view item : split(value, ',')) {
         spec.autoscalers.push_back(
             cluster::AutoscalerSpec::parse(trim_ws(item)));
       }
     } else if (key == "faults") {
-      spec.faults_set = true;
       spec.faults.clear();
       for (std::string_view item : split(value, ',')) {
         // Items arrive '+'-joined ("crash-restart?mtbf-s=120+flap"); "none"
@@ -241,7 +238,6 @@ CampaignSpec CampaignSpec::parse(std::string_view text) {
         spec.faults.push_back(cluster::parse_fault_list(trim_ws(item)));
       }
     } else if (key == "workflows") {
-      spec.workflows_set = true;
       spec.workflows.clear();
       for (std::string_view item : split(value, ',')) {
         // Items use '+' between dag edges ("dag?edges=a>b+a>c"); "none" is
@@ -347,13 +343,6 @@ CampaignSpec CampaignSpec::normalized() const {
     for (auto& f : regime) f = f.normalized();
   }
   for (auto& w : out.workflows) w = w.normalized();
-  // Canonicalize: non-default cluster entries behave exactly like an
-  // explicit clusters= axis, so equality and round-trips see one
-  // representation.
-  out.clusters_set = out.cluster_mode();
-  out.autoscalers_set = out.autoscaler_mode();
-  out.faults_set = out.fault_mode();
-  out.workflows_set = out.workflow_mode();
   if (out.cluster_mode()) {
     WHISK_CHECK(out.nodes.size() == 1 && out.nodes[0] == 1,
                 "campaign sets both a clusters axis and a nodes axis; the "
@@ -364,7 +353,7 @@ CampaignSpec CampaignSpec::normalized() const {
     // own autoscaler= section would silently shadow (or be shadowed by)
     // the axis value for some cells.
     for (const auto& c : out.clusters) {
-      WHISK_CHECK(!c.autoscaler_set && !c.autoscaler.enabled(),
+      WHISK_CHECK(!c.autoscaler.enabled(),
                   ("campaign sets an autoscalers axis, but cluster \"" +
                    c.to_compact_string() +
                    "\" carries its own autoscaler= section; set it in one "
@@ -376,7 +365,7 @@ CampaignSpec CampaignSpec::normalized() const {
     // Same ownership contract as the autoscaler axis: a cluster item
     // carrying its own faults= section would shadow the axis value.
     for (const auto& c : out.clusters) {
-      WHISK_CHECK(!c.faults_set && c.faults.empty(),
+      WHISK_CHECK(c.faults.empty(),
                   ("campaign sets a faults axis, but cluster \"" +
                    c.to_compact_string() +
                    "\" carries its own faults= section; set them in one "
@@ -412,23 +401,22 @@ CampaignSpec CampaignSpec::normalized() const {
 }
 
 bool CampaignSpec::cluster_mode() const {
-  if (clusters_set || clusters.size() > 1) return true;
-  return !clusters.empty() && clusters[0] != cluster::ClusterSpec{};
+  return clusters.size() > 1 ||
+         (!clusters.empty() && clusters[0] != cluster::ClusterSpec{});
 }
 
 bool CampaignSpec::autoscaler_mode() const {
-  if (autoscalers_set || autoscalers.size() > 1) return true;
-  return !autoscalers.empty() && autoscalers[0].enabled();
+  return autoscalers.size() > 1 ||
+         (!autoscalers.empty() && autoscalers[0].enabled());
 }
 
 bool CampaignSpec::fault_mode() const {
-  if (faults_set || faults.size() > 1) return true;
-  return !faults.empty() && !faults[0].empty();
+  return faults.size() > 1 || (!faults.empty() && !faults[0].empty());
 }
 
 bool CampaignSpec::workflow_mode() const {
-  if (workflows_set || workflows.size() > 1) return true;
-  return !workflows.empty() && workflows[0].enabled();
+  return workflows.size() > 1 ||
+         (!workflows.empty() && workflows[0].enabled());
 }
 
 std::size_t CampaignSpec::size() const {
@@ -475,17 +463,13 @@ CampaignCell CampaignSpec::coordinates(std::size_t index) const {
 cluster::ClusterSpec CampaignSpec::deployment(const CampaignCell& cell) const {
   // The clusters axis and the legacy nodes axis are mutually exclusive
   // (normalized() enforces it), and so is each of the autoscalers and faults
-  // axes with a cluster item's own section.
+  // axes with a cluster item's own non-default section.
   cluster::ClusterSpec spec =
       cluster_mode() ? clusters[cell.cluster_i]
                      : cluster::ClusterSpec::homogeneous(nodes[cell.nodes_i]);
-  if (autoscaler_mode()) {
-    spec.autoscaler = autoscalers[cell.autoscaler_i];
-    spec.autoscaler_set = true;
-  }
+  if (autoscaler_mode()) spec.autoscaler = autoscalers[cell.autoscaler_i];
   if (fault_mode()) {
     spec.faults = faults[cell.faults_i];
-    spec.faults_set = true;
     // Faults interact with the resilience section (a lost-completion fault
     // needs a retry timeout), so the folded spec must be validated again.
     spec.canonical = false;
@@ -499,14 +483,8 @@ CampaignCell CampaignSpec::cell(std::size_t index) const {
       .scenario(scenarios[c.scenario_i])
       .cores(cores[c.cores_i])
       .memory_mb(memories_mb[c.memory_i])
-      .seed(seeds[c.seed_i]);
-  // A grid with only the legacy nodes axis keeps the nodes() sugar, so its
-  // cells report no explicit cluster.
-  if (cluster_mode() || autoscaler_mode() || fault_mode()) {
-    c.spec.cluster(deployment(c));
-  } else {
-    c.spec.nodes(nodes[c.nodes_i]);
-  }
+      .seed(seeds[c.seed_i])
+      .cluster(deployment(c));
   if (workflow_mode()) {
     c.spec.workflow(workflows[c.workflow_i]);
   }

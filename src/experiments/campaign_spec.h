@@ -118,14 +118,17 @@ struct ShardRange {
 // controllers (AutoscalerSpec grammar, "none" included) across every
 // deployment — the cost/SLO frontier is a `clusters=` x `autoscalers=`
 // grid. An autoscaler axis owns that dimension: cluster items must not
-// also carry an autoscaler= section. `faults` (alias `fault`) sweeps
-// fault regimes the same way: each item is a '+'-joined FaultSpec list
-// ("none" for the fault-free baseline cell), e.g.
+// also carry a non-default autoscaler= section. `faults` (alias `fault`)
+// sweeps fault regimes the same way: each item is a '+'-joined FaultSpec
+// list ("none" for the fault-free baseline cell), e.g.
 //
 //   faults=none,crash-restart?mtbf-s=120+slow-node?factor=4
 //
 // and a faults axis likewise owns the dimension (cluster items must not
-// carry a faults= section of their own). `workflows` (alias `workflow`)
+// carry faults of their own). An axis or section spelled at its default
+// ("autoscalers=none", "faults=none", "workflows=none", "clusters=node:1",
+// "node:2|autoscaler=none") means the same as leaving it out: it neither
+// conflicts nor renders. `workflows` (alias `workflow`)
 // sweeps composite-function DAG shapes (WorkflowSpec grammar, "none" for
 // the independent-calls baseline cell):
 //
@@ -154,35 +157,21 @@ struct CampaignSpec {
   std::vector<int> nodes = {1};
   std::vector<int> cores = {10};
   std::vector<double> memories_mb = {32.0 * 1024.0};
-  // Deployment axis; any entry beyond the default one-node spec — or an
-  // explicit `clusters=` axis in the parsed grid (clusters_set) — puts the
-  // campaign in cluster mode (cells call ExperimentSpec::cluster), which
-  // requires the legacy `nodes` axis to stay at its default.
+  // Deployment axis. In play (cluster_mode()), it sizes the fleet, so the
+  // legacy `nodes` axis must stay at its default.
   std::vector<cluster::ClusterSpec> clusters = {cluster::ClusterSpec{}};
-  // Set by parse() when the grid names the axis, so an explicit
-  // `clusters=node:1` still supersedes (and conflicts with) `nodes=`.
-  bool clusters_set = false;
   // Closed-loop scaling axis, crossed with the deployments; the default
   // single "none" entry means no autoscaling dimension.
   std::vector<cluster::AutoscalerSpec> autoscalers = {
       cluster::AutoscalerSpec{}};
-  // Set by parse() when the grid names the axis (an explicit
-  // `autoscalers=none` is a deliberate one-entry axis).
-  bool autoscalers_set = false;
   // Fault-regime axis, crossed with the deployments; each entry is one
   // faults= list (empty = the fault-free baseline). The default single
   // empty entry means no fault dimension.
   std::vector<std::vector<cluster::FaultSpec>> faults = {{}};
-  // Set by parse() when the grid names the axis (an explicit `faults=none`
-  // is a deliberate one-entry axis).
-  bool faults_set = false;
   // Composite-function axis: each entry is one WorkflowSpec ("none" = the
   // independent-calls baseline). The default single "none" entry means no
   // workflow dimension.
   std::vector<workload::WorkflowSpec> workflows = {workload::WorkflowSpec{}};
-  // Set by parse() when the grid names the axis (an explicit
-  // `workflows=none` is a deliberate one-entry axis).
-  bool workflows_set = false;
   // Ablation axes, crossed like every other axis; kept sorted by name.
   std::vector<std::pair<std::string, std::vector<double>>> overrides;
   std::vector<std::uint64_t> seeds = {0, 1, 2, 3, 4};
@@ -240,13 +229,12 @@ struct CampaignSpec {
       std::size_t workflow_i = 0,
       const std::vector<std::size_t>& override_i = {}) const;
 
-  // True when the clusters axis is in play (any non-default entry).
+  // True when the axis is in play: more than one entry, or a non-default
+  // one (a non-one-node cluster, an autoscaler other than "none", a
+  // non-empty fault list, an enabled workflow).
   [[nodiscard]] bool cluster_mode() const;
-  // True when the autoscalers axis is in play (any non-"none" entry).
   [[nodiscard]] bool autoscaler_mode() const;
-  // True when the faults axis is in play (any non-empty entry).
   [[nodiscard]] bool fault_mode() const;
-  // True when the workflows axis is in play (any enabled entry).
   [[nodiscard]] bool workflow_mode() const;
 
   // The paper's seed convention: 0..n-1.
@@ -258,20 +246,8 @@ struct CampaignSpec {
   [[nodiscard]] std::string label(const CampaignCell& cell,
                                   bool with_seed = true) const;
 
-  friend bool operator==(const CampaignSpec& a, const CampaignSpec& b) {
-    return a.schedulers == b.schedulers && a.scenarios == b.scenarios &&
-           a.nodes == b.nodes && a.cores == b.cores &&
-           a.memories_mb == b.memories_mb && a.clusters == b.clusters &&
-           a.clusters_set == b.clusters_set &&
-           a.autoscalers == b.autoscalers &&
-           a.autoscalers_set == b.autoscalers_set && a.faults == b.faults &&
-           a.faults_set == b.faults_set && a.workflows == b.workflows &&
-           a.workflows_set == b.workflows_set &&
-           a.overrides == b.overrides && a.seeds == b.seeds;
-  }
-  friend bool operator!=(const CampaignSpec& a, const CampaignSpec& b) {
-    return !(a == b);
-  }
+  friend bool operator==(const CampaignSpec&,
+                         const CampaignSpec&) = default;
 };
 
 }  // namespace whisk::experiments

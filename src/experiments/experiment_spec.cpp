@@ -75,30 +75,16 @@ ExperimentSpec& ExperimentSpec::cores(int value) {
 }
 
 ExperimentSpec& ExperimentSpec::nodes(int value) {
-  WHISK_CHECK(value > 0, "nodes must be positive");
-  WHISK_CHECK(!cluster_set_,
-              "nodes() conflicts with an explicit cluster(); set the node "
-              "counts in the ClusterSpec groups instead");
-  nodes_ = value;
-  nodes_set_ = true;
-  return *this;
+  return cluster(cluster::ClusterSpec::homogeneous(value));
 }
 
 ExperimentSpec& ExperimentSpec::cluster(cluster::ClusterSpec spec) {
-  WHISK_CHECK(!nodes_set_,
-              "cluster() conflicts with nodes(); the ClusterSpec groups "
-              "already size the fleet");
   cluster_ = spec.normalized();
-  cluster_set_ = true;
   return *this;
 }
 
 ExperimentSpec& ExperimentSpec::cluster(std::string_view text) {
   return cluster(cluster::ClusterSpec::parse(text));
-}
-
-cluster::ClusterSpec ExperimentSpec::cluster() const {
-  return cluster_set_ ? cluster_ : cluster::ClusterSpec::homogeneous(nodes_);
 }
 
 ExperimentSpec& ExperimentSpec::workflow(workload::WorkflowSpec spec) {
@@ -135,15 +121,10 @@ workload::ScenarioContext ExperimentSpec::scenario_context(
     const workload::FunctionCatalog& catalog) const {
   workload::ScenarioContext ctx;
   ctx.catalog = &catalog;
-  if (cluster_set_) {
-    // Heterogeneous fleets fold per-group core overrides into one total so
-    // the paper's 1.1 * cores * v sizing scales with the real capacity.
-    ctx.cores = cluster_.initial_cores(cores_);
-    ctx.nodes = 1;
-  } else {
-    ctx.cores = cores_;
-    ctx.nodes = nodes_;
-  }
+  // Per-group core overrides fold into one total, so the paper's
+  // 1.1 * cores * v sizing scales with the real capacity.
+  ctx.cores = cluster_.initial_cores(cores_);
+  ctx.nodes = 1;
   return ctx;
 }
 

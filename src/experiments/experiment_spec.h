@@ -30,7 +30,7 @@ namespace whisk::experiments {
 //
 // Every setting has one spelling. The deployment — node groups,
 // keep-alive, autoscaler, faults, resilience — is one cluster::ClusterSpec
-// (nodes() is sugar for a homogeneous one), and the workload's load knob is
+// (nodes(n) sets a homogeneous one), and the workload's load knob is
 // the scenario's own intensity= parameter (the paper's uniform burst at
 // intensity 30 by default). Unknown scenario names, parameter keys, and
 // override names all abort immediately, listing the valid alternatives.
@@ -44,17 +44,15 @@ class ExperimentSpec {
   [[nodiscard]] const SchedulerSpec& scheduler() const { return scheduler_; }
 
   // --- deployment ----------------------------------------------------------
-  // The full declarative form: heterogeneous node groups, keep-alive
-  // policy and lifecycle events (cluster::ClusterSpec grammar). cores()
-  // and memory_mb() still set the *base* NodeParams that groups inherit
-  // and override; nodes() is legacy sugar for a one-group deployment and
-  // conflicts with an explicit cluster().
+  // The one deployment (cluster::ClusterSpec grammar): heterogeneous node
+  // groups, keep-alive policy, lifecycle events, ... Default: one node.
+  // cores() and memory_mb() set the *base* NodeParams that groups inherit
+  // and override. The last cluster() or nodes() call wins.
   ExperimentSpec& cluster(cluster::ClusterSpec spec);
   ExperimentSpec& cluster(std::string_view text);  // ClusterSpec::parse
-  // The effective deployment: the explicit spec when set, else the
-  // homogeneous one-group expansion of nodes().
-  [[nodiscard]] cluster::ClusterSpec cluster() const;
-  [[nodiscard]] bool has_explicit_cluster() const { return cluster_set_; }
+  [[nodiscard]] const cluster::ClusterSpec& cluster() const {
+    return cluster_;
+  }
 
   // Composite-function shape (workload::WorkflowSpec grammar, e.g.
   // "chain?stages=4" or "fanout?width=8&join=all"; "none" keeps calls
@@ -67,8 +65,12 @@ class ExperimentSpec {
 
   ExperimentSpec& cores(int value);
   [[nodiscard]] int cores() const { return cores_; }
+  // nodes(n) is cluster(ClusterSpec::homogeneous(n)); nodes() counts the
+  // deployment's nodes at t = 0.
   ExperimentSpec& nodes(int value);
-  [[nodiscard]] int nodes() const { return nodes_; }
+  [[nodiscard]] int nodes() const {
+    return static_cast<int>(cluster_.initial_nodes());
+  }
   ExperimentSpec& memory_mb(double value);
   [[nodiscard]] double memory_mb() const { return memory_mb_; }
 
@@ -82,7 +84,8 @@ class ExperimentSpec {
   // intensity= parameter, or the paper default when it has none.
   [[nodiscard]] int intensity() const;
 
-  // The deployment-side knobs handed to the scenario generator.
+  // The deployment-side knobs handed to the scenario generator: the
+  // deployment's total cores at t = 0, as one node.
   [[nodiscard]] workload::ScenarioContext scenario_context(
       const workload::FunctionCatalog& catalog) const;
 
@@ -106,10 +109,7 @@ class ExperimentSpec {
  private:
   SchedulerSpec scheduler_;
   int cores_ = 10;  // per node, for action containers
-  int nodes_ = 1;
-  bool nodes_set_ = false;
-  cluster::ClusterSpec cluster_;
-  bool cluster_set_ = false;
+  cluster::ClusterSpec cluster_ = cluster::ClusterSpec::homogeneous(1);
   workload::WorkflowSpec workflow_;  // "none" unless set
   double memory_mb_ = 32.0 * 1024.0;
   workload::ScenarioSpec scenario_;  // defaults to "uniform"

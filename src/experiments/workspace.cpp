@@ -49,9 +49,8 @@ CellResult CellWorkspace::run(const ExperimentSpec& spec,
   cp.invoker = sched.invoker;
   cp.policy = sched.policy;
   cp.balancer = sched.balancer;
-  // The legacy nodes()/cores()/memory_mb() triple arrives here as a
-  // one-group homogeneous ClusterSpec; explicit .cluster() specs arrive
-  // verbatim (groups override the base NodeParams).
+  // The spec's one deployment; its groups override the base NodeParams
+  // that cores()/memory_mb() set.
   cp.deployment = spec.cluster();
   cp.node = spec.node_params();
   cp.workflow = spec.workflow();

@@ -194,16 +194,6 @@ std::vector<double> Collector::stretches_of(workload::FunctionId f) const {
   return out;
 }
 
-util::Summary Collector::response_summary() const {
-  const auto rs = response_times();
-  return util::summarize(rs);
-}
-
-util::Summary Collector::stretch_summary() const {
-  const auto ss = stretches();
-  return util::summarize(ss);
-}
-
 std::size_t Collector::calls_of(workload::FunctionId f) const {
   const auto* idx = bucket(f);
   return idx == nullptr ? 0 : idx->size();
@@ -250,15 +240,6 @@ double Collector::workflow_slack_mean() const {
   double total = 0.0;
   for (const auto& w : workflows_) total += w.slack();
   return total / static_cast<double>(workflows_.size());
-}
-
-std::vector<double> concat(const std::vector<std::vector<double>>& reps) {
-  std::vector<double> out;
-  std::size_t total = 0;
-  for (const auto& r : reps) total += r.size();
-  out.reserve(total);
-  for (const auto& r : reps) out.insert(out.end(), r.begin(), r.end());
-  return out;
 }
 
 }  // namespace whisk::metrics

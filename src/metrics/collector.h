@@ -74,9 +74,6 @@ class Collector {
   [[nodiscard]] std::vector<double> stretches_of(
       workload::FunctionId f) const;
 
-  [[nodiscard]] util::Summary response_summary() const;
-  [[nodiscard]] util::Summary stretch_summary() const;
-
   // max c(i): the request completion time of the whole burst (Table II).
   [[nodiscard]] double max_completion() const { return max_completion_; }
 
@@ -145,10 +142,5 @@ class Collector {
   std::size_t resubmissions_ = 0;
   std::vector<WorkflowRecord> workflows_;
 };
-
-// Merge the samples of several repetitions into one flat vector (the paper
-// aggregates "all individual calls from all 5 sequences of calls").
-[[nodiscard]] std::vector<double> concat(
-    const std::vector<std::vector<double>>& reps);
 
 }  // namespace whisk::metrics

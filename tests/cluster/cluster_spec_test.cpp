@@ -178,19 +178,46 @@ TEST(ClusterSpecDeath, DiagnosticsEchoTheInputAndListValidNames) {
   EXPECT_DEATH((void)ClusterSpec::parse(""), "empty cluster spec");
 }
 
-TEST(ClusterSpecTest, ExplicitLruKeepAliveStillOverridesTheBase) {
-  // "keep-alive=lru" equals the default value, but naming it must behave
-  // like any explicit policy: it round-trips and it conflicts with a
-  // different policy stamped on the base NodeParams.
-  const auto spec = ClusterSpec::parse("node:2; keep-alive=lru");
-  EXPECT_TRUE(spec.keep_alive_set);
-  EXPECT_EQ(spec.to_string(), "node:2; keep-alive=lru");
+TEST(ClusterSpecTest, DefaultSectionsMeanAbsent) {
+  // A section spelled at its default is the same deployment as one that
+  // leaves it out: equal values, one rendering.
+  const auto spelled = ClusterSpec::parse(
+      "node:2; keep-alive=lru; autoscaler=none; faults=none; "
+      "resilience=none");
+  const auto bare = ClusterSpec::parse("node:2");
+  EXPECT_EQ(spelled, bare);
+  EXPECT_EQ(spelled.to_string(), "node:2");
+  EXPECT_EQ(spelled.to_compact_string(), "node:2");
+  EXPECT_EQ(ClusterSpec::parse("node:2|keep-alive=lru|autoscaler=none"),
+            bare);
+  EXPECT_EQ(ClusterSpec::parse(spelled.to_string()), spelled);
+}
+
+TEST(ClusterSpecTest, DeploymentKeepAliveAlwaysReachesTheNodes) {
+  // The deployment owns the keep-alive policy: node_params() stamps it
+  // over whatever the base NodeParams carries, default LRU included.
   node::NodeParams base;
   base.keep_alive = container::KeepAliveSpec::parse("ttl?idle-s=60");
-  EXPECT_DEATH((void)spec.node_params(0, base), "set it in one place");
-  // Without the explicit section the base policy is honored.
-  const auto unset = ClusterSpec::parse("node:2");
-  EXPECT_EQ(unset.node_params(0, base).keep_alive.name, "ttl");
+  EXPECT_EQ(ClusterSpec::parse("node:2").node_params(0, base).keep_alive,
+            container::KeepAliveSpec{});
+  EXPECT_EQ(ClusterSpec::parse("node:2; keep-alive=pool-target?floor=2")
+                .node_params(0, base)
+                .keep_alive.name,
+            "pool-target");
+}
+
+TEST(ClusterSpecTest, HomogeneousIsAlreadyCanonical) {
+  for (int n : {1, 2, 7, 64}) {
+    const auto spec = ClusterSpec::homogeneous(n);
+    EXPECT_TRUE(spec.canonical);
+    ClusterSpec raw = spec;
+    raw.canonical = false;
+    const auto walked = raw.normalized();
+    EXPECT_EQ(walked, spec) << n;
+    EXPECT_EQ(walked.to_string(), spec.to_string()) << n;
+    EXPECT_EQ(ClusterSpec::parse("node:" + std::to_string(n)), spec) << n;
+  }
+  EXPECT_DEATH((void)ClusterSpec::homogeneous(0), "at least one node");
 }
 
 TEST(ClusterSpecTest, AutoscalerAndSloSectionsRoundTrip) {
@@ -202,7 +229,6 @@ TEST(ClusterSpecTest, AutoscalerAndSloSectionsRoundTrip) {
   EXPECT_EQ(spec.to_string(), text);
   EXPECT_EQ(ClusterSpec::parse(spec.to_string()), spec);
   EXPECT_EQ(ClusterSpec::parse(spec.to_compact_string()), spec);
-  EXPECT_TRUE(spec.autoscaler_set);
   EXPECT_EQ(spec.autoscaler.name, "target-util");
   EXPECT_TRUE(spec.slo_set);
   EXPECT_EQ(spec.slo.metric, "p99");

@@ -135,7 +135,42 @@ TEST(CampaignSpecTest, DefaultGridHasNoClusterMode) {
   EXPECT_FALSE(spec.cluster_mode());
   EXPECT_EQ(spec.to_string().find("clusters="), std::string::npos)
       << "legacy grids round-trip without a clusters axis";
-  EXPECT_FALSE(spec.cell(0).spec.has_explicit_cluster());
+  EXPECT_EQ(spec.cell(0).spec.cluster(), cluster::ClusterSpec::homogeneous(1));
+}
+
+TEST(CampaignSpecTest, AxesSpelledAtTheirDefaultMeanAbsent) {
+  const char* bare = "schedulers=ours/sept; seeds=0..1; nodes=2";
+  const auto spelled = CampaignSpec::parse(
+      std::string(bare) + "; autoscalers=none; faults=none; workflows=none");
+  EXPECT_EQ(spelled, CampaignSpec::parse(bare));
+  EXPECT_FALSE(spelled.autoscaler_mode());
+  EXPECT_FALSE(spelled.fault_mode());
+  EXPECT_FALSE(spelled.workflow_mode());
+  EXPECT_EQ(spelled.to_string(), CampaignSpec::parse(bare).to_string());
+  EXPECT_EQ(CampaignSpec::parse(spelled.to_string()), spelled);
+  // A one-node clusters axis is no clusters axis either.
+  EXPECT_EQ(CampaignSpec::parse("schedulers=ours/sept; clusters=node:1"),
+            CampaignSpec::parse("schedulers=ours/sept"));
+}
+
+TEST(CampaignSpecTest, EverySpellingOfADeploymentYieldsTheSameCells) {
+  const std::string axes = "schedulers=ours/sept; seeds=0..1; cores=5; ";
+  const auto nodes = CampaignSpec::parse(axes + "nodes=2");
+  const auto clusters = CampaignSpec::parse(axes + "clusters=node:2");
+  const auto spelled = CampaignSpec::parse(
+      axes +
+      "clusters=node:2|keep-alive=lru|autoscaler=none|faults=none|"
+      "resilience=none; autoscalers=none; workflows=none");
+  EXPECT_EQ(clusters, spelled);
+  ASSERT_EQ(nodes.size(), clusters.size());
+  for (std::size_t i = 0; i < nodes.size(); ++i) {
+    const ExperimentSpec a = nodes.cell(i).spec;
+    const ExperimentSpec b = clusters.cell(i).spec;
+    EXPECT_EQ(a.cluster(), cluster::ClusterSpec::homogeneous(2)) << i;
+    EXPECT_EQ(b.cluster(), a.cluster()) << i;
+    EXPECT_EQ(b.nodes(), 2) << i;
+    EXPECT_EQ(b.seed(), a.seed()) << i;
+  }
 }
 
 TEST(CampaignSpecTest, FirstSeedsArePaperSeeds) {

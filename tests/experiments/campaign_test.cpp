@@ -292,7 +292,6 @@ TEST_F(CampaignTest, ClusterCellsCarryTheSpecIntoExperimentSpecs) {
       "clusters=big:1?cores=2+small:1");
   ASSERT_EQ(spec.size(), 1u);
   const auto cell = spec.cell(0);
-  EXPECT_TRUE(cell.spec.has_explicit_cluster());
   EXPECT_EQ(cell.spec.cluster().groups.size(), 2u);
   EXPECT_EQ(cell.spec.cluster().groups[0].name, "big");
 }
@@ -301,12 +300,19 @@ TEST(CampaignSpecClusterDeath, ClustersAndNodesAxesConflict) {
   EXPECT_DEATH((void)CampaignSpec::parse(
                    "schedulers=ours/fifo; nodes=2; clusters=node:3"),
                "clusters axis and a nodes axis");
-  // An explicit clusters axis conflicts even when its value happens to
-  // equal the default one-node deployment — it must never be silently
-  // dropped in favor of nodes=.
   EXPECT_DEATH((void)CampaignSpec::parse(
-                   "schedulers=ours/fifo; clusters=node:1; nodes=4"),
+                   "schedulers=ours/fifo; clusters=node:1,node:2; nodes=4"),
                "clusters axis and a nodes axis");
+}
+
+TEST(CampaignSpecClusterTest, DefaultClustersAxisLeavesNodesInCharge) {
+  // clusters=node:1 is the default deployment, i.e. no clusters axis: the
+  // nodes= axis sizes the fleet.
+  const auto spec =
+      CampaignSpec::parse("schedulers=ours/fifo; clusters=node:1; nodes=4");
+  EXPECT_FALSE(spec.cluster_mode());
+  EXPECT_EQ(spec.cell(0).spec.nodes(), 4);
+  EXPECT_EQ(spec, CampaignSpec::parse("schedulers=ours/fifo; nodes=4"));
 }
 
 TEST_F(CampaignTest, AutoscalerAxisRunsAndIsThreadInvariant) {
@@ -399,6 +405,27 @@ TEST(CampaignSpecAutoscalerDeath, AxisConflictsWithClusterSection) {
           "clusters=node:2|autoscaler=target-util; "
           "autoscalers=queue-depth"),
       "set it in one place");
+  EXPECT_DEATH(
+      (void)CampaignSpec::parse(
+          "schedulers=ours/fifo; "
+          "clusters=node:2|faults=slow-node; "
+          "faults=none,crash-restart"),
+      "set them in one place");
+}
+
+TEST(CampaignSpecAutoscalerTest, DefaultClusterSectionsDoNotConflict) {
+  // "autoscaler=none" / "faults=none" inside a cluster item are the
+  // absent sections, so the axes own their dimensions without a clash.
+  const auto spec = CampaignSpec::parse(
+      "schedulers=ours/fifo; clusters=node:2|autoscaler=none|faults=none; "
+      "autoscalers=target-util; faults=none,crash-restart");
+  EXPECT_EQ(spec.clusters[0], cluster::ClusterSpec::homogeneous(2));
+  ASSERT_TRUE(spec.autoscaler_mode());
+  ASSERT_TRUE(spec.fault_mode());
+  const auto cell = spec.cell(spec.seeds_per_group());  // faults_i == 1
+  EXPECT_EQ(cell.spec.cluster().autoscaler.name, "target-util");
+  ASSERT_EQ(cell.spec.cluster().faults.size(), 1u);
+  EXPECT_EQ(cell.spec.cluster().faults[0].name, "crash-restart");
 }
 
 TEST_F(CampaignTest, AutoscalerFreeGridsKeepTheLegacyColumnsStable) {

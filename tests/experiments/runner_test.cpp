@@ -185,6 +185,23 @@ TEST_F(RunnerTest, MultiNodeFixedTotal) {
   EXPECT_EQ(run.records.size(), 110u);
 }
 
+TEST_F(RunnerTest, NodesIsAHomogeneousCluster) {
+  EXPECT_EQ(ExperimentSpec().cluster(), cluster::ClusterSpec::homogeneous(1));
+  EXPECT_EQ(ExperimentSpec().nodes(3).cluster(),
+            cluster::ClusterSpec::homogeneous(3));
+  EXPECT_EQ(ExperimentSpec().cluster("big:2?cores=4,small:1").nodes(), 3);
+  // The last deployment setter wins; neither spelling conflicts.
+  EXPECT_EQ(ExperimentSpec().nodes(3).cluster("node:2").nodes(), 2);
+  EXPECT_EQ(ExperimentSpec().cluster("node:2").nodes(3).nodes(), 3);
+  // Scenarios size themselves by cores * nodes, the same for both
+  // spellings of one deployment.
+  const auto a = ExperimentSpec().nodes(2).cores(5).scenario_context(cat_);
+  const auto b =
+      ExperimentSpec().cluster("node:2").cores(5).scenario_context(cat_);
+  EXPECT_EQ(a.cores * a.nodes, 10);
+  EXPECT_EQ(b.cores * b.nodes, a.cores * a.nodes);
+}
+
 TEST_F(RunnerTest, RateDrivenScenariosRunEndToEnd) {
   // The new arrival processes work through the same runner surface as the
   // paper scenarios, with no code changes outside the spec string.

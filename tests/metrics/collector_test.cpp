@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
+#include "util/stats.h"
+
 namespace whisk::metrics {
 namespace {
 
@@ -104,7 +108,7 @@ TEST_F(CollectorTest, SummariesAggregate) {
   for (int i = 1; i <= 10; ++i) {
     col_.add(rec(i, 0, 0.0, static_cast<double>(i)));
   }
-  const auto sum = col_.response_summary();
+  const auto sum = util::summarize(col_.response_times());
   EXPECT_EQ(sum.count, 10u);
   EXPECT_DOUBLE_EQ(sum.mean, 5.5);
   EXPECT_DOUBLE_EQ(sum.max, 10.0);
@@ -161,7 +165,7 @@ TEST_F(CollectorTest, LatencyMetricsCoverOkRecordsOnly) {
   // "response" is a refusal time, not a service observation.
   EXPECT_EQ(col_.response_times().size(), 1u);
   EXPECT_EQ(col_.stretches().size(), 1u);
-  EXPECT_EQ(col_.response_summary().count, 1u);
+  EXPECT_EQ(util::summarize(col_.response_times()).count, 1u);
   EXPECT_DOUBLE_EQ(col_.max_completion(), 1.0);
   EXPECT_EQ(col_.calls_of(0), 1u);
 }
@@ -202,10 +206,20 @@ TEST(CollectorDeath, RejectsRefusedRecordWithExecutionInterval) {
   EXPECT_DEATH(col.add(r), "execution interval");
 }
 
-TEST(Concat, FlattensRepetitions) {
-  const std::vector<std::vector<double>> reps = {{1.0, 2.0}, {}, {3.0}};
-  const auto flat = concat(reps);
-  EXPECT_EQ(flat, (std::vector<double>{1.0, 2.0, 3.0}));
+TEST_F(CollectorTest, RepetitionsPoolByConcatenation) {
+  // The paper aggregates "all individual calls from all 5 sequences of
+  // calls": pooling repetitions is appending their samples in order.
+  Collector second(cat_);
+  col_.add(rec(0, 0, 0.0, 1.0));
+  col_.add(rec(1, 0, 0.0, 2.0));
+  second.add(rec(0, 0, 0.0, 3.0));
+  std::vector<double> pooled = col_.response_times();
+  const auto more = second.response_times();
+  pooled.insert(pooled.end(), more.begin(), more.end());
+  EXPECT_EQ(pooled, (std::vector<double>{1.0, 2.0, 3.0}));
+  const auto sum = util::summarize(pooled);
+  EXPECT_EQ(sum.count, 3u);
+  EXPECT_DOUBLE_EQ(sum.mean, 2.0);
 }
 
 }  // namespace

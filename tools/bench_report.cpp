@@ -235,20 +235,17 @@ std::size_t run_fault_path_workload(const whisk::workload::FunctionCatalog& cat,
 }
 
 // The workflow-path overhead probe: the same single-node grid as the fault
-// probe in three configurations.
-//   kPlain   no workflows= axis — workflow_ stays null and every call takes
-//            the exact pre-workflow code path (pinned byte-identical by the
-//            paper benches).
-//   kNone    workflows=none configured explicitly: the axis is armed and
-//            every cell carries a WorkflowSpec, but the disabled spec keeps
-//            workflow_ null — the subsystem's cost when no DAG is
-//            configured. The plain/none ratio is the acceptance number.
+// probe in two configurations.
+//   kPlain   no workflows= axis (workflows=none is the same grid) —
+//            workflow_ stays null and every call takes the exact
+//            pre-workflow code path (pinned byte-identical by the paper
+//            benches).
 //   kSingle  chain?stages=1: the WorkflowEngine is fully armed — root
 //            registration, cp hints, per-record annotation and resolution
 //            bookkeeping all run — but the one-stage DAG spawns no extra
-//            calls, so every configuration simulates the identical call
-//            population; armed marginal cost, reported for context.
-enum class WorkflowPathConfig { kPlain, kNone, kSingle };
+//            calls, so both configurations simulate the identical call
+//            population; the armed marginal cost.
+enum class WorkflowPathConfig { kPlain, kSingle };
 
 std::size_t run_workflow_path_workload(
     const whisk::workload::FunctionCatalog& cat, WorkflowPathConfig config) {
@@ -259,10 +256,7 @@ std::size_t run_workflow_path_workload(
   grid.scenarios = {
       whisk::workload::ScenarioSpec::parse("fixed-total?total=2000")};
   grid.cores = {5};
-  if (config == WorkflowPathConfig::kNone) {
-    grid.workflows = {whisk::workload::WorkflowSpec{}};
-    grid.workflows_set = true;
-  } else if (config == WorkflowPathConfig::kSingle) {
+  if (config == WorkflowPathConfig::kSingle) {
     grid.workflows = {whisk::workload::WorkflowSpec::parse("chain?stages=1")};
   }
   grid.seeds = {0, 1, 2, 3};
@@ -297,7 +291,7 @@ void emit(std::FILE* out, const char* churn_label, int hw_threads,
           Measurement autoscaled, Measurement fault_base,
           Measurement fault_tracked, Measurement fault_dormant,
           Measurement fault_armed, Measurement wf_plain,
-          Measurement wf_none, Measurement wf_single,
+          Measurement wf_single,
           const std::vector<DistPoint>& distributed) {
   auto block = [out](const char* name, const Measurement& m,
                      const char* trailer) {
@@ -385,25 +379,17 @@ void emit(std::FILE* out, const char* churn_label, int hw_threads,
   std::fprintf(out, "  \"workflow_path\": {\n");
   std::fprintf(out,
                "    \"plain_cells_per_sec\": %.2f,\n"
-               "    \"none_cells_per_sec\": %.2f,\n"
-               "    \"overhead_pct\": %.2f,\n"
                "    \"single_stage_cells_per_sec\": %.2f,\n"
                "    \"armed_overhead_pct\": %.2f,\n"
-               "    \"description\": \"overhead_pct: workflows=none "
-               "configured explicitly (axis armed, workflow engine never "
-               "instantiated) vs the plain workflow-free hot path — the "
-               "subsystem's cost when no DAG is configured (acceptance: "
-               "< 2%%); the same claim the byte-identical paper benches pin "
-               "behaviorally. armed_overhead_pct: a fully armed "
-               "single-stage workflow (chain?stages=1 — root registration, "
-               "cp hints, per-record annotation, resolution bookkeeping; no "
-               "extra calls spawned) on the identical call population — the "
-               "engine's marginal per-call cost once a DAG is configured, "
-               "for context.\"\n",
-               wf_plain.events_per_sec, wf_none.events_per_sec,
-               (wf_plain.events_per_sec / wf_none.events_per_sec - 1.0) *
-                   100.0,
-               wf_single.events_per_sec,
+               "    \"description\": \"plain: the workflow-free hot path "
+               "(no workflows= axis, or workflows=none), whose freedom from "
+               "workflow cost the byte-identical paper benches pin. "
+               "armed_overhead_pct: a fully armed single-stage workflow "
+               "(chain?stages=1 — root registration, cp hints, per-record "
+               "annotation, resolution bookkeeping; no extra calls spawned) "
+               "on the identical call population — the engine's marginal "
+               "per-call cost once a DAG is configured.\"\n",
+               wf_plain.events_per_sec, wf_single.events_per_sec,
                (wf_plain.events_per_sec / wf_single.events_per_sec - 1.0) *
                    100.0);
   std::fprintf(out, "  },\n");
@@ -663,15 +649,14 @@ int main(int argc, char** argv) {
   const Measurement fault_dormant = fault_m[2];
   const Measurement fault_armed = fault_m[3];
 
-  // Same interleaved discipline for the workflow-path triple.
+  // Same interleaved discipline for the workflow-path pair.
   std::fprintf(stderr, "measuring workflow-path overhead (interleaved)...\n");
   constexpr WorkflowPathConfig kWorkflowConfigs[] = {
-      WorkflowPathConfig::kPlain, WorkflowPathConfig::kNone,
-      WorkflowPathConfig::kSingle};
-  Measurement wf_m[3];
+      WorkflowPathConfig::kPlain, WorkflowPathConfig::kSingle};
+  Measurement wf_m[2];
   double wf_elapsed = 0.0;
-  while (wf_elapsed < 6.0) {
-    for (std::size_t i = 0; i < 3; ++i) {
+  while (wf_elapsed < 4.0) {
+    for (std::size_t i = 0; i < 2; ++i) {
       const auto t0 = Clock::now();
       const std::size_t cells =
           run_workflow_path_workload(cat, kWorkflowConfigs[i]);
@@ -707,7 +692,7 @@ int main(int argc, char** argv) {
   emit(stdout, "engine_hot_path", hw_threads, new_churn, seed_churn,
        new_drain, seed_drain, new_hist, seed_hist, scaling, hetero,
        autoscaled, fault_base, fault_tracked, fault_dormant, fault_armed,
-       wf_m[0], wf_m[1], wf_m[2], distributed);
+       wf_m[0], wf_m[1], distributed);
   std::FILE* f = std::fopen(path.c_str(), "w");
   if (f == nullptr) {
     std::fprintf(stderr, "cannot write %s\n", path.c_str());
@@ -716,7 +701,7 @@ int main(int argc, char** argv) {
   emit(f, "engine_hot_path", hw_threads, new_churn, seed_churn, new_drain,
        seed_drain, new_hist, seed_hist, scaling, hetero, autoscaled,
        fault_base, fault_tracked, fault_dormant, fault_armed, wf_m[0],
-       wf_m[1], wf_m[2], distributed);
+       wf_m[1], distributed);
   std::fclose(f);
   std::fprintf(stderr, "wrote %s (churn speedup: %.2fx)\n", path.c_str(),
                new_churn.events_per_sec / seed_churn.events_per_sec);
