@@ -7,6 +7,8 @@
 // The closed-loop idle benchmark is not grid-shaped (no seeds/schedulers to
 // sweep), so it calls the campaign's parallel_for directly: one index per
 // function, results printed in catalog order regardless of completion order.
+#include <algorithm>
+
 #include "bench_common.h"
 
 using namespace whisk;
@@ -30,12 +32,12 @@ int main() {
     std::vector<double> ms;
     ms.reserve(responses[i].size());
     for (double r : responses[i]) ms.push_back(r * 1000.0);
-    table.add_row({spec.name,
-                   bench::with_ref(util::percentile(ms, 5.0), spec.p5_ms, 0),
-                   bench::with_ref(util::percentile(ms, 50.0), spec.median_ms,
-                                   0),
-                   bench::with_ref(util::percentile(ms, 95.0), spec.p95_ms,
-                                   0)});
+    std::sort(ms.begin(), ms.end());
+    table.add_row(
+        {spec.name,
+         bench::with_ref(util::percentile_sorted(ms, 5.0), spec.p5_ms, 0),
+         bench::with_ref(util::percentile_sorted(ms, 50.0), spec.median_ms, 0),
+         bench::with_ref(util::percentile_sorted(ms, 95.0), spec.p95_ms, 0)});
   }
   std::printf("%s\n", table.to_string().c_str());
   return 0;

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <charconv>
-#include <cstdio>
+#include <cstdint>
 #include <mutex>
 #include <string_view>
 #include <utility>
@@ -28,6 +28,21 @@ std::string overrides_field(const CampaignSpec& spec,
   return out;
 }
 
+// The overrides as the cells JSONL spells them: an object of numbers.
+std::string overrides_json(const CampaignSpec& spec,
+                           const CampaignCell& cell) {
+  std::string out = "\"overrides\":{";
+  for (std::size_t k = 0; k < spec.overrides.size(); ++k) {
+    if (k > 0) out += ',';
+    metrics::append_json_member(
+        out, spec.overrides[k].first,
+        util::fmt_g(spec.overrides[k].second[cell.override_i[k]]),
+        /*numeric=*/true);
+  }
+  out += '}';
+  return out;
+}
+
 // How a number is spelled in the cells files: a whole count, or a double
 // in one of the two spellings the files have always used.
 enum class Format {
@@ -44,18 +59,18 @@ struct Number {
   [[nodiscard]] std::string_view view() const { return {buf, len}; }
 };
 
+// to_chars in chars_format::general at a precision is, by the standard's
+// definition, printf's %g at that precision: the same bytes, without the
+// format-string parse.
 Number spell(Format format, double x) {
   Number n;
-  if (format == kCount) {
-    n.len = static_cast<std::size_t>(
-        std::to_chars(n.buf, n.buf + sizeof n.buf,
-                      static_cast<unsigned long long>(x))
-            .ptr -
-        n.buf);
-  } else {
-    n.len = static_cast<std::size_t>(std::snprintf(
-        n.buf, sizeof n.buf, format == kShort ? "%g" : "%.10g", x));
-  }
+  char* const end = n.buf + sizeof n.buf;
+  const std::to_chars_result r =
+      format == kCount
+          ? std::to_chars(n.buf, end, static_cast<unsigned long long>(x))
+          : std::to_chars(n.buf, end, x, std::chars_format::general,
+                          format == kShort ? 6 : 10);
+  n.len = static_cast<std::size_t>(r.ptr - n.buf);
   return n;
 }
 
@@ -165,6 +180,11 @@ std::string groups_field(const std::vector<cluster::GroupStats>& groups) {
   return out;
 }
 
+// Where coordinate_fields puts the two coordinates that change inside a
+// group.
+constexpr std::size_t kCellField = 0;
+constexpr std::size_t kSeedField = 3;
+
 // The cell's coordinates as typed fields, in column order: the leading
 // columns of the cells CSV/JSONL and of every record-context.
 //
@@ -207,14 +227,39 @@ metrics::StreamingSummary fold_streams(
   return agg;
 }
 
+// Keeps `fields` on the coordinate fields of cell `index`, across the rows
+// of one renderer. Inside a group only `cell` and `seed` change (seeds are
+// the innermost axis), so the fields are rebuilt when the group changes and
+// otherwise only those two are re-spelled. True when the group changed.
+bool row_coordinates(const CampaignSpec& spec, std::size_t index,
+                     std::size_t& group,
+                     std::vector<metrics::RunContextField>& fields) {
+  const std::size_t per = spec.seeds_per_group();
+  if (fields.empty() || group != index / per) {
+    group = index / per;
+    fields = coordinate_fields(spec, spec.coordinates(index));
+    return true;
+  }
+  fields[kCellField].value = std::to_string(index);
+  fields[kSeedField].value = std::to_string(spec.seeds[index % per]);
+  return false;
+}
+
+void append_number(std::string& out, std::uint64_t x) {
+  char buf[24];
+  out.append(buf, std::to_chars(buf, buf + sizeof buf, x).ptr);
+}
+
 }  // namespace
 
 util::Summary CellResult::response_summary() const {
+  if (response.count == ok_calls) return response;
   if (responses.size() == ok_calls) return util::summarize(responses);
   return response_stream.summary();
 }
 
 util::Summary CellResult::stretch_summary() const {
+  if (stretch.count == ok_calls) return stretch;
   if (stretches.size() == ok_calls) return util::summarize(stretches);
   return stretch_stream.summary();
 }
@@ -330,13 +375,20 @@ CampaignResult run_campaign(const CampaignSpec& raw_spec,
     CellResult& res = out.cells[i];
     res = ws.run(cell.spec, cat, want_records);
     res.index = global;
-    if (!options.retain_samples) {
+    if (options.retain_samples) {
+      res.response = util::summarize(res.responses);
+      res.stretch = util::summarize(res.stretches);
+    } else {
       res.response_stream =
           metrics::StreamingSummary(options.reservoir_capacity);
       res.stretch_stream =
           metrics::StreamingSummary(options.reservoir_capacity);
+      res.response_stream.reservoir.reserve(res.ok_calls);
+      res.stretch_stream.reservoir.reserve(res.ok_calls);
       for (double r : res.responses) res.response_stream.add(r);
       for (double s : res.stretches) res.stretch_stream.add(s);
+      res.response = res.response_stream.summary();
+      res.stretch = res.stretch_stream.summary();
       // Free the buffers, not only the elements (`= {}` would keep them):
       // every cell holds its slot until the campaign returns.
       res.responses = std::vector<double>();
@@ -442,20 +494,25 @@ std::string cells_csv(const CampaignResult& result) {
     out += column.name;
   }
   out += ",groups\n";
+  std::size_t group = 0;
+  std::vector<metrics::RunContextField> fields;
+  std::string overrides;
   for (const auto& res : result.cells) {
-    const CampaignCell cell = spec.coordinates(res.index);
-    for (const auto& field : coordinate_fields(spec, cell)) {
+    if (row_coordinates(spec, res.index, group, fields)) {
+      overrides = overrides_field(spec, spec.coordinates(res.index));
+    }
+    for (const auto& field : fields) {
       metrics::append_csv_field(out, field.value);
       out += ',';
     }
-    metrics::append_csv_field(out, overrides_field(spec, cell));
+    metrics::append_csv_field(out, overrides);
     out += ',';
     out += spell(kCount, static_cast<double>(res.calls)).view();
     append_summary_csv(out, res.response_summary());
     append_summary_csv(out, res.stretch_summary());
     for (const MetricColumn& column : kMetricColumns) {
       out += ',';
-      metrics::append_csv_field(out, spell(column, res).view());
+      out += spell(column, res).view();
     }
     out += ',';
     metrics::append_csv_field(out, groups_field(res.groups));
@@ -467,22 +524,20 @@ std::string cells_csv(const CampaignResult& result) {
 std::string cells_jsonl(const CampaignResult& result) {
   const CampaignSpec& spec = result.spec;
   std::string out;
+  std::size_t group = 0;
+  std::vector<metrics::RunContextField> fields;
+  std::string overrides;
   for (const auto& res : result.cells) {
-    const CampaignCell cell = spec.coordinates(res.index);
+    if (row_coordinates(spec, res.index, group, fields)) {
+      overrides = overrides_json(spec, spec.coordinates(res.index));
+    }
     out += '{';
-    for (const auto& field : coordinate_fields(spec, cell)) {
+    for (const auto& field : fields) {
       metrics::append_json_member(out, field.key, field.value, field.numeric);
       out += ',';
     }
-    out += "\"overrides\":{";
-    for (std::size_t k = 0; k < spec.overrides.size(); ++k) {
-      if (k > 0) out += ',';
-      metrics::append_json_member(
-          out, spec.overrides[k].first,
-          util::fmt_g(spec.overrides[k].second[cell.override_i[k]]),
-          /*numeric=*/true);
-    }
-    out += "},\"calls\":";
+    out += overrides;
+    out += ",\"calls\":";
     out += spell(kCount, static_cast<double>(res.calls)).view();
     out += ",\"response\":";
     append_summary_json(out, res.response_summary());
@@ -497,12 +552,15 @@ std::string cells_jsonl(const CampaignResult& result) {
     for (std::size_t g = 0; g < res.groups.size(); ++g) {
       if (g > 0) out += ',';
       const auto& group = res.groups[g];
-      out += "{\"name\":\"";
-      out += metrics::json_escape(group.name);
-      out += "\",\"nodes_ever\":" + std::to_string(group.nodes) +
-             ",\"calls\":" + std::to_string(group.stats.calls_completed) +
-             ",\"cold_starts\":" + std::to_string(group.stats.cold_starts) +
-             '}';
+      out += '{';
+      metrics::append_json_member(out, "name", group.name, /*numeric=*/false);
+      out += ",\"nodes_ever\":";
+      append_number(out, group.nodes);
+      out += ",\"calls\":";
+      append_number(out, group.stats.calls_completed);
+      out += ",\"cold_starts\":";
+      append_number(out, group.stats.cold_starts);
+      out += '}';
     }
     out += "]}\n";
   }

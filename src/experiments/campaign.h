@@ -85,13 +85,21 @@ struct CellResult {
   metrics::StreamingSummary response_stream;
   metrics::StreamingSummary stretch_stream;
 
+  // The cell's response and stretch summaries, computed once by
+  // run_campaign on the worker that ran the cell: exact over the samples
+  // when they are retained, from the streams otherwise. A CellResult built
+  // elsewhere leaves them empty (count != ok_calls).
+  util::Summary response;
+  util::Summary stretch;
+
   // Exact per-call samples (R(i) seconds, S(i)) and full records. A
   // campaign keeps them only under retain_samples / retain_records.
   std::vector<double> responses;
   std::vector<double> stretches;
   std::vector<metrics::CallRecord> records;
 
-  // Exact summaries when samples were retained, streaming otherwise.
+  // The stored summaries when they cover the cell; otherwise computed on
+  // demand: exact when samples were retained, streaming otherwise.
   [[nodiscard]] util::Summary response_summary() const;
   [[nodiscard]] util::Summary stretch_summary() const;
 };

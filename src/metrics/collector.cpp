@@ -224,8 +224,11 @@ std::vector<double> Collector::workflow_e2e() const {
 
 double Collector::workflow_e2e_p99() const {
   if (workflows_.empty()) return 0.0;
-  const auto e2e = workflow_e2e();
-  return util::percentile(e2e, 99.0);
+  std::vector<double> e2e = workflow_e2e();
+  const double q = 99.0;
+  double p99 = 0.0;
+  util::select_percentiles(e2e, {&q, 1}, {&p99, 1});
+  return p99;
 }
 
 double Collector::workflow_critical_path_mean() const {

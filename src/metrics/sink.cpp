@@ -12,8 +12,17 @@ namespace whisk::metrics {
 
 namespace {
 
+bool needs_json_escape(char c) {
+  return c == '"' || c == '\\' || static_cast<unsigned char>(c) < 0x20;
+}
+
 void append_json_escaped(std::string& out, std::string_view value) {
-  for (char c : value) {
+  // Most keys and values have nothing to escape: append them in one go.
+  const auto clean = static_cast<std::size_t>(
+      std::find_if(value.begin(), value.end(), needs_json_escape) -
+      value.begin());
+  out += value.substr(0, clean);
+  for (char c : value.substr(clean)) {
     switch (c) {
       case '"':
         out += "\\\"";
@@ -162,13 +171,8 @@ util::Summary StreamingSummary::summary() const {
   s.min = stats.min();
   s.max = stats.max();
   s.stddev = stats.stddev();
-  std::vector<double> sorted = reservoir.samples();
-  std::sort(sorted.begin(), sorted.end());
-  s.p25 = util::percentile_sorted(sorted, 25.0);
-  s.p50 = util::percentile_sorted(sorted, 50.0);
-  s.p75 = util::percentile_sorted(sorted, 75.0);
-  s.p95 = util::percentile_sorted(sorted, 95.0);
-  s.p99 = util::percentile_sorted(sorted, 99.0);
+  std::vector<double> scratch = reservoir.samples();
+  util::fill_percentiles(scratch, s);
   return s;
 }
 

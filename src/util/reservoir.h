@@ -1,5 +1,6 @@
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
@@ -45,16 +46,30 @@ class Reservoir {
     samples_.insert(samples_.end(), other.samples_.begin(),
                     other.samples_.end());
     seen_ += other.seen_;
-    if (samples_.size() > capacity_ && capacity_ > 0) {
-      std::vector<double> thinned;
-      thinned.reserve(capacity_);
-      const std::size_t n = samples_.size();
-      for (std::size_t k = 0; k < capacity_; ++k) {
-        thinned.push_back(samples_[k * n / capacity_]);
+    const std::size_t n = samples_.size();
+    if (n <= capacity_ || capacity_ == 0) return;
+    // Keep the elements at k*n/capacity, k = 0..capacity-1, in place: that
+    // index is always >= k, so every survivor moves down. Step through the
+    // indices by n/capacity, carrying the remainder.
+    const std::size_t step = n / capacity_;
+    const std::size_t rem = n % capacity_;
+    std::size_t index = 0;
+    std::size_t carry = 0;
+    for (std::size_t k = 0; k < capacity_; ++k) {
+      samples_[k] = samples_[index];
+      index += step;
+      carry += rem;
+      if (carry >= capacity_) {
+        carry -= capacity_;
+        ++index;
       }
-      samples_ = std::move(thinned);
     }
+    samples_.resize(capacity_);
   }
+
+  // Allocate room for `n` samples up front (clamped to the capacity), for a
+  // stream whose length is known before it is added.
+  void reserve(std::size_t n) { samples_.reserve(std::min(n, capacity_)); }
 
   // Values observed so far (not the retained count).
   [[nodiscard]] std::size_t seen() const { return seen_; }

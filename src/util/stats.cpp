@@ -33,27 +33,74 @@ double percentile_sorted(std::span<const double> sorted, double q) {
   return sorted[lo] + frac * (sorted[hi] - sorted[lo]);
 }
 
+void select_percentiles(std::span<double> xs, std::span<const double> qs,
+                        std::span<double> out) {
+  WHISK_CHECK(out.size() == qs.size(), "one output per percentile rank");
+  for (std::size_t k = 0; k < qs.size(); ++k) {
+    WHISK_CHECK(qs[k] >= 0.0 && qs[k] <= 100.0,
+                "percentile rank out of range");
+    WHISK_CHECK(k == 0 || qs[k - 1] <= qs[k], "percentile ranks must ascend");
+  }
+  const std::size_t n = xs.size();
+  if (n < kSelectFrom) {
+    std::sort(xs.begin(), xs.end());
+    for (std::size_t k = 0; k < qs.size(); ++k) {
+      out[k] = percentile_sorted(xs, qs[k]);
+    }
+    return;
+  }
+  // Invariant: xs[0, placed) holds the `placed` smallest values, and each
+  // rank below `placed` that a quantile reads is at its sorted position.
+  // percentile_sorted reads only ranks lo and hi, so once both are placed
+  // it returns what it would over a fully sorted copy.
+  double* const data = xs.data();
+  std::size_t placed = 0;
+  for (std::size_t k = 0; k < qs.size(); ++k) {
+    // The ranks percentile_sorted reads.
+    const auto lo = static_cast<std::size_t>(qs[k] / 100.0 *
+                                             static_cast<double>(n - 1));
+    const auto hi = std::min(lo + 1, n - 1);
+    if (lo >= placed) {
+      std::nth_element(data + placed, data + lo, data + n);
+      placed = lo + 1;
+    }
+    if (hi >= placed) {  // hi == lo + 1: the smallest value above xs[lo]
+      std::iter_swap(data + hi, std::min_element(data + hi, data + n));
+      placed = hi + 1;
+    }
+    out[k] = percentile_sorted(xs, qs[k]);
+  }
+}
+
+void fill_percentiles(std::span<double> xs, Summary& s) {
+  static constexpr double kRanks[] = {25.0, 50.0, 75.0, 95.0, 99.0};
+  double out[5];
+  select_percentiles(xs, kRanks, out);
+  s.p25 = out[0];
+  s.p50 = out[1];
+  s.p75 = out[2];
+  s.p95 = out[3];
+  s.p99 = out[4];
+}
+
 double percentile(std::span<const double> xs, double q) {
   std::vector<double> copy(xs.begin(), xs.end());
-  std::sort(copy.begin(), copy.end());
-  return percentile_sorted(copy, q);
+  double out = 0.0;
+  select_percentiles(copy, {&q, 1}, {&out, 1});
+  return out;
 }
 
 Summary summarize(std::span<const double> xs) {
   Summary s;
   s.count = xs.size();
   if (xs.empty()) return s;
-  std::vector<double> sorted(xs.begin(), xs.end());
-  std::sort(sorted.begin(), sorted.end());
   s.mean = mean(xs);
   s.stddev = stddev(xs);
-  s.min = sorted.front();
-  s.max = sorted.back();
-  s.p25 = percentile_sorted(sorted, 25.0);
-  s.p50 = percentile_sorted(sorted, 50.0);
-  s.p75 = percentile_sorted(sorted, 75.0);
-  s.p95 = percentile_sorted(sorted, 95.0);
-  s.p99 = percentile_sorted(sorted, 99.0);
+  const auto [min, max] = std::minmax_element(xs.begin(), xs.end());
+  s.min = *min;
+  s.max = *max;
+  std::vector<double> copy(xs.begin(), xs.end());
+  fill_percentiles(copy, s);
   return s;
 }
 

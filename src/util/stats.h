@@ -28,14 +28,25 @@ struct Summary {
 [[nodiscard]] double stddev(std::span<const double> xs);
 
 // Percentile with linear interpolation between closest ranks
-// (the numpy default). `q` in [0, 100]. Sorts a copy.
+// (the numpy default). `q` in [0, 100]. Selects on a copy.
 [[nodiscard]] double percentile(std::span<const double> xs, double q);
 
 // Percentile over an already-sorted sample (no copy).
 [[nodiscard]] double percentile_sorted(std::span<const double> sorted,
                                        double q);
 
-// Full summary; sorts a copy once and derives all quantiles from it.
+// The percentiles `qs` (ascending, each in [0, 100]) of `xs` into `out`,
+// reordering `xs`. Bit-identical to percentile_sorted over a sorted copy:
+// below kSelectFrom samples it sorts; from there it places only the order
+// statistics the ranks need, with std::nth_element.
+inline constexpr std::size_t kSelectFrom = 256;
+void select_percentiles(std::span<double> xs, std::span<const double> qs,
+                        std::span<double> out);
+
+// A Summary's p25..p99 of `xs` through select_percentiles (reorders `xs`).
+void fill_percentiles(std::span<double> xs, Summary& s);
+
+// Full summary; selects all quantiles from one copy.
 [[nodiscard]] Summary summarize(std::span<const double> xs);
 
 // Welford-style streaming accumulator for mean/variance. Used where

@@ -1,6 +1,7 @@
 #include "util/table.h"
 
 #include <algorithm>
+#include <charconv>
 #include <cstdio>
 #include <sstream>
 
@@ -59,9 +60,11 @@ std::string fmt_range(double lo, double hi, int precision) {
 }
 
 std::string fmt_g(double value) {
+  // to_chars in general format at precision 10 is %.10g by definition.
   char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.10g", value);
-  return buf;
+  const std::to_chars_result r = std::to_chars(
+      buf, buf + sizeof buf, value, std::chars_format::general, 10);
+  return std::string(buf, r.ptr);
 }
 
 }  // namespace whisk::util

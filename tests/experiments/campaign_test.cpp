@@ -11,6 +11,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <cstdio>
+#include <iterator>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -19,6 +22,7 @@
 #include "experiments/runner.h"
 #include "metrics/csv.h"
 #include "metrics/sink.h"
+#include "util/table.h"
 #include "util/thread_pool.h"
 
 namespace whisk::experiments {
@@ -652,6 +656,65 @@ TEST_F(CampaignTest, CellsRowsAndRecordContextShareOneSchema) {
   }
 }
 
+TEST_F(CampaignTest, RowsSpellEachCellsOwnCoordinates) {
+  // The renderers keep a group's coordinate fields and re-spell only `cell`
+  // and `seed` inside it; every row must still carry the coordinates of its
+  // own cell, which the record context spells afresh per cell. Scattered
+  // seeds and an override axis give four groups of three rows.
+  const auto spec = CampaignSpec::parse(
+      "schedulers=baseline/fifo,ours/sept; scenarios=fixed-total?total=60; "
+      "seeds=8,3,5; cores=5; override:strain_per_container=0.01,0.02");
+  std::ostringstream records;
+  metrics::MetricsPipeline pipeline;
+  pipeline.emplace<metrics::CsvSink>(records, cat_);
+  CampaignOptions opts;
+  opts.threads = 2;
+  opts.pipeline = &pipeline;
+  const auto result = run_campaign(spec, cat_, opts);
+  ASSERT_EQ(result.cells.size(), 12u);
+
+  // The leading (context) columns of each cell's first record row.
+  std::vector<std::vector<std::string>> context(result.cells.size());
+  const std::vector<std::string> record_lines = lines_of(records.str());
+  for (std::size_t i = 1; i < record_lines.size(); ++i) {
+    std::vector<std::string> row = split_csv(record_lines[i]);
+    auto& slot = context.at(std::stoul(row.at(0)));
+    if (slot.empty()) slot = std::move(row);
+  }
+
+  const std::vector<std::string> csv = lines_of(cells_csv(result));
+  const std::vector<std::string> jsonl = lines_of(cells_jsonl(result));
+  ASSERT_EQ(csv.size(), result.cells.size() + 1);
+  ASSERT_EQ(jsonl.size(), result.cells.size());
+  const std::vector<std::string> header = split_csv(csv[0]);
+  const auto coordinates = static_cast<std::size_t>(
+      std::find(header.begin(), header.end(), "overrides") - header.begin());
+  ASSERT_EQ(header[0], "cell");
+  ASSERT_EQ(header[3], "seed");
+  for (std::size_t i = 0; i < result.cells.size(); ++i) {
+    const std::vector<std::string> row = split_csv(csv[i + 1]);
+    ASSERT_GT(context[i].size(), coordinates) << "cell " << i;
+    EXPECT_EQ(std::vector<std::string>(row.begin(), row.begin() + coordinates),
+              std::vector<std::string>(context[i].begin(),
+                                       context[i].begin() + coordinates))
+        << "cell " << i;
+    EXPECT_EQ(row[coordinates],
+              "strain_per_container=" + context[i][coordinates])
+        << "cell " << i;
+    EXPECT_EQ(jsonl[i].rfind("{\"cell\":" + row[0] + ",\"scheduler\":\"" +
+                                 row[1] + "\",",
+                             0),
+              0u)
+        << "line " << i;
+    EXPECT_NE(jsonl[i].find(",\"seed\":" + row[3] + ","), std::string::npos)
+        << "line " << i;
+    EXPECT_NE(jsonl[i].find("\"overrides\":{\"strain_per_container\":" +
+                            context[i][coordinates] + "}"),
+              std::string::npos)
+        << "line " << i;
+  }
+}
+
 TEST_F(CampaignTest, PooledHelpersNeedRetainedSamples) {
   CampaignSpec spec;
   spec.scenarios = {workload::ScenarioSpec::parse("uniform?intensity=30")};
@@ -703,6 +766,101 @@ TEST_F(CampaignTest, GroupSummaryFoldsStreamsWithoutSamples) {
     expect_same_summary(got.stretch, aggregate_stretches(cells).summary(),
                         "stretch");
     EXPECT_FALSE(aggregate_responses(cells).exact());
+  }
+}
+
+TEST_F(CampaignTest, StoredCellSummariesEqualRecomputedOnes) {
+  for (const bool retain : {true, false}) {
+    CampaignOptions opts;
+    opts.threads = 2;
+    opts.retain_samples = retain;
+    opts.reservoir_capacity = 64;  // below a cell's calls: thinned streams
+    const auto result = run_campaign(small_grid(), cat_, opts);
+    for (const CellResult& cell : result.cells) {
+      const util::Summary response = retain
+                                         ? util::summarize(cell.responses)
+                                         : cell.response_stream.summary();
+      const util::Summary stretch = retain
+                                        ? util::summarize(cell.stretches)
+                                        : cell.stretch_stream.summary();
+      EXPECT_EQ(cell.response.count, cell.ok_calls);
+      expect_same_summary(cell.response, response, "stored response");
+      expect_same_summary(cell.stretch, stretch, "stored stretch");
+      expect_same_summary(cell.response_summary(), response, "response");
+      expect_same_summary(cell.stretch_summary(), stretch, "stretch");
+    }
+  }
+}
+
+// A CellResult assembled outside run_campaign carries no stored summaries
+// (count 0 != ok_calls): its summaries are computed on demand, so it
+// renders the same cells rows as the campaign's own cell.
+TEST_F(CampaignTest, HandAssembledCellsRenderTheSameRows) {
+  const auto spec = small_grid();
+  CampaignOptions opts;
+  opts.threads = 2;
+  const auto exact = run_campaign(spec, cat_, opts);
+  opts.retain_samples = false;
+  opts.reservoir_capacity = 64;
+  const auto streamed = run_campaign(spec, cat_, opts);
+
+  CampaignResult kept = exact;
+  CampaignResult bounded = exact;
+  for (std::size_t i = 0; i < exact.cells.size(); ++i) {
+    CellResult& k = kept.cells[i];
+    k.response = {};
+    k.stretch = {};
+    // Streams filled sample by sample, the samples then dropped.
+    CellResult& b = bounded.cells[i];
+    b.response = {};
+    b.stretch = {};
+    b.response_stream = metrics::StreamingSummary(64);
+    b.stretch_stream = metrics::StreamingSummary(64);
+    for (double r : b.responses) b.response_stream.add(r);
+    for (double x : b.stretches) b.stretch_stream.add(x);
+    b.responses.clear();
+    b.stretches.clear();
+    ASSERT_NE(b.response.count, b.ok_calls);
+  }
+  EXPECT_EQ(cells_csv(kept), cells_csv(exact));
+  EXPECT_EQ(cells_jsonl(kept), cells_jsonl(exact));
+  EXPECT_EQ(cells_csv(bounded), cells_csv(streamed));
+  EXPECT_EQ(cells_jsonl(bounded), cells_jsonl(streamed));
+}
+
+// The cells files spell doubles with std::to_chars; by the standard's
+// definition that is printf's %g (summaries and the oldest columns) and
+// %.10g (util::fmt_g columns), byte for byte, edge values included.
+TEST_F(CampaignTest, NumberSpellingMatchesPrintf) {
+  const double values[] = {0.0,  -0.0,   1e-5,   1e-4,
+                           999999.5, 1e300, 5e-324, HUGE_VAL};
+  CampaignResult result;
+  result.spec = small_grid().normalized();
+  result.shard = result.spec.shard(0, 1);
+  for (std::size_t i = 0; i < std::size(values); ++i) {
+    CellResult cell;
+    cell.index = i;
+    cell.max_completion = values[i];  // %g
+    cell.cost_usd = values[i];        // %.10g
+    cell.response.mean = values[i];   // %g; count 0 == ok_calls: stored
+    result.cells.push_back(cell);
+  }
+  const std::vector<std::string> csv = lines_of(cells_csv(result));
+  const std::vector<std::string> header = split_csv(csv[0]);
+  auto column = [&](const char* name) {
+    return static_cast<std::size_t>(
+        std::find(header.begin(), header.end(), name) - header.begin());
+  };
+  for (std::size_t i = 0; i < std::size(values); ++i) {
+    char g[64];
+    char g10[64];
+    std::snprintf(g, sizeof g, "%g", values[i]);
+    std::snprintf(g10, sizeof g10, "%.10g", values[i]);
+    const std::vector<std::string> row = split_csv(csv[i + 1]);
+    EXPECT_EQ(row[column("max_completion")], g) << values[i];
+    EXPECT_EQ(row[column("r_mean")], g) << values[i];
+    EXPECT_EQ(row[column("cost_usd")], g10) << values[i];
+    EXPECT_EQ(util::fmt_g(values[i]), g10) << values[i];
   }
 }
 

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <vector>
+
 #include "util/stats.h"
 
 namespace whisk::util {
@@ -96,6 +99,61 @@ TEST(StreamingStatsMerge, MatchesOneBigAccumulator) {
   EXPECT_NEAR(left.stddev(), all.stddev(), 1e-9);
   EXPECT_DOUBLE_EQ(left.min(), all.min());
   EXPECT_DOUBLE_EQ(left.max(), all.max());
+}
+
+// The merge as it was first written: concatenate, then copy the elements at
+// k*n/capacity into a fresh vector. The in-place merge must match it.
+void allocating_merge(std::vector<double>& samples, std::size_t capacity,
+                      const std::vector<double>& other) {
+  samples.insert(samples.end(), other.begin(), other.end());
+  if (samples.size() > capacity && capacity > 0) {
+    std::vector<double> thinned;
+    thinned.reserve(capacity);
+    const std::size_t n = samples.size();
+    for (std::size_t k = 0; k < capacity; ++k) {
+      thinned.push_back(samples[k * n / capacity]);
+    }
+    samples = std::move(thinned);
+  }
+}
+
+TEST(ReservoirTest, InPlaceThinningMatchesTheAllocatingMerge) {
+  std::uint64_t state = 12345;
+  auto next = [&state](std::uint64_t bound) {
+    state = state * 6364136223846793005ULL + 1442695040888963407ULL;
+    return (state >> 33) % bound;
+  };
+  double value = 0.0;
+  for (std::size_t capacity = 1; capacity <= 70; ++capacity) {
+    Reservoir merged(capacity);
+    std::vector<double> reference;
+    std::size_t seen = 0;
+    for (int m = 0; m < 200; ++m) {
+      // Up to four capacities per part: exact fits, both thinning paths
+      // (n below and above twice the capacity), and empty parts.
+      const std::size_t size = next(4 * capacity + 1);
+      Reservoir part(size);
+      for (std::size_t i = 0; i < size; ++i) part.add(value += 1.0);
+      merged.merge(part);
+      allocating_merge(reference, capacity, part.samples());
+      seen += size;
+      ASSERT_EQ(merged.samples(), reference)
+          << "capacity " << capacity << ", merge " << m;
+      ASSERT_EQ(merged.seen(), seen);
+    }
+  }
+}
+
+TEST(ReservoirTest, ReserveIsClampedToTheCapacity) {
+  Reservoir small(8);
+  small.reserve(1000);
+  EXPECT_EQ(small.samples().capacity(), 8u);
+  Reservoir large(4096);
+  large.reserve(55);
+  EXPECT_EQ(large.samples().capacity(), 55u);
+  for (int i = 0; i < 55; ++i) large.add(static_cast<double>(i));
+  EXPECT_EQ(large.samples().capacity(), 55u) << "no regrowth";
+  EXPECT_TRUE(large.exact());
 }
 
 TEST(StreamingStatsMerge, EmptySidesAreIdentity) {

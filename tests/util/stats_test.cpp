@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <string>
 #include <vector>
 
 namespace whisk::util {
@@ -141,6 +144,87 @@ TEST_P(PercentileMonotone, MonotoneInRank) {
 
 INSTANTIATE_TEST_SUITE_P(Samples, PercentileMonotone,
                          ::testing::Range(0, 8));
+
+// The sort-based percentile every selected quantile must equal bit for
+// bit: sort a copy, then interpolate between the closest ranks.
+double sorted_reference(std::vector<double> xs, double q) {
+  std::sort(xs.begin(), xs.end());
+  if (xs.empty()) return 0.0;
+  const double rank = q / 100.0 * static_cast<double>(xs.size() - 1);
+  const auto lo = static_cast<std::size_t>(rank);
+  const auto hi = std::min(lo + 1, xs.size() - 1);
+  const double frac = rank - static_cast<double>(lo);
+  return xs[lo] + frac * (xs[hi] - xs[lo]);
+}
+
+// n samples of one shape: random spread, few distinct values, or constant.
+std::vector<double> sample_of(const std::string& shape, std::size_t n,
+                              std::uint64_t seed) {
+  std::vector<double> xs;
+  std::uint64_t state = seed * 0x9e3779b97f4a7c15ULL + n;
+  for (std::size_t i = 0; i < n; ++i) {
+    state = state * 6364136223846793005ULL + 1442695040888963407ULL;
+    const std::uint64_t r = state >> 33;
+    if (shape == "random") {
+      xs.push_back(static_cast<double>(r % 1000003) / 7.0 + 0.001);
+    } else if (shape == "duplicates") {
+      xs.push_back(static_cast<double>(r % 4) * 0.25);
+    } else {
+      xs.push_back(3.5);
+    }
+  }
+  return xs;
+}
+
+TEST(Stats, SelectedQuantilesEqualTheSortedReference) {
+  const std::vector<double> ranks = {0.0,  1.0,  25.0, 37.0, 50.0, 50.0,
+                                     75.0, 95.0, 99.0, 99.9, 100.0};
+  for (const std::string shape : {"random", "duplicates", "constant"}) {
+    for (std::size_t n : {1, 2, 3, 255, 256, 257, 1000, 4096}) {
+      for (std::uint64_t seed = 0; seed < 3; ++seed) {
+        const std::vector<double> xs = sample_of(shape, n, seed);
+        std::vector<double> scratch = xs;
+        std::vector<double> got(ranks.size());
+        select_percentiles(scratch, ranks, got);
+        for (std::size_t k = 0; k < ranks.size(); ++k) {
+          const double want = sorted_reference(xs, ranks[k]);
+          EXPECT_EQ(got[k], want) << shape << " n=" << n << " q=" << ranks[k];
+          EXPECT_EQ(percentile(xs, ranks[k]), want)
+              << shape << " n=" << n << " q=" << ranks[k];
+        }
+        // summarize: min/max are the extremes, p25..p99 the same quantiles.
+        const Summary s = summarize(xs);
+        EXPECT_EQ(s.min, sorted_reference(xs, 0.0)) << shape << " n=" << n;
+        EXPECT_EQ(s.max, sorted_reference(xs, 100.0)) << shape << " n=" << n;
+        EXPECT_EQ(s.p25, sorted_reference(xs, 25.0)) << shape << " n=" << n;
+        EXPECT_EQ(s.p50, sorted_reference(xs, 50.0)) << shape << " n=" << n;
+        EXPECT_EQ(s.p75, sorted_reference(xs, 75.0)) << shape << " n=" << n;
+        EXPECT_EQ(s.p95, sorted_reference(xs, 95.0)) << shape << " n=" << n;
+        EXPECT_EQ(s.p99, sorted_reference(xs, 99.0)) << shape << " n=" << n;
+        EXPECT_EQ(s.mean, mean(xs));
+        EXPECT_EQ(s.stddev, stddev(xs));
+      }
+    }
+  }
+}
+
+TEST(Stats, SelectionLeavesTheSameMultiset) {
+  std::vector<double> xs = sample_of("random", 1000, 7);
+  std::vector<double> scratch = xs;
+  const double ranks[] = {25.0, 99.0};
+  double out[2];
+  select_percentiles(scratch, ranks, out);
+  std::sort(xs.begin(), xs.end());
+  std::sort(scratch.begin(), scratch.end());
+  EXPECT_EQ(scratch, xs);
+}
+
+TEST(StatsDeathTest, SelectionNeedsAscendingRanks) {
+  std::vector<double> xs = sample_of("random", kSelectFrom, 1);
+  const double ranks[] = {75.0, 25.0};
+  double out[2];
+  EXPECT_DEATH(select_percentiles(xs, ranks, out), "ascend");
+}
 
 }  // namespace
 }  // namespace whisk::util

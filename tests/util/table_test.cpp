@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <cstdio>
+
 namespace whisk::util {
 namespace {
 
@@ -53,6 +58,27 @@ TEST(Table, FmtPrecision) {
 TEST(Table, FmtRange) {
   EXPECT_EQ(fmt_range(0.59, 0.66), "0.59-0.66");
   EXPECT_EQ(fmt_range(1.0, 2.0, 1), "1.0-2.0");
+}
+
+// fmt_g spells through std::to_chars, which the standard defines as
+// printf's %.10g: check edge values and random bit patterns.
+TEST(Table, FmtGMatchesPrintf) {
+  auto printf_g10 = [](double x) {
+    char buf[64];
+    std::snprintf(buf, sizeof buf, "%.10g", x);
+    return std::string(buf);
+  };
+  for (double x : {0.0, -0.0, 1e-5, 1e-4, 999999.5, 1e300, 5e-324, HUGE_VAL,
+                   -HUGE_VAL, 9999999999.5, 0.1, 32768.0}) {
+    EXPECT_EQ(fmt_g(x), printf_g10(x)) << x;
+  }
+  std::uint64_t state = 1;
+  for (int i = 0; i < 100000; ++i) {
+    state = state * 6364136223846793005ULL + 1442695040888963407ULL;
+    const double x = std::bit_cast<double>(state);
+    if (std::isnan(x)) continue;
+    ASSERT_EQ(fmt_g(x), printf_g10(x)) << i;
+  }
 }
 
 }  // namespace
