@@ -49,7 +49,7 @@ void run_panel(const workload::FunctionCatalog& cat, bool baseline,
     std::vector<std::string> row = {util::fmt(memories_mib[m], 0)};
     for (std::size_t v = 0; v < intensities.size(); ++v) {
       const auto cells = result.group(
-          grid.group_index(0, /*scenario_i=*/v, 0, 0, /*memory_i=*/m));
+          grid.group_index({.scenario_i = v, .memory_i = m}));
       const auto stats = experiments::total_stats(cells);
       row.push_back(util::fmt(static_cast<double>(stats.cold_starts) /
                                   static_cast<double>(cells.size()),

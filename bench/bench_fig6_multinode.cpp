@@ -36,8 +36,8 @@ void run_series(const workload::FunctionCatalog& cat, int cpus_per_node,
   for (std::size_t n = 0; n < fleet.size(); ++n) {
     for (std::size_t s = 0; s < grid.schedulers.size(); ++s) {
       const char* label = s == 0 ? "baseline" : "FC";
-      const auto group =
-          result.group_summary(grid.group_index(s, 0, /*nodes_i=*/n));
+      const auto group = result.group_summary(
+          grid.group_index({.scheduler_i = s, .nodes_i = n}));
       const auto& sum = group.response;
       const double max_c = group.max_completion;
 

@@ -42,8 +42,8 @@ int main() {
 
   auto group = [&](std::size_t sched_i, std::size_t scen_i,
                    std::size_t cores_i) {
-    return result.group(
-        grid.group_index(sched_i, scen_i, 0, /*cores_i=*/cores_i));
+    return result.group(grid.group_index(
+        {.scheduler_i = sched_i, .scenario_i = scen_i, .cores_i = cores_i}));
   };
 
   std::vector<std::string> header = {"cores"};

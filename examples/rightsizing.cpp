@@ -75,7 +75,7 @@ int main(int argc, char** argv) {
               "node-hrs", "cost [$]", "avg R", "p95 R", "p99 R", "SLO ok",
               "up/down");
   for (std::size_t c = 0; c < grid.clusters.size(); ++c) {
-    const std::size_t g = grid.group_index(0, 0, 0, 0, 0, /*cluster_i=*/c);
+    const std::size_t g = grid.group_index({.cluster_i = c});
     const auto cells = result.group(g);
     const auto group = result.group_summary(g);
     const auto& sum = group.response;

@@ -151,19 +151,6 @@ void append_summary_json(std::string& out, const util::Summary& s) {
   out += '}';
 }
 
-// The cell's clusters item as a spec string, without the autoscalers and
-// faults axis values that deployment() folds in (they have their own
-// columns). In legacy mode the clusters axis is the untouched default
-// placeholder, so render the homogeneous expansion of the nodes axis
-// instead of a misleading "node:1".
-std::string effective_cluster(const CampaignSpec& spec,
-                              const CampaignCell& cell) {
-  return spec.cluster_mode()
-             ? spec.clusters[cell.cluster_i].to_compact_string()
-             : cluster::ClusterSpec::homogeneous(spec.nodes[cell.nodes_i])
-                   .to_compact_string();
-}
-
 // Per-group telemetry as one CSV-friendly field:
 // "big:nodes_ever=2:calls=120:cold=3|small:nodes_ever=4:calls=310:cold=0".
 // nodes_ever counts every node the group ever had (joins included) — a
@@ -180,37 +167,10 @@ std::string groups_field(const std::vector<cluster::GroupStats>& groups) {
   return out;
 }
 
-// Where coordinate_fields puts the two coordinates that change inside a
-// group.
+// Where CampaignSpec::coordinate_fields puts the two coordinates that
+// change inside a group.
 constexpr std::size_t kCellField = 0;
 constexpr std::size_t kSeedField = 3;
-
-// The cell's coordinates as typed fields, in column order: the leading
-// columns of the cells CSV/JSONL and of every record-context.
-//
-// The nodes, autoscaler and faults columns read the cell's deployment: in
-// cluster mode the legacy nodes axis is pinned to {1}, and the autoscaler
-// and faults come from either the axis or the cluster item's own section.
-std::vector<metrics::RunContextField> coordinate_fields(
-    const CampaignSpec& spec, const CampaignCell& cell) {
-  const cluster::ClusterSpec deployment = spec.deployment(cell);
-  return {
-      {"cell", std::to_string(cell.index), /*numeric=*/true},
-      {"scheduler", spec.schedulers[cell.scheduler_i].to_string()},
-      {"scenario", spec.scenarios[cell.scenario_i].to_string()},
-      {"seed", std::to_string(spec.seeds[cell.seed_i]), /*numeric=*/true},
-      {"nodes", std::to_string(deployment.initial_nodes()),
-       /*numeric=*/true},
-      {"cores", std::to_string(spec.cores[cell.cores_i]), /*numeric=*/true},
-      {"memory_mb", util::fmt_g(spec.memories_mb[cell.memory_i]),
-       /*numeric=*/true},
-      {"cluster", effective_cluster(spec, cell)},
-      {"autoscaler", deployment.autoscaler.to_string()},
-      {"faults", cluster::fault_list_to_string(deployment.faults, '+')},
-      // "none" for independent-calls cells, the axis default.
-      {"workflow", spec.workflows[cell.workflow_i].to_string()},
-  };
-}
 
 // Fold the cells' bounded streams in cell order. A cell that kept its
 // samples has an empty stream, so folding it would lose them: abort.
@@ -237,7 +197,7 @@ bool row_coordinates(const CampaignSpec& spec, std::size_t index,
   const std::size_t per = spec.seeds_per_group();
   if (fields.empty() || group != index / per) {
     group = index / per;
-    fields = coordinate_fields(spec, spec.coordinates(index));
+    fields = spec.coordinate_fields(spec.coordinates(index));
     return true;
   }
   fields[kCellField].value = std::to_string(index);
@@ -307,7 +267,7 @@ metrics::RunContext cell_context(const CampaignSpec& spec,
                                  const CampaignCell& cell,
                                  const CellResult& result) {
   metrics::RunContext ctx;
-  ctx.fields = coordinate_fields(spec, cell);
+  ctx.fields = spec.coordinate_fields(cell);
   for (std::size_t k = 0; k < spec.overrides.size(); ++k) {
     ctx.fields.push_back(
         {"override:" + spec.overrides[k].first,
@@ -341,6 +301,10 @@ CampaignResult run_campaign(const CampaignSpec& raw_spec,
                           ? util::ThreadPool::hardware_threads()
                           : options.threads;
   WHISK_CHECK(threads >= 1, "campaign threads must be >= 1 (or 0 for auto)");
+  // An empty reservoir would report every quantile as 0 next to a real
+  // count, mean and max.
+  WHISK_CHECK(options.reservoir_capacity > 0,
+              "campaign reservoir capacity must be > 0");
 
   CampaignResult out;
   out.spec = spec;
@@ -483,7 +447,7 @@ node::InvokerStats total_stats(std::span<const CellResult> cells) {
 std::string cells_csv(const CampaignResult& result) {
   const CampaignSpec& spec = result.spec;
   std::string out;
-  for (const auto& field : coordinate_fields(spec, spec.coordinates(0))) {
+  for (const auto& field : spec.coordinate_fields(spec.coordinates(0))) {
     metrics::append_csv_field(out, field.key);
     out += ',';
   }

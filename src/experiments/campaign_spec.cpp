@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <limits>
+#include <tuple>
+#include <type_traits>
+#include <utility>
 
 #include "util/check.h"
 #include "util/table.h"
@@ -11,67 +14,54 @@
 namespace whisk::experiments {
 namespace {
 
-constexpr const char* kAxisNames =
-    "schedulers, scenarios, seeds, nodes, cores, memory-mb, clusters, "
-    "autoscalers, faults, workflows, override:<name>";
-
 using util::trim_ws;
 
-std::vector<std::string_view> split(std::string_view text, char sep) {
-  return util::split_any(text, std::string_view(&sep, 1));
-}
-
-std::uint64_t parse_seed(std::string_view item, std::string_view axis) {
-  unsigned long long value = 0;
-  WHISK_CHECK(util::parse_whole_number(item, &value),
-              ("campaign axis \"" + std::string(axis) + "\": \"" +
-               std::string(item) + "\" is not a whole number")
-                  .c_str());
-  return value;
-}
-
-int parse_positive_int(std::string_view item, std::string_view axis) {
-  unsigned long long value = 0;
-  const bool ok = util::parse_whole_number(item, &value) && value > 0 &&
-                  value <= static_cast<unsigned long long>(
-                               std::numeric_limits<int>::max());
-  WHISK_CHECK(ok, ("campaign axis \"" + std::string(axis) + "\": \"" +
-                   std::string(item) + "\" is not a positive integer")
+void check_item(bool ok, std::string_view key, std::string_view item,
+                const char* expected) {
+  WHISK_CHECK(ok, ("campaign axis \"" + std::string(key) + "\": \"" +
+                   std::string(item) + "\" is not " + expected)
                       .c_str());
-  return static_cast<int>(value);
 }
 
-double parse_positive_double(std::string_view item, std::string_view axis) {
-  double value = 0.0;
-  const bool ok = util::parse_finite_double(item, &value) && value > 0.0;
-  WHISK_CHECK(ok, ("campaign axis \"" + std::string(axis) + "\": \"" +
-                   std::string(item) + "\" is not a positive number")
-                      .c_str());
-  return value;
+// The trimmed items of one `key=item,item,...` entry. Every axis reads its
+// items through here, so an empty item aborts the same way on all of them.
+std::vector<std::string_view> split_items(std::string_view value,
+                                          std::string_view key) {
+  std::vector<std::string_view> items;
+  for (std::string_view raw : util::split_any(value, ",")) {
+    items.push_back(trim_ws(raw));
+    WHISK_CHECK(!items.back().empty(),
+                ("campaign axis \"" + std::string(key) + "\": item " +
+                 std::to_string(items.size()) + " is empty")
+                    .c_str());
+  }
+  return items;
 }
 
 // "0..4" (inclusive) or a single value.
-void parse_seed_items(std::string_view value,
-                      std::vector<std::uint64_t>* out) {
-  for (std::string_view raw : split(value, ',')) {
-    const std::string_view item = trim_ws(raw);
-    const std::size_t dots = item.find("..");
-    if (dots == std::string_view::npos) {
-      out->push_back(parse_seed(item, "seeds"));
-      continue;
-    }
-    const std::uint64_t lo = parse_seed(trim_ws(item.substr(0, dots)), "seeds");
-    const std::uint64_t hi = parse_seed(trim_ws(item.substr(dots + 2)), "seeds");
-    WHISK_CHECK(lo <= hi, ("campaign axis \"seeds\": range \"" +
-                           std::string(item) + "\" runs backwards")
-                              .c_str());
-    WHISK_CHECK(hi - lo < 1000000,
-                ("campaign axis \"seeds\": range \"" + std::string(item) +
-                 "\" expands to over a million seeds; that is almost "
-                 "certainly a typo")
-                    .c_str());
-    for (std::uint64_t s = lo; s <= hi; ++s) out->push_back(s);
+void parse_seed_item(std::string_view item, std::vector<std::uint64_t>* out) {
+  const auto seed = [](std::string_view text) -> std::uint64_t {
+    unsigned long long value = 0;
+    check_item(util::parse_whole_number(text, &value), "seeds", text,
+               "a whole number");
+    return value;
+  };
+  const std::size_t dots = item.find("..");
+  if (dots == std::string_view::npos) {
+    out->push_back(seed(item));
+    return;
   }
+  const std::uint64_t lo = seed(trim_ws(item.substr(0, dots)));
+  const std::uint64_t hi = seed(trim_ws(item.substr(dots + 2)));
+  WHISK_CHECK(lo <= hi, ("campaign axis \"seeds\": range \"" +
+                         std::string(item) + "\" runs backwards")
+                            .c_str());
+  WHISK_CHECK(hi - lo < 1000000,
+              ("campaign axis \"seeds\": range \"" + std::string(item) +
+               "\" expands to over a million seeds; that is almost "
+               "certainly a typo")
+                  .c_str());
+  for (std::uint64_t s = lo; s <= hi; ++s) out->push_back(s);
 }
 
 // Render the seed list, collapsing maximal consecutive ascending runs of
@@ -93,14 +83,205 @@ std::string seeds_to_string(const std::vector<std::uint64_t>& seeds) {
   return out;
 }
 
-template <typename T, typename Fn>
-std::string join_items(const std::vector<T>& items, Fn&& render) {
+// How an axis item is parsed, normalized and spelled, by item type. Spec
+// types do all three themselves; numbers and fault lists are handled here.
+template <typename T>
+void parse_item(std::string_view text, std::string_view, T& out) {
+  out = T::parse(text);
+}
+
+void parse_item(std::string_view text, std::string_view key, int& out) {
+  unsigned long long value = 0;
+  check_item(util::parse_whole_number(text, &value) && value > 0 &&
+                 value <= static_cast<unsigned long long>(
+                              std::numeric_limits<int>::max()),
+             key, text, "a positive integer");
+  out = static_cast<int>(value);
+}
+
+void parse_item(std::string_view text, std::string_view key, double& out) {
+  check_item(util::parse_finite_double(text, &out) && out > 0.0, key, text,
+             "a positive number");
+}
+
+// '+'-joined ("crash-restart?mtbf-s=120+flap"); "none" is the empty,
+// fault-free regime.
+void parse_item(std::string_view text, std::string_view,
+                std::vector<cluster::FaultSpec>& out) {
+  out = cluster::parse_fault_list(text);
+}
+
+template <typename T>
+void normalize_item(T& item, std::string_view) {
+  item = item.normalized();
+}
+
+template <typename T>
+  requires std::is_arithmetic_v<T>
+void normalize_item(T& item, std::string_view key) {
+  WHISK_CHECK(item > 0, (std::string(key) + " must be positive").c_str());
+}
+
+void normalize_item(std::vector<cluster::FaultSpec>& regime,
+                    std::string_view) {
+  for (auto& f : regime) f = f.normalized();
+}
+
+void normalize_item(workload::ScenarioSpec& s, std::string_view) {
+  s = s.normalized();
+  // ',' and ';' split grid items and axes, so a value holding one would
+  // not survive to_string() -> parse(), nor the worker wire, which ships
+  // the grid as text. List values (mix weights) spell the list with '+'.
+  for (const auto& [key, value] : s.params) {
+    WHISK_CHECK(value.find_first_of(",;") == std::string::npos,
+                ("campaign scenario \"" + s.to_string() + "\": " + key +
+                 "=\"" + value +
+                 "\" contains a grid separator (',' or ';'); join list "
+                 "values with '+' instead (e.g. weights=1+2+3)")
+                    .c_str());
+  }
+}
+
+template <typename T>
+std::string spell(const T& item) {
+  return item.to_string();
+}
+// %.10g: whole numbers up to 10 digits print as integers.
+std::string spell(double x) { return util::fmt_g(x); }
+std::string spell(int n) { return spell(static_cast<double>(n)); }
+std::string spell(const cluster::ClusterSpec& c) {
+  return c.to_compact_string();
+}
+std::string spell(const std::vector<cluster::FaultSpec>& regime) {
+  return cluster::fault_list_to_string(regime, '+');
+}
+
+template <typename T>
+std::string join_items(const std::vector<T>& items) {
   std::string out;
-  for (const auto& item : items) {
+  for (const T& item : items) {
     if (!out.empty()) out += ',';
-    out += render(item);
+    out += spell(item);
   }
   return out;
+}
+
+const CampaignSpec& defaults() {
+  static const CampaignSpec spec;
+  return spec;
+}
+
+// A cells column that the cell's deployment decides, not its axis item.
+using DeployedColumn = std::string (*)(const CampaignSpec&,
+                                       const CampaignCell&,
+                                       const cluster::ClusterSpec& deployed);
+
+// One fixed grid axis: the CampaignSpec vector and CampaignCell coordinate
+// it owns, and its spellings. Its items parse, normalize and spell by type.
+template <typename T>
+struct Axis {
+  const char* key;
+  const char* alias = "";  // a second spelling of the key
+  const char* column;      // the cells column; also names the coordinate
+  const char* label = "";  // label spelling: label + item + unit
+  const char* unit = "";
+  bool optional = false;  // to_string leaves it out while at its default
+  std::vector<T> CampaignSpec::*items;
+  std::size_t CampaignCell::*coord;
+  DeployedColumn deployed = nullptr;  // null: the column spells the item
+
+  static constexpr bool kNumeric = std::is_arithmetic_v<T>;
+  [[nodiscard]] const T& item(const CampaignSpec& s,
+                              const CampaignCell& c) const {
+    return (s.*items)[c.*coord];
+  }
+  [[nodiscard]] bool in_play(const CampaignSpec& s) const {
+    return s.*items != defaults().*items;
+  }
+};
+
+// Every fixed grid axis, in expansion order (outermost first). Seeds and
+// the override:<knob> axes are handled beside it: seeds take ranges and are
+// innermost, and override axes are named by the grid.
+constexpr std::tuple kAxes{
+    Axis<SchedulerSpec>{.key = "schedulers", .column = "scheduler",
+                        .items = &CampaignSpec::schedulers,
+                        .coord = &CampaignCell::scheduler_i},
+    Axis<workload::ScenarioSpec>{.key = "scenarios", .column = "scenario",
+                                 .items = &CampaignSpec::scenarios,
+                                 .coord = &CampaignCell::scenario_i},
+    Axis<int>{.key = "nodes", .column = "nodes", .label = "nodes=",
+              .items = &CampaignSpec::nodes, .coord = &CampaignCell::nodes_i,
+              // The fleet size at t=0, whichever axis sized it.
+              .deployed = [](auto&, auto&, auto& deployed) {
+                return std::to_string(deployed.initial_nodes());
+              }},
+    Axis<int>{.key = "cores", .column = "cores", .label = "cores=",
+              .items = &CampaignSpec::cores, .coord = &CampaignCell::cores_i},
+    Axis<double>{.key = "memory-mb", .alias = "memory_mb",
+                 .column = "memory_mb", .label = "mem=", .unit = "MiB",
+                 .items = &CampaignSpec::memories_mb,
+                 .coord = &CampaignCell::memory_i},
+    Axis<cluster::ClusterSpec>{
+        .key = "clusters", .column = "cluster", .optional = true,
+        .items = &CampaignSpec::clusters, .coord = &CampaignCell::cluster_i,
+        // The item without the folded autoscaler and faults (they have
+        // their own columns), or a nodes grid's homogeneous fleet.
+        .deployed = [](auto& s, auto& c, auto&) {
+          return spell(s.cluster_mode() ? s.clusters[c.cluster_i]
+                                        : cluster::ClusterSpec::homogeneous(
+                                              s.nodes[c.nodes_i]));
+        }},
+    Axis<cluster::AutoscalerSpec>{
+        .key = "autoscalers", .alias = "autoscaler", .column = "autoscaler",
+        .label = "autoscaler=", .optional = true,
+        .items = &CampaignSpec::autoscalers,
+        .coord = &CampaignCell::autoscaler_i,
+        .deployed = [](auto&, auto&, auto& d) { return spell(d.autoscaler); }},
+    Axis<std::vector<cluster::FaultSpec>>{
+        .key = "faults", .alias = "fault", .column = "faults",
+        .label = "faults=", .optional = true, .items = &CampaignSpec::faults,
+        .coord = &CampaignCell::faults_i,
+        .deployed = [](auto&, auto&, auto& d) { return spell(d.faults); }},
+    Axis<workload::WorkflowSpec>{
+        .key = "workflows", .alias = "workflow", .column = "workflow",
+        .label = "workflow=", .optional = true,
+        .items = &CampaignSpec::workflows,
+        .coord = &CampaignCell::workflow_i},
+};
+constexpr std::size_t kAxisCount = std::tuple_size_v<decltype(kAxes)>;
+
+// to_string and the cells columns put seeds here, after the schedulers and
+// scenarios; parsed grids, the worker wire and the cells files all pin it.
+constexpr std::size_t kSeedsRenderAt = 2;
+
+// Call fn(axis, k) on every row k of kAxes: in expansion order, or
+// innermost first when `Reversed`.
+template <bool Reversed = false, typename Fn>
+constexpr void for_each_axis(Fn&& fn) {
+  [&]<std::size_t... K>(std::index_sequence<K...>) {
+    (fn(std::get<Reversed ? kAxisCount - 1 - K : K>(kAxes),
+        Reversed ? kAxisCount - 1 - K : K),
+     ...);
+  }(std::make_index_sequence<kAxisCount>());
+}
+
+// The row of the axis named `key`, found at compile time.
+consteval std::size_t axis_index(std::string_view key) {
+  std::size_t index = kAxisCount;
+  for_each_axis([&](const auto& axis, std::size_t k) {
+    if (key == axis.key) index = k;
+  });
+  return index;
+}
+
+std::string valid_axes() {
+  std::string out;
+  for_each_axis([&](const auto& axis, std::size_t k) {
+    if (k == kSeedsRenderAt) out += "seeds, ";
+    out += std::string(axis.key) + ", ";
+  });
+  return out + "override:<name>";
 }
 
 // The balanced contiguous partition both shard() and subshard() use:
@@ -168,98 +349,53 @@ ShardRange CampaignSpec::shard(std::size_t i, std::size_t n) const {
 CampaignSpec CampaignSpec::parse(std::string_view text) {
   CampaignSpec spec;
   std::vector<std::string> seen_axes;
-  for (std::string_view raw_axis : split(text, ';')) {
-    const std::string_view axis = trim_ws(raw_axis);
-    if (axis.empty()) continue;  // tolerate trailing ';'
-    const std::size_t eq = axis.find('=');
+  for (std::string_view raw_axis : util::split_any(text, ";")) {
+    const std::string_view entry = trim_ws(raw_axis);
+    if (entry.empty()) continue;  // tolerate trailing ';'
+    const std::size_t eq = entry.find('=');
     WHISK_CHECK(eq != std::string_view::npos,
-                ("campaign grid entry \"" + std::string(axis) +
-                 "\" is not axis=items; valid axes: " + kAxisNames)
+                ("campaign grid entry \"" + std::string(entry) +
+                 "\" is not axis=items; valid axes: " + valid_axes())
                     .c_str());
-    std::string key = util::ascii_lower(trim_ws(axis.substr(0, eq)));
-    if (key == "memory_mb") key = "memory-mb";  // alias; one axis identity
-    if (key == "autoscaler") key = "autoscalers";
-    if (key == "fault") key = "faults";
-    if (key == "workflow") key = "workflows";
-    const std::string_view value = trim_ws(axis.substr(eq + 1));
+    std::string key = util::ascii_lower(trim_ws(entry.substr(0, eq)));
+    for_each_axis([&](const auto& axis, std::size_t) {
+      if (*axis.alias != '\0' && key == axis.alias) key = axis.key;
+    });
+    const std::string_view value = trim_ws(entry.substr(eq + 1));
     WHISK_CHECK(std::find(seen_axes.begin(), seen_axes.end(), key) ==
                     seen_axes.end(),
                 ("campaign grid sets axis \"" + key + "\" twice").c_str());
     seen_axes.push_back(key);
     WHISK_CHECK(!value.empty(),
                 ("campaign axis \"" + key + "\" has no items").c_str());
+    const std::vector<std::string_view> items = split_items(value, key);
 
-    if (key == "schedulers") {
-      spec.schedulers.clear();
-      for (std::string_view item : split(value, ',')) {
-        spec.schedulers.push_back(SchedulerSpec::parse(trim_ws(item)));
+    bool fixed = false;
+    for_each_axis([&](const auto& axis, std::size_t) {
+      if (key != axis.key) return;
+      fixed = true;
+      auto& out = spec.*axis.items;
+      out.resize(items.size());
+      for (std::size_t i = 0; i < items.size(); ++i) {
+        parse_item(items[i], key, out[i]);
       }
-    } else if (key == "scenarios") {
-      spec.scenarios.clear();
-      for (std::string_view item : split(value, ',')) {
-        spec.scenarios.push_back(workload::ScenarioSpec::parse(trim_ws(item)));
-      }
-    } else if (key == "seeds") {
+    });
+    if (fixed) continue;
+    if (key == "seeds") {
       spec.seeds.clear();
-      parse_seed_items(value, &spec.seeds);
-    } else if (key == "nodes") {
-      spec.nodes.clear();
-      for (std::string_view item : split(value, ',')) {
-        spec.nodes.push_back(parse_positive_int(trim_ws(item), key));
-      }
-    } else if (key == "cores") {
-      spec.cores.clear();
-      for (std::string_view item : split(value, ',')) {
-        spec.cores.push_back(parse_positive_int(trim_ws(item), key));
-      }
-    } else if (key == "memory-mb") {
-      spec.memories_mb.clear();
-      for (std::string_view item : split(value, ',')) {
-        spec.memories_mb.push_back(parse_positive_double(trim_ws(item), key));
-      }
-    } else if (key == "clusters") {
-      spec.clusters.clear();
-      for (std::string_view item : split(value, ',')) {
-        // Items arrive in the ClusterSpec compact form ('+'/'|'), since ','
-        // and ';' are grid separators.
-        spec.clusters.push_back(cluster::ClusterSpec::parse(trim_ws(item)));
-      }
-    } else if (key == "autoscalers") {
-      spec.autoscalers.clear();
-      for (std::string_view item : split(value, ',')) {
-        spec.autoscalers.push_back(
-            cluster::AutoscalerSpec::parse(trim_ws(item)));
-      }
-    } else if (key == "faults") {
-      spec.faults.clear();
-      for (std::string_view item : split(value, ',')) {
-        // Items arrive '+'-joined ("crash-restart?mtbf-s=120+flap"); "none"
-        // parses to the empty (fault-free) regime.
-        spec.faults.push_back(cluster::parse_fault_list(trim_ws(item)));
-      }
-    } else if (key == "workflows") {
-      spec.workflows.clear();
-      for (std::string_view item : split(value, ',')) {
-        // Items use '+' between dag edges ("dag?edges=a>b+a>c"); "none" is
-        // the independent-calls baseline cell.
-        spec.workflows.push_back(workload::WorkflowSpec::parse(trim_ws(item)));
-      }
+      for (std::string_view item : items) parse_seed_item(item, &spec.seeds);
     } else if (key.rfind("override:", 0) == 0) {
-      const std::string name = std::string(trim_ws(key).substr(9));
+      const std::string name = key.substr(9);
       WHISK_CHECK(!name.empty(), "campaign override axis has no name");
-      std::vector<double> values;
-      for (std::string_view item : split(value, ',')) {
-        double v = 0.0;
-        WHISK_CHECK(util::parse_finite_double(trim_ws(item), &v),
-                    ("campaign axis \"" + key + "\": \"" + std::string(item) +
-                     "\" is not a number")
-                        .c_str());
-        values.push_back(v);
+      std::vector<double> values(items.size());
+      for (std::size_t i = 0; i < items.size(); ++i) {
+        check_item(util::parse_finite_double(items[i], &values[i]), key,
+                   items[i], "a number");
       }
       spec.overrides.emplace_back(name, std::move(values));
     } else {
       WHISK_CHECK(false, ("unknown campaign axis \"" + key +
-                          "\"; valid axes: " + kAxisNames)
+                          "\"; valid axes: " + valid_axes())
                              .c_str());
     }
   }
@@ -267,116 +403,45 @@ CampaignSpec CampaignSpec::parse(std::string_view text) {
 }
 
 std::string CampaignSpec::to_string() const {
-  std::string out = "schedulers=";
-  out += join_items(schedulers,
-                    [](const SchedulerSpec& s) { return s.to_string(); });
-  out += "; scenarios=";
-  out += join_items(scenarios, [](const workload::ScenarioSpec& s) {
-    return s.to_string();
+  std::string out;
+  for_each_axis([&](const auto& axis, std::size_t k) {
+    if (k == kSeedsRenderAt) out += "; seeds=" + seeds_to_string(seeds);
+    if (axis.optional && !axis.in_play(*this)) return;
+    out += "; " + std::string(axis.key) + "=" + join_items(this->*axis.items);
   });
-  out += "; seeds=" + seeds_to_string(seeds);
-  out += "; nodes=" + join_items(nodes, [](int n) {
-    return std::to_string(n);
-  });
-  out += "; cores=" + join_items(cores, [](int n) {
-    return std::to_string(n);
-  });
-  out += "; memory-mb=" +
-         join_items(memories_mb, [](double m) { return util::fmt_g(m); });
-  if (cluster_mode()) {
-    out += "; clusters=" + join_items(clusters, [](const auto& c) {
-      return c.to_compact_string();
-    });
-  }
-  if (autoscaler_mode()) {
-    out += "; autoscalers=" + join_items(autoscalers, [](const auto& a) {
-      return a.to_string();
-    });
-  }
-  if (fault_mode()) {
-    out += "; faults=" + join_items(faults, [](const auto& f) {
-      return cluster::fault_list_to_string(f, '+');
-    });
-  }
-  if (workflow_mode()) {
-    out += "; workflows=" + join_items(workflows, [](const auto& w) {
-      return w.to_string();
-    });
-  }
   for (const auto& [name, values] : overrides) {
-    out += "; override:" + name + "=" +
-           join_items(values, [](double v) { return util::fmt_g(v); });
+    out += "; override:" + name + "=" + join_items(values);
   }
-  return out;
+  return out.substr(2);
 }
 
 CampaignSpec CampaignSpec::normalized() const {
   CampaignSpec out = *this;
-  WHISK_CHECK(!out.schedulers.empty(), "campaign has no schedulers");
-  WHISK_CHECK(!out.scenarios.empty(), "campaign has no scenarios");
   WHISK_CHECK(!out.seeds.empty(), "campaign has no seeds");
-  WHISK_CHECK(!out.nodes.empty(), "campaign has no node counts");
-  WHISK_CHECK(!out.cores.empty(), "campaign has no core counts");
-  WHISK_CHECK(!out.memories_mb.empty(), "campaign has no memory sizes");
-  WHISK_CHECK(!out.clusters.empty(), "campaign has no cluster specs");
-  WHISK_CHECK(!out.autoscalers.empty(), "campaign has no autoscaler specs");
-  WHISK_CHECK(!out.faults.empty(), "campaign has no fault regimes");
-  WHISK_CHECK(!out.workflows.empty(), "campaign has no workflow shapes");
-  for (auto& s : out.schedulers) s = s.normalized();
-  for (auto& s : out.scenarios) {
-    s = s.normalized();
-    // ',' and ';' split grid items and axes, so a value holding one would
-    // not survive to_string() -> parse(), nor the worker wire, which ships
-    // the grid as text. List values (mix weights) spell the list with '+'.
-    for (const auto& [key, value] : s.params) {
-      WHISK_CHECK(value.find_first_of(",;") == std::string::npos,
-                  ("campaign scenario \"" + s.to_string() + "\": " + key +
-                   "=\"" + value +
-                   "\" contains a grid separator (',' or ';'); join list "
-                   "values with '+' instead (e.g. weights=1+2+3)")
-                      .c_str());
-    }
-  }
-  for (auto& c : out.clusters) c = c.normalized();
-  for (auto& a : out.autoscalers) a = a.normalized();
-  for (auto& regime : out.faults) {
-    for (auto& f : regime) f = f.normalized();
-  }
-  for (auto& w : out.workflows) w = w.normalized();
+  for_each_axis([&](const auto& axis, std::size_t) {
+    WHISK_CHECK(!(out.*axis.items).empty(),
+                ("campaign has no " + std::string(axis.key)).c_str());
+    for (auto& item : out.*axis.items) normalize_item(item, axis.key);
+  });
   if (out.cluster_mode()) {
     WHISK_CHECK(out.nodes.size() == 1 && out.nodes[0] == 1,
                 "campaign sets both a clusters axis and a nodes axis; the "
                 "cluster specs already size the fleet — drop nodes=");
   }
-  if (out.autoscaler_mode()) {
-    // The axis owns the autoscaling dimension; a cluster item carrying its
-    // own autoscaler= section would silently shadow (or be shadowed by)
-    // the axis value for some cells.
-    for (const auto& c : out.clusters) {
-      WHISK_CHECK(!c.autoscaler.enabled(),
-                  ("campaign sets an autoscalers axis, but cluster \"" +
-                   c.to_compact_string() +
-                   "\" carries its own autoscaler= section; set it in one "
-                   "place")
-                      .c_str());
-    }
-  }
-  if (out.fault_mode()) {
-    // Same ownership contract as the autoscaler axis: a cluster item
-    // carrying its own faults= section would shadow the axis value.
-    for (const auto& c : out.clusters) {
-      WHISK_CHECK(c.faults.empty(),
-                  ("campaign sets a faults axis, but cluster \"" +
-                   c.to_compact_string() +
-                   "\" carries its own faults= section; set them in one "
-                   "place")
-                      .c_str());
-    }
-  }
-  for (int n : out.nodes) WHISK_CHECK(n > 0, "nodes must be positive");
-  for (int n : out.cores) WHISK_CHECK(n > 0, "cores must be positive");
-  for (double m : out.memories_mb) {
-    WHISK_CHECK(m > 0.0, "memory-mb must be positive");
+  // An autoscalers or faults axis owns its dimension: a cluster item
+  // carrying its own section would silently shadow (or be shadowed by) the
+  // axis value for some cells.
+  for (const auto& c : out.clusters) {
+    WHISK_CHECK(!out.autoscaler_mode() || !c.autoscaler.enabled(),
+                ("campaign sets an autoscalers axis, but cluster \"" +
+                 c.to_compact_string() +
+                 "\" carries its own autoscaler= section; set it in one place")
+                    .c_str());
+    WHISK_CHECK(!out.fault_mode() || c.faults.empty(),
+                ("campaign sets a faults axis, but cluster \"" +
+                 c.to_compact_string() +
+                 "\" carries its own faults= section; set them in one place")
+                    .c_str());
   }
   for (auto& [name, values] : out.overrides) {
     name = util::ascii_lower(name);
@@ -401,29 +466,26 @@ CampaignSpec CampaignSpec::normalized() const {
 }
 
 bool CampaignSpec::cluster_mode() const {
-  return clusters.size() > 1 ||
-         (!clusters.empty() && clusters[0] != cluster::ClusterSpec{});
+  return std::get<axis_index("clusters")>(kAxes).in_play(*this);
 }
 
 bool CampaignSpec::autoscaler_mode() const {
-  return autoscalers.size() > 1 ||
-         (!autoscalers.empty() && autoscalers[0].enabled());
+  return std::get<axis_index("autoscalers")>(kAxes).in_play(*this);
 }
 
 bool CampaignSpec::fault_mode() const {
-  return faults.size() > 1 || (!faults.empty() && !faults[0].empty());
+  return std::get<axis_index("faults")>(kAxes).in_play(*this);
 }
 
 bool CampaignSpec::workflow_mode() const {
-  return workflows.size() > 1 ||
-         (!workflows.empty() && workflows[0].enabled());
+  return std::get<axis_index("workflows")>(kAxes).in_play(*this);
 }
 
 std::size_t CampaignSpec::size() const {
-  std::size_t total = schedulers.size() * scenarios.size() * nodes.size() *
-                      cores.size() * memories_mb.size() * clusters.size() *
-                      autoscalers.size() * faults.size() * workflows.size() *
-                      seeds.size();
+  std::size_t total = seeds.size();
+  for_each_axis([&](const auto& axis, std::size_t) {
+    total *= (this->*axis.items).size();
+  });
   for (const auto& [name, values] : overrides) total *= values.size();
   return total;
 }
@@ -440,23 +502,10 @@ CampaignCell CampaignSpec::coordinates(std::size_t index) const {
     c.override_i[k] = rem % overrides[k].second.size();
     rem /= overrides[k].second.size();
   }
-  c.workflow_i = rem % workflows.size();
-  rem /= workflows.size();
-  c.faults_i = rem % faults.size();
-  rem /= faults.size();
-  c.autoscaler_i = rem % autoscalers.size();
-  rem /= autoscalers.size();
-  c.cluster_i = rem % clusters.size();
-  rem /= clusters.size();
-  c.memory_i = rem % memories_mb.size();
-  rem /= memories_mb.size();
-  c.cores_i = rem % cores.size();
-  rem /= cores.size();
-  c.nodes_i = rem % nodes.size();
-  rem /= nodes.size();
-  c.scenario_i = rem % scenarios.size();
-  rem /= scenarios.size();
-  c.scheduler_i = rem % schedulers.size();
+  for_each_axis</*Reversed=*/true>([&](const auto& axis, std::size_t) {
+    c.*axis.coord = rem % (this->*axis.items).size();
+    rem /= (this->*axis.items).size();
+  });
   return c;
 }
 
@@ -495,47 +544,42 @@ CampaignCell CampaignSpec::cell(std::size_t index) const {
   return c;
 }
 
-std::size_t CampaignSpec::group_index(
-    std::size_t scheduler_i, std::size_t scenario_i, std::size_t nodes_i,
-    std::size_t cores_i, std::size_t memory_i, std::size_t cluster_i,
-    std::size_t autoscaler_i, std::size_t faults_i, std::size_t workflow_i,
-    const std::vector<std::size_t>& override_i) const {
-  WHISK_CHECK(scheduler_i < schedulers.size(),
-              "group_index: scheduler coordinate out of range");
-  WHISK_CHECK(scenario_i < scenarios.size(),
-              "group_index: scenario coordinate out of range");
-  WHISK_CHECK(nodes_i < nodes.size(),
-              "group_index: nodes coordinate out of range");
-  WHISK_CHECK(cores_i < cores.size(),
-              "group_index: cores coordinate out of range");
-  WHISK_CHECK(memory_i < memories_mb.size(),
-              "group_index: memory coordinate out of range");
-  WHISK_CHECK(cluster_i < clusters.size(),
-              "group_index: cluster coordinate out of range");
-  WHISK_CHECK(autoscaler_i < autoscalers.size(),
-              "group_index: autoscaler coordinate out of range");
-  WHISK_CHECK(faults_i < faults.size(),
-              "group_index: faults coordinate out of range");
-  WHISK_CHECK(workflow_i < workflows.size(),
-              "group_index: workflow coordinate out of range");
-  WHISK_CHECK(override_i.empty() || override_i.size() == overrides.size(),
+std::size_t CampaignSpec::group_index(const CampaignCell& at) const {
+  std::size_t index = 0;
+  for_each_axis([&](const auto& axis, std::size_t) {
+    const std::size_t n = (this->*axis.items).size();
+    WHISK_CHECK(at.*axis.coord < n, ("group_index: " +
+                                     std::string(axis.column) +
+                                     " coordinate out of range")
+                                        .c_str());
+    index = index * n + at.*axis.coord;
+  });
+  WHISK_CHECK(at.override_i.empty() || at.override_i.size() == overrides.size(),
               "group_index: give one coordinate per override axis (or none)");
-  std::size_t index = scheduler_i;
-  index = index * scenarios.size() + scenario_i;
-  index = index * nodes.size() + nodes_i;
-  index = index * cores.size() + cores_i;
-  index = index * memories_mb.size() + memory_i;
-  index = index * clusters.size() + cluster_i;
-  index = index * autoscalers.size() + autoscaler_i;
-  index = index * faults.size() + faults_i;
-  index = index * workflows.size() + workflow_i;
   for (std::size_t k = 0; k < overrides.size(); ++k) {
-    const std::size_t coord = override_i.empty() ? 0 : override_i[k];
+    const std::size_t coord = at.override_i.empty() ? 0 : at.override_i[k];
     WHISK_CHECK(coord < overrides[k].second.size(),
                 "group_index: override coordinate out of range");
     index = index * overrides[k].second.size() + coord;
   }
   return index;
+}
+
+std::vector<metrics::RunContextField> CampaignSpec::coordinate_fields(
+    const CampaignCell& cell) const {
+  const cluster::ClusterSpec deployed = deployment(cell);
+  std::vector<metrics::RunContextField> fields = {
+      {"cell", std::to_string(cell.index), /*numeric=*/true}};
+  for_each_axis([&](const auto& axis, std::size_t k) {
+    if (k == kSeedsRenderAt) {
+      fields.push_back({"seed", std::to_string(seeds[cell.seed_i]), true});
+    }
+    fields.push_back({axis.column,
+                      axis.deployed ? axis.deployed(*this, cell, deployed)
+                                    : spell(axis.item(*this, cell)),
+                      axis.kNumeric});
+  });
+  return fields;
 }
 
 std::vector<std::uint64_t> CampaignSpec::first_seeds(int n) {
@@ -550,51 +594,27 @@ std::vector<std::uint64_t> CampaignSpec::first_seeds(int n) {
 
 std::string CampaignSpec::label(const CampaignCell& cell,
                                 bool with_seed) const {
-  std::vector<std::string> parts;
-  if (schedulers.size() > 1) {
-    parts.push_back(schedulers[cell.scheduler_i].to_string());
-  }
-  if (scenarios.size() > 1) {
-    parts.push_back(scenarios[cell.scenario_i].to_string());
-  }
-  if (nodes.size() > 1) {
-    parts.push_back("nodes=" + std::to_string(nodes[cell.nodes_i]));
-  }
-  if (cores.size() > 1) {
-    parts.push_back("cores=" + std::to_string(cores[cell.cores_i]));
-  }
-  if (memories_mb.size() > 1) {
-    parts.push_back("mem=" + util::fmt_g(memories_mb[cell.memory_i]) + "MiB");
-  }
-  if (clusters.size() > 1) {
-    parts.push_back(clusters[cell.cluster_i].to_compact_string());
-  }
-  if (autoscalers.size() > 1) {
-    parts.push_back("autoscaler=" +
-                    autoscalers[cell.autoscaler_i].to_string());
-  }
-  if (faults.size() > 1) {
-    parts.push_back("faults=" +
-                    cluster::fault_list_to_string(faults[cell.faults_i], '+'));
-  }
-  if (workflows.size() > 1) {
-    parts.push_back("workflow=" + workflows[cell.workflow_i].to_string());
-  }
+  std::string out;
+  const auto add = [&out](const std::string& part) {
+    if (!out.empty()) out += ' ';
+    out += part;
+  };
+  for_each_axis([&](const auto& axis, std::size_t) {
+    if ((this->*axis.items).size() > 1) {
+      add(axis.label + spell(axis.item(*this, cell)) + axis.unit);
+    }
+  });
   for (std::size_t k = 0; k < overrides.size(); ++k) {
     if (overrides[k].second.size() > 1) {
-      parts.push_back(overrides[k].first + "=" +
-                      util::fmt_g(overrides[k].second[cell.override_i[k]]));
+      add(overrides[k].first + "=" +
+          spell(overrides[k].second[cell.override_i[k]]));
     }
   }
   if (with_seed && seeds.size() > 1) {
-    parts.push_back("seed=" + std::to_string(seeds[cell.seed_i]));
+    add("seed=" + std::to_string(seeds[cell.seed_i]));
   }
-  if (parts.empty()) parts.push_back(schedulers[cell.scheduler_i].to_string());
-  std::string out;
-  for (const auto& p : parts) {
-    if (!out.empty()) out += ' ';
-    out += p;
-  }
+  // A grid that sweeps nothing is named by its first axis.
+  if (out.empty()) add(spell(std::get<0>(kAxes).item(*this, cell)));
   return out;
 }
 

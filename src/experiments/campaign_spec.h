@@ -10,12 +10,14 @@
 #include "cluster/cluster_spec.h"
 #include "experiments/experiment_spec.h"
 #include "experiments/scheduler_spec.h"
+#include "metrics/sink.h"
 #include "workload/scenario_spec.h"
 
 namespace whisk::experiments {
 
 // One cell of an expanded campaign grid: the fully materialized
-// ExperimentSpec plus its coordinates along every axis.
+// ExperimentSpec plus its coordinates along every axis. Every member has a
+// default, so a partial cell such as `{.nodes_i = 1}` names a group.
 struct CampaignCell {
   std::size_t index = 0;
   std::size_t scheduler_i = 0;
@@ -27,9 +29,9 @@ struct CampaignCell {
   std::size_t autoscaler_i = 0;
   std::size_t faults_i = 0;
   std::size_t workflow_i = 0;
-  std::vector<std::size_t> override_i;  // one per override axis
+  std::vector<std::size_t> override_i = {};  // one per override axis
   std::size_t seed_i = 0;
-  ExperimentSpec spec;
+  ExperimentSpec spec = {};
 };
 
 // A contiguous, group-aligned slice of a campaign's expanded cell index
@@ -98,8 +100,9 @@ struct ShardRange {
 //   grid.size()  -> 20
 //
 // Grammar: semicolon-separated `axis=item,item,...` entries. Axes:
-// schedulers, scenarios, seeds, nodes, cores, memory-mb, clusters, and any
-// number of `override:<name>` ablation axes (names validated against
+// schedulers, scenarios, seeds, nodes, cores, memory-mb (alias memory_mb),
+// clusters, autoscalers, faults, workflows, and any number of
+// `override:<name>` ablation axes (names validated against
 // ExperimentSpec::override_names()). `seeds` accepts inclusive ranges
 // (`0..4`) alongside single values. Axis names are case-insensitive;
 // omitted axes keep their defaults (seeds default to the paper's 0..4).
@@ -150,7 +153,9 @@ struct ShardRange {
 //   > faults > workflows > overrides > seed
 // so the cells of one "group" (every axis fixed except the seed) are
 // contiguous and seed-ordered — pooling a group's cells reproduces the
-// serial run_repetitions pooling byte for byte.
+// serial run_repetitions pooling byte for byte. That order, each axis's
+// keys and spellings, and the member vector and CampaignCell coordinate it
+// owns are declared once, in the kAxes table (campaign_spec.cpp).
 struct CampaignSpec {
   std::vector<SchedulerSpec> schedulers = {SchedulerSpec{}};
   std::vector<workload::ScenarioSpec> scenarios = {workload::ScenarioSpec{}};
@@ -217,17 +222,20 @@ struct CampaignSpec {
   // specs for every rendered row.
   [[nodiscard]] CampaignCell coordinates(std::size_t index) const;
 
-  // Flatten non-seed axis coordinates into a group index — the inverse of
-  // the expansion order, so callers never hand-roll `sched_i * n + node_i`
-  // arithmetic that silently breaks when an axis gains a value. Omitted
-  // override coordinates mean "first value of every override axis".
-  [[nodiscard]] std::size_t group_index(
-      std::size_t scheduler_i, std::size_t scenario_i = 0,
-      std::size_t nodes_i = 0, std::size_t cores_i = 0,
-      std::size_t memory_i = 0, std::size_t cluster_i = 0,
-      std::size_t autoscaler_i = 0, std::size_t faults_i = 0,
-      std::size_t workflow_i = 0,
-      const std::vector<std::size_t>& override_i = {}) const;
+  // Flatten a cell's non-seed coordinates into a group index — the inverse
+  // of the expansion order, so callers never hand-roll `sched_i * n +
+  // node_i` arithmetic that silently breaks when an axis gains a value.
+  // Unset coordinates mean "first value", so a partial cell names a group:
+  // `group_index({.cluster_i = c})`. An empty override_i means the first
+  // value of every override axis.
+  [[nodiscard]] std::size_t group_index(const CampaignCell& at) const;
+
+  // The cell's coordinates as the leading columns of the cells CSV/JSONL
+  // and of every record context, in column order: cell, scheduler,
+  // scenario, seed, then the other fixed axes. The nodes, cluster,
+  // autoscaler and faults columns read the cell's deployment().
+  [[nodiscard]] std::vector<metrics::RunContextField> coordinate_fields(
+      const CampaignCell& cell) const;
 
   // True when the axis is in play: more than one entry, or a non-default
   // one (a non-one-node cluster, an autoscaler other than "none", a

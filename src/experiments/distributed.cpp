@@ -367,6 +367,8 @@ DistributedResult run_distributed(const CampaignSpec& raw_spec,
   WHISK_CHECK(options.workers >= 1, "distributed workers must be >= 1");
   WHISK_CHECK(options.max_attempts >= 1,
               "distributed max attempts must be >= 1");
+  WHISK_CHECK(options.reservoir_capacity > 0,
+              "distributed reservoir capacity must be > 0");
   const CampaignSpec spec = raw_spec.normalized();
   const std::size_t n = static_cast<std::size_t>(options.workers);
 

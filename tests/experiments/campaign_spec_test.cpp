@@ -2,8 +2,32 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <string>
+#include <string_view>
+
+#include "experiments/campaign.h"
+
 namespace whisk::experiments {
 namespace {
+
+// Two values on every axis kind, with clusters standing in for nodes.
+constexpr const char* kEveryAxisGrid =
+    "schedulers=baseline/fifo,ours/sept; "
+    "scenarios=uniform?intensity=10,fixed-total?total=40; seeds=0..1; "
+    "cores=5,10; memory-mb=2048,32768; "
+    "clusters=node:2,big:1?cores=16+small:2|keep-alive=ttl?idle-s=120; "
+    "autoscalers=none,target-util?tick-s=1&cooldown-s=1; "
+    "faults=none,crash-restart?mtbf-s=60&mttr-s=10; "
+    "workflows=none,chain?stages=3; "
+    "override:history_window=1,10; override:fc_window=2,4";
+
+// A swept nodes axis, whose deployments also take the autoscaler and
+// faults axis values.
+constexpr const char* kNodesAxisGrid =
+    "schedulers=ours/sept; scenarios=uniform?intensity=30; seeds=3,5..6; "
+    "nodes=1,2; cores=5; autoscalers=none,target-util?tick-s=1; "
+    "faults=none,slow-node?factor=3; override:history_window=1,3";
 
 TEST(CampaignSpecTest, DefaultsArePaperShaped) {
   const CampaignSpec spec;
@@ -37,6 +61,8 @@ TEST(CampaignSpecTest, ToStringRoundTrips) {
       "override:history_window=1,3,10",
       "schedulers=ours/fifo; scenarios=uniform; seeds=7,3,9..11; "
       "memory-mb=2048.5",
+      kEveryAxisGrid,
+      kNodesAxisGrid,
   };
   for (const char* text : grids) {
     const auto spec = CampaignSpec::parse(text);
@@ -96,15 +122,11 @@ TEST(CampaignSpecTest, GroupIndexInvertsTheCellExpansion) {
       "seeds=0..1; nodes=1,2; override:history_window=1,3");
   for (std::size_t i = 0; i < spec.size(); ++i) {
     const auto cell = spec.cell(i);
-    EXPECT_EQ(spec.group_index(cell.scheduler_i, cell.scenario_i,
-                               cell.nodes_i, cell.cores_i, cell.memory_i,
-                               cell.cluster_i, cell.autoscaler_i,
-                               cell.faults_i, cell.workflow_i,
-                               cell.override_i),
-              i / spec.seeds_per_group())
+    EXPECT_EQ(spec.group_index(cell), i / spec.seeds_per_group())
         << "cell " << i;
   }
-  EXPECT_DEATH((void)spec.group_index(2), "scheduler coordinate");
+  EXPECT_DEATH((void)spec.group_index({.scheduler_i = 2}),
+               "scheduler coordinate");
 }
 
 TEST(CampaignSpecTest, ClustersAxisExpandsCompactSpecs) {
@@ -189,6 +211,112 @@ TEST(CampaignSpecTest, LabelShowsOnlySweptAxes) {
             "ours/sept/round-robin");
 }
 
+// The coordinate columns of cell `i`'s record context, as "key=value"s.
+std::string coordinate_columns(const CampaignSpec& spec, std::size_t i) {
+  std::string out;
+  for (const auto& f : cell_context(spec, spec.coordinates(i), CellResult()).fields) {
+    if (f.key == "max_completion") break;  // the first metric column
+    if (!out.empty()) out += ' ';
+    out += f.key + "=" + f.value;
+  }
+  return out;
+}
+
+std::uint64_t fnv1a(std::string_view text) {
+  std::uint64_t h = 14695981039346656037ull;
+  for (const unsigned char c : text) h = (h ^ c) * 1099511628211ull;
+  return h;
+}
+
+// Spellings pinned over every axis kind: to_string, the labels of the first
+// and last cell, and the coordinate columns of every group's first cell
+// (spelled out for the first and last group, hashed over all of them).
+TEST(CampaignSpecTest, EveryAxisKindKeepsItsSpelling) {
+  struct Golden {
+    const char* grid;
+    const char* text;
+    const char* first_label;
+    const char* last_label;
+    const char* first_group;
+    const char* last_group;
+    std::uint64_t groups_hash;
+  };
+  const Golden goldens[] = {
+      {kEveryAxisGrid,
+       "schedulers=baseline/fifo/round-robin,ours/sept/round-robin; "
+       "scenarios=uniform?intensity=10,fixed-total?total=40; seeds=0..1; "
+       "nodes=1; cores=5,10; memory-mb=2048,32768; "
+       "clusters=node:2,big:1?cores=16+small:2|keep-alive=ttl?idle-s=120; "
+       "autoscalers=none,target-util?cooldown-s=1&tick-s=1; "
+       "faults=none,crash-restart?mtbf-s=60&mttr-s=10; "
+       "workflows=none,chain?stages=3; override:fc_window=2,4; "
+       "override:history_window=1,10",
+       "baseline/fifo/round-robin uniform?intensity=10 cores=5 mem=2048MiB "
+       "node:2 autoscaler=none faults=none workflow=none fc_window=2 "
+       "history_window=1 seed=0",
+       "ours/sept/round-robin fixed-total?total=40 cores=10 mem=32768MiB "
+       "big:1?cores=16+small:2|keep-alive=ttl?idle-s=120 "
+       "autoscaler=target-util?cooldown-s=1&tick-s=1 "
+       "faults=crash-restart?mtbf-s=60&mttr-s=10 workflow=chain?stages=3 "
+       "fc_window=4 history_window=10 seed=1",
+       "cell=0 scheduler=baseline/fifo/round-robin "
+       "scenario=uniform?intensity=10 seed=0 nodes=2 cores=5 memory_mb=2048 "
+       "cluster=node:2 autoscaler=none faults=none workflow=none "
+       "override:fc_window=2 override:history_window=1",
+       "cell=2046 scheduler=ours/sept/round-robin "
+       "scenario=fixed-total?total=40 seed=0 nodes=3 cores=10 "
+       "memory_mb=32768 cluster=big:1?cores=16+small:2|keep-alive=ttl?"
+       "idle-s=120 autoscaler=target-util?cooldown-s=1&tick-s=1 "
+       "faults=crash-restart?mtbf-s=60&mttr-s=10 workflow=chain?stages=3 "
+       "override:fc_window=4 override:history_window=10",
+       0x4dfba56fb641aa9bull},
+      {kNodesAxisGrid,
+       "schedulers=ours/sept/round-robin; scenarios=uniform?intensity=30; "
+       "seeds=3,5..6; nodes=1,2; cores=5; memory-mb=32768; "
+       "autoscalers=none,target-util?tick-s=1; "
+       "faults=none,slow-node?factor=3; override:history_window=1,3",
+       "nodes=1 autoscaler=none faults=none history_window=1 seed=3",
+       "nodes=2 autoscaler=target-util?tick-s=1 faults=slow-node?factor=3 "
+       "history_window=3 seed=6",
+       "cell=0 scheduler=ours/sept/round-robin scenario=uniform?intensity=30 "
+       "seed=3 nodes=1 cores=5 memory_mb=32768 cluster=node:1 "
+       "autoscaler=none faults=none workflow=none "
+       "override:history_window=1",
+       "cell=45 scheduler=ours/sept/round-robin "
+       "scenario=uniform?intensity=30 seed=3 nodes=2 cores=5 "
+       "memory_mb=32768 cluster=node:2 autoscaler=target-util?tick-s=1 "
+       "faults=slow-node?factor=3 workflow=none override:history_window=3",
+       0xac2740f7e05736caull},
+  };
+  for (const Golden& golden : goldens) {
+    const auto spec = CampaignSpec::parse(golden.grid);
+    EXPECT_EQ(spec.to_string(), golden.text);
+    const auto first = spec.coordinates(0);
+    const auto last = spec.coordinates(spec.size() - 1);
+    const std::string first_label = golden.first_label;
+    const std::string last_label = golden.last_label;
+    EXPECT_EQ(spec.label(first), first_label);
+    EXPECT_EQ(spec.label(last), last_label);
+    EXPECT_EQ(spec.label(first, /*with_seed=*/false),
+              first_label.substr(0, first_label.rfind(" seed=")));
+    EXPECT_EQ(spec.label(last, /*with_seed=*/false),
+              last_label.substr(0, last_label.rfind(" seed=")));
+
+    const std::size_t per = spec.seeds_per_group();
+    EXPECT_EQ(coordinate_columns(spec, 0), golden.first_group);
+    EXPECT_EQ(coordinate_columns(spec, spec.size() - per), golden.last_group);
+    std::string groups;
+    for (std::size_t g = 0; g < spec.group_count(); ++g) {
+      groups += coordinate_columns(spec, g * per) + "\n";
+    }
+    EXPECT_EQ(fnv1a(groups), golden.groups_hash) << golden.grid;
+
+    for (std::size_t i = 0; i < spec.size(); ++i) {
+      ASSERT_EQ(spec.group_index(spec.coordinates(i)), i / per) << i;
+    }
+  }
+}
+
 TEST(CampaignSpecDeath, UnknownAxisListsTheValidOnes) {
   EXPECT_DEATH((void)CampaignSpec::parse("warp=9"),
                "unknown campaign axis \"warp\".*schedulers");
@@ -212,6 +340,19 @@ TEST(CampaignSpecDeath, BadItemsAreRejectedWithTheAxisName) {
   EXPECT_DEATH((void)CampaignSpec::parse("memory-mb=-4"),
                "not a positive number");
   EXPECT_DEATH((void)CampaignSpec::parse("cores="), "has no items");
+  // An empty item dies naming its axis and position on every axis, instead
+  // of parsing as a default ("faults=,none" would be two fault-free cells).
+  for (const std::string key :
+       {"schedulers", "scenarios", "seeds", "nodes", "cores", "memory-mb",
+        "clusters", "autoscalers", "faults", "workflows",
+        "override:history_window"}) {
+    EXPECT_DEATH((void)CampaignSpec::parse(key + "=,1"),
+                 "campaign axis \"" + key + "\": item 1 is empty");
+    EXPECT_DEATH((void)CampaignSpec::parse(key + "= 1 , "),
+                 "campaign axis \"" + key + "\": item 2 is empty");
+  }
+  EXPECT_DEATH((void)CampaignSpec::parse("fault=none,,none"),
+               "campaign axis \"faults\": item 2 is empty");
 }
 
 TEST(CampaignSpecDeath, UnknownSchedulerScenarioOrOverrideAborts) {

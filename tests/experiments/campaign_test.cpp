@@ -267,7 +267,7 @@ TEST_F(CampaignTest, ClustersAxisRunsAndIsThreadInvariant) {
 
   // The same cell through the serial runner agrees record for record, and
   // its collector accounts the re-submissions.
-  const auto churn_cell = spec.cell(spec.group_index(0, 0, 0, 0, 0, 1) *
+  const auto churn_cell = spec.cell(spec.group_index({.cluster_i = 1}) *
                                     spec.seeds_per_group());
   const auto serial = run_experiment(churn_cell.spec, cat_);
   EXPECT_EQ(serial.resubmissions, result1.cells[churn_cell.index].resubmissions);
@@ -733,6 +733,14 @@ TEST_F(CampaignTest, AggregateHelpersNeedStreamedCells) {
   spec.seeds = {0};
   const auto result = run_campaign(spec, cat_, {});
   EXPECT_DEATH((void)aggregate_responses(result.group(0)), "retain_samples");
+}
+
+TEST_F(CampaignTest, ZeroReservoirCapacityAborts) {
+  CampaignOptions opts;
+  opts.retain_samples = false;
+  opts.reservoir_capacity = 0;
+  EXPECT_DEATH((void)run_campaign(small_grid(), cat_, opts),
+               "campaign reservoir capacity must be > 0");
 }
 
 TEST_F(CampaignTest, GroupSummaryPoolsKeptSamplesExactly) {

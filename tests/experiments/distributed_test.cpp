@@ -209,6 +209,16 @@ TEST_F(DistributedCampaignTest, MergeOfShardRunsMatchesSingleProcess) {
   }
 }
 
+// The driver refuses before it forks: the message is its own, not a
+// worker's replayed stderr.
+TEST_F(DistributedCampaignTest, ZeroReservoirCapacityAbortsBeforeForking) {
+  DistributedOptions opts;
+  opts.retain_samples = false;
+  opts.reservoir_capacity = 0;
+  EXPECT_DEATH((void)run_distributed(chaos_grid(), cat_, opts),
+               "distributed reservoir capacity must be > 0");
+}
+
 TEST_F(DistributedCampaignTest, MergeRejectsMixedFormatsAndForeignHeaders) {
   const ShardFiles parts = run_shards(chaos_grid(), cat_, 9);
   const auto diagnostic = [](std::vector<CellsPart> mix) {

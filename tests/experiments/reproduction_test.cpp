@@ -236,8 +236,8 @@ TEST_F(Reproduction, Fig6_FcOnThreeNodesBeatsBaselineOnFour) {
   const auto result = run(grid({baseline(), ours("fc")},
                                "fixed-total?total=2376", 18, {4, 3, 2}));
   auto multi = [&](std::size_t sched_i, std::size_t nodes_i) {
-    return util::summarize(pooled_responses(
-        result.group(result.spec.group_index(sched_i, 0, nodes_i))));
+    return util::summarize(pooled_responses(result.group(
+        result.spec.group_index({.scheduler_i = sched_i, .nodes_i = nodes_i}))));
   };
   const auto base4 = multi(0, 0);
   const auto fc3 = multi(1, 1);
