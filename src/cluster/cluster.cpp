@@ -13,9 +13,9 @@ namespace whisk::cluster {
 namespace {
 
 // Recent controller-observed latencies retained for the hedge quantile.
-// Big enough for a stable tail estimate, small enough that the copy in
-// hedge_delay() stays off any profile.
-constexpr std::size_t kLatencyRingCapacity = 256;
+// Big enough for a stable tail estimate, small enough that keeping the
+// window sorted on every delivery stays off any profile.
+constexpr std::size_t kLatencyWindowCapacity = 256;
 
 }  // namespace
 
@@ -95,7 +95,7 @@ Cluster::Cluster(sim::Engine& engine,
     }
     if (resilience_->breaker_failures > 0) breakers_.resize(nodes_.size());
     if (resilience_->hedge_p > 0.0) {
-      latency_ring_.reserve(kLatencyRingCapacity);
+      latency_window_.emplace(kLatencyWindowCapacity);
     }
   }
 
@@ -276,8 +276,9 @@ void Cluster::run_scenario(const workload::Scenario& scenario) {
   for (const auto& call : scenario.calls) {
     workload::CallRequest submit = call;
     if (workflow_ != nullptr) submit.cp_hint = workflow_->root_hint(submit);
-    engine_->schedule_at(submit.release + kClientToControllerS,
-                         [this, submit] { submit_to_controller(submit); });
+    engine_->schedule_ordered(
+        submit.release + kClientToControllerS,
+        [this, submit] { submit_to_controller(submit); });
   }
   if (autoscaler_ != nullptr && !tick_scheduled_) {
     tick_scheduled_ = true;
@@ -448,14 +449,8 @@ void Cluster::deliver(const metrics::CallRecord& record) {
     if (!breakers_.empty() && rec.node >= 0) {
       breaker_note_success(static_cast<std::size_t>(rec.node));
     }
-    if (resilience_->hedge_p > 0.0) {
-      const double sample = engine_->now() - entry.first_submit;
-      if (latency_ring_.size() < kLatencyRingCapacity) {
-        latency_ring_.push_back(sample);
-      } else {
-        latency_ring_[latency_ring_next_] = sample;
-        latency_ring_next_ = (latency_ring_next_ + 1) % kLatencyRingCapacity;
-      }
+    if (latency_window_) {
+      latency_window_->push(engine_->now() - entry.first_submit);
       ++latencies_observed_;
     }
     outstanding_.erase(it);
@@ -591,13 +586,10 @@ void Cluster::breaker_note_success(std::size_t node) {
 }
 
 double Cluster::hedge_delay() const {
-  std::vector<double> sorted = latency_ring_;
   const auto k = static_cast<std::size_t>(
-      resilience_->hedge_p * static_cast<double>(sorted.size() - 1));
-  std::nth_element(sorted.begin(),
-                   sorted.begin() + static_cast<std::ptrdiff_t>(k),
-                   sorted.end());
-  return sorted[k];
+      resilience_->hedge_p *
+      static_cast<double>(latency_window_->size() - 1));
+  return latency_window_->nth(k);
 }
 
 void Cluster::collect_record(const metrics::CallRecord& record) {

@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -17,6 +18,7 @@
 #include "node/params.h"
 #include "sim/engine.h"
 #include "sim/random.h"
+#include "util/sorted_ring_buffer.h"
 #include "workload/function.h"
 #include "workload/scenario.h"
 #include "workload/workflow.h"
@@ -351,7 +353,7 @@ class Cluster : public FaultHost {
   // Breaker transitions fed by per-node timeout/success signals.
   void breaker_note_timeout(std::size_t node);
   void breaker_note_success(std::size_t node);
-  // Latency quantile the hedge delay is drawn from (ring of recent
+  // Latency quantile the hedge delay is drawn from (window of recent
   // controller-observed latencies).
   [[nodiscard]] double hedge_delay() const;
   // Terminal-record funnel: feeds the collector and, once every expected
@@ -435,10 +437,10 @@ class Cluster : public FaultHost {
   // armed.
   std::unordered_map<workload::CallId, Outstanding> outstanding_;
   std::vector<Breaker> breakers_;  // per node; empty unless breaker armed
-  // Ring of recent controller-observed latencies feeding the hedge
-  // quantile, plus the total observed count gating hedge arming.
-  std::vector<double> latency_ring_;
-  std::size_t latency_ring_next_ = 0;
+  // Recent controller-observed latencies feeding the hedge quantile (only
+  // while hedges are armed), plus the total observed count gating hedge
+  // arming.
+  std::optional<util::SortedRingBuffer> latency_window_;
   std::size_t latencies_observed_ = 0;
   std::size_t retries_spent_ = 0;  // against the retry budget
   std::size_t timeouts_ = 0;

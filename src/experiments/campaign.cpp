@@ -230,13 +230,6 @@ std::span<const CellResult> CampaignResult::group(std::size_t g) const {
   return {cells.data() + g * per, per};
 }
 
-CampaignCell CampaignResult::group_cell(std::size_t g) const {
-  WHISK_CHECK(g < group_count(), "campaign group index out of range");
-  // Full cell(), not coordinates(): group_cell's contract includes a
-  // populated .spec (callers may re-run or inspect the configuration).
-  return spec.cell(global_group(g) * spec.seeds_per_group());
-}
-
 std::string CampaignResult::group_label(std::size_t g) const {
   WHISK_CHECK(g < group_count(), "campaign group index out of range");
   return spec.label(spec.coordinates(global_group(g) *

@@ -159,8 +159,6 @@ class CampaignResult {
     return shard.begin_group + g;
   }
   [[nodiscard]] std::span<const CellResult> group(std::size_t g) const;
-  // The group's first cell, for axis coordinates.
-  [[nodiscard]] CampaignCell group_cell(std::size_t g) const;
   [[nodiscard]] std::string group_label(std::size_t g) const;
   // The group's pooled row: util::summarize over pooled_* when every cell
   // kept its samples, aggregate_*(cells).summary() otherwise.

@@ -275,15 +275,6 @@ consteval std::size_t axis_index(std::string_view key) {
   return index;
 }
 
-std::string valid_axes() {
-  std::string out;
-  for_each_axis([&](const auto& axis, std::size_t k) {
-    if (k == kSeedsRenderAt) out += "seeds, ";
-    out += std::string(axis.key) + ", ";
-  });
-  return out + "override:<name>";
-}
-
 // The balanced contiguous partition both shard() and subshard() use:
 // element j of m over a count of `total` starts at j*total/m. Monotone in
 // j, exhaustive, disjoint, and every part is within one of total/m.
@@ -292,6 +283,15 @@ std::size_t partition_start(std::size_t total, std::size_t j, std::size_t m) {
 }
 
 }  // namespace
+
+std::string CampaignSpec::axis_names() {
+  std::string out;
+  for_each_axis([&](const auto& axis, std::size_t k) {
+    if (k == kSeedsRenderAt) out += "seeds, ";
+    out += std::string(axis.key) + ", ";
+  });
+  return out + "override:<name>";
+}
 
 ShardRange ShardRange::subshard(std::size_t j, std::size_t m) const {
   WHISK_CHECK(m > 0, "shard subdivision needs a positive count");
@@ -355,7 +355,7 @@ CampaignSpec CampaignSpec::parse(std::string_view text) {
     const std::size_t eq = entry.find('=');
     WHISK_CHECK(eq != std::string_view::npos,
                 ("campaign grid entry \"" + std::string(entry) +
-                 "\" is not axis=items; valid axes: " + valid_axes())
+                 "\" is not axis=items; valid axes: " + axis_names())
                     .c_str());
     std::string key = util::ascii_lower(trim_ws(entry.substr(0, eq)));
     for_each_axis([&](const auto& axis, std::size_t) {
@@ -395,7 +395,7 @@ CampaignSpec CampaignSpec::parse(std::string_view text) {
       spec.overrides.emplace_back(name, std::move(values));
     } else {
       WHISK_CHECK(false, ("unknown campaign axis \"" + key +
-                          "\"; valid axes: " + valid_axes())
+                          "\"; valid axes: " + axis_names())
                              .c_str());
     }
   }

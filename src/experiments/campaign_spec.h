@@ -182,6 +182,9 @@ struct CampaignSpec {
   std::vector<std::uint64_t> seeds = {0, 1, 2, 3, 4};
 
   [[nodiscard]] static CampaignSpec parse(std::string_view text);
+  // Every axis key parse accepts, in to_string order and comma-separated:
+  // the fixed axes with seeds among them, then "override:<name>".
+  [[nodiscard]] static std::string axis_names();
   [[nodiscard]] std::string to_string() const;
 
   // Abort (naming the offender and the valid alternatives) if any component

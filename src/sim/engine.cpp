@@ -144,6 +144,16 @@ EventId Engine::schedule_in(SimTime delay, Callback fn) {
   return schedule_at(now_ + delay, std::move(fn));
 }
 
+void Engine::schedule_ordered(SimTime at, Callback fn) {
+  if (!lane_.empty() && at < lane_.back().time) {
+    schedule_at(at, std::move(fn));
+    return;
+  }
+  WHISK_CHECK(at >= now_, "cannot schedule events in the past");
+  WHISK_CHECK(static_cast<bool>(fn), "cannot schedule a null callback");
+  lane_.push_back(LaneEntry{at, next_seq_++, std::move(fn)});
+}
+
 bool Engine::cancel(EventId id) {
   SlotMeta* m = live_slot(id);
   if (m == nullptr) return false;
@@ -189,6 +199,29 @@ void Engine::execute_top() {
   if (meta_[top.slot].gen != 0xffffffffu) free_.push_back(top.slot);
 }
 
+// Pop and run the lane head. The callback is moved out first: it may
+// append to the lane, and a reallocation would move it mid-call.
+void Engine::execute_lane_head() {
+  LaneEntry& head = lane_[lane_head_];
+  WHISK_CHECK(head.time >= now_, "time went backwards");
+  now_ = head.time;
+  EventFn fn = std::move(head.fn);
+  if (++lane_head_ == lane_.size()) {
+    lane_.clear();
+    lane_head_ = 0;
+  }
+  ++executed_;
+  fn.consume();
+}
+
+void Engine::execute_next() {
+  if (lane_first()) {
+    execute_lane_head();
+  } else {
+    execute_top();
+  }
+}
+
 void Engine::reset() {
   // Destroy pending callbacks and recycle their slots (same retirement
   // rule as release_slot); executed slots are already on the free list.
@@ -200,23 +233,29 @@ void Engine::reset() {
     if (m.gen != 0xffffffffu) free_.push_back(e.slot);
   }
   heap_.clear();
+  lane_.clear();
+  lane_head_ = 0;
   now_ = 0.0;
   next_seq_ = 1;
   executed_ = 0;
 }
 
 bool Engine::step() {
-  if (heap_.empty()) return false;
-  execute_top();
+  if (empty()) return false;
+  execute_next();
   return true;
 }
 
 std::size_t Engine::run(SimTime until) {
   const bool bounded = until != kNever;
   std::size_t ran = 0;
-  while (!heap_.empty()) {
-    if (bounded && heap_[0].time > until) break;
-    execute_top();
+  while (!empty()) {
+    if (bounded) {
+      const SimTime next =
+          lane_first() ? lane_[lane_head_].time : heap_[0].time;
+      if (next > until) break;
+    }
+    execute_next();
     ++ran;
   }
   if (bounded && now_ < until) now_ = until;

@@ -39,7 +39,16 @@ inline constexpr EventId kInvalidEvent = 0;
 //     use the bottom-up hole-sinking variant, which trades the
 //     hard-to-predict per-level exit branch for a short final sift-up;
 //   * EventFn callbacks with inline storage, so the common lambda captures
-//     (a `this` pointer plus a few words) never touch the allocator.
+//     (a `this` pointer plus a few words) never touch the allocator;
+//   * a FIFO arrival lane beside the heap for events that are never
+//     cancelled or moved and arrive in time order (a scenario's calls):
+//     entries carry the same (time, seq) key the heap would have given
+//     them, so the lane is sorted by that key, and run/step pop whichever
+//     of lane head and heap top comes first. The pop order is exactly the
+//     heap-only order, while the heap holds only the in-flight events
+//     instead of every pending arrival. Lane callbacks are moved out
+//     before they run (they may append to the lane), and the lane is
+//     emptied, capacity kept, whenever it drains.
 class Engine {
  public:
   using Callback = EventFn;
@@ -55,6 +64,13 @@ class Engine {
 
   // Schedule `fn` to run `delay` seconds from now (delay >= 0).
   EventId schedule_in(SimTime delay, Callback fn);
+
+  // Schedule `fn` to run at `at` (>= now) for an event that is never
+  // cancelled or moved, so no id is returned. Appended to the arrival lane
+  // when `at` is not earlier than the lane's last entry, otherwise
+  // scheduled on the heap; either way it runs exactly where schedule_at
+  // would have run it.
+  void schedule_ordered(SimTime at, Callback fn);
 
   // Cancel a pending event. Cancelling an already-run, already-cancelled or
   // unknown id is a no-op and returns false.
@@ -76,8 +92,8 @@ class Engine {
   bool step();
 
   // Return the engine to its just-constructed observable state while
-  // keeping the slot arena, heap array and free list warm — the
-  // workspace-reuse primitive (experiments::CellWorkspace). Any still-
+  // keeping the slot arena, heap array, arrival lane and free list warm —
+  // the workspace-reuse primitive (experiments::CellWorkspace). Any still-
   // pending events (normally none: campaign runs drain the queue) are
   // destroyed, and every outstanding EventId is invalidated through the
   // usual generation bump. Event ordering is unaffected by reuse: the heap
@@ -85,8 +101,10 @@ class Engine {
   // change which event runs next.
   void reset();
 
-  [[nodiscard]] bool empty() const { return heap_.empty(); }
-  [[nodiscard]] std::size_t pending() const { return heap_.size(); }
+  [[nodiscard]] bool empty() const { return heap_.empty() && lane_.empty(); }
+  [[nodiscard]] std::size_t pending() const {
+    return heap_.size() + (lane_.size() - lane_head_);
+  }
   [[nodiscard]] std::size_t executed() const { return executed_; }
 
  private:
@@ -124,6 +142,21 @@ class Engine {
     return lt | (eq & sq);
   }
 
+  // An arrival-lane entry: the heap key plus the callback, in place.
+  struct LaneEntry {
+    SimTime time;
+    std::uint64_t seq;
+    EventFn fn;
+  };
+
+  // True when the lane head runs before the heap top (lane non-empty).
+  [[nodiscard]] bool lane_first() const {
+    if (lane_.empty()) return false;
+    if (heap_.empty()) return true;
+    const LaneEntry& head = lane_[lane_head_];
+    return before(HeapEntry{head.time, head.seq, 0}, heap_[0]);
+  }
+
   [[nodiscard]] EventFn& fn_at(std::uint32_t idx) {
     return fn_chunks_[idx >> kChunkShift][idx & (kChunkSize - 1)];
   }
@@ -140,6 +173,9 @@ class Engine {
   void pop_root();
   void heap_remove(std::size_t pos);
   void execute_top();
+  void execute_lane_head();
+  // Run the next event from whichever of lane and heap holds it.
+  void execute_next();
 
   // Decode an id; returns nullptr when it does not name a live event.
   [[nodiscard]] SlotMeta* live_slot(EventId id);
@@ -151,6 +187,10 @@ class Engine {
   std::vector<std::unique_ptr<EventFn[]>> fn_chunks_;  // stable callback slab
   std::vector<std::uint32_t> free_;  // LIFO free list of slot indices
   std::vector<HeapEntry> heap_;      // 4-ary min-heap keyed by (time, seq)
+  // Arrival lane, sorted by (time, seq); entries before lane_head_ have
+  // run. Empty (lane_head_ == 0) whenever no lane entry is pending.
+  std::vector<LaneEntry> lane_;
+  std::size_t lane_head_ = 0;
 };
 
 }  // namespace whisk::sim

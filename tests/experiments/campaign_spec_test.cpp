@@ -7,6 +7,7 @@
 #include <string_view>
 
 #include "experiments/campaign.h"
+#include "util/parse.h"
 
 namespace whisk::experiments {
 namespace {
@@ -315,6 +316,34 @@ TEST(CampaignSpecTest, EveryAxisKindKeepsItsSpelling) {
       ASSERT_EQ(spec.group_index(spec.coordinates(i)), i / per) << i;
     }
   }
+}
+
+// axis_names() is what --help and the diagnostics list; each name in it
+// (override:<name> aside) must be a key parse dispatches on: a segment
+// rendered for that key by one of the two grids above parses alone and
+// moves the grid off the default.
+TEST(CampaignSpecTest, EveryAxisNameParsesAsAnAxisKey) {
+  const std::string rendered =
+      CampaignSpec::parse(kEveryAxisGrid).to_string() + "; " +
+      CampaignSpec::parse(kNodesAxisGrid).to_string();
+  const CampaignSpec fallback = CampaignSpec::parse("");
+  const std::string names = CampaignSpec::axis_names();
+  int checked = 0;
+  for (std::string_view name : util::split_any(names, ",")) {
+    name = util::trim_ws(name);
+    if (name == "override:<name>") continue;
+    const std::string prefix = std::string(name) + "=";
+    bool parsed = false;
+    for (std::string_view part : util::split_any(rendered, ";")) {
+      part = util::trim_ws(part);
+      if (part.substr(0, prefix.size()) != prefix) continue;
+      parsed = parsed || CampaignSpec::parse(part) != fallback;
+    }
+    EXPECT_TRUE(parsed) << "no grid sets axis " << name;
+    ++checked;
+  }
+  EXPECT_EQ(checked, 10);
+  EXPECT_EQ(names.substr(names.size() - 15), "override:<name>");
 }
 
 TEST(CampaignSpecDeath, UnknownAxisListsTheValidOnes) {

@@ -44,6 +44,8 @@ int usage(const char* argv0) {
       "usage: %s \"<grid>\" [options]\n"
       "\n"
       "grid axes (semicolon-separated `axis=item,item,...`):\n"
+      "  %s\n"
+      "examples:\n"
       "  schedulers=invoker[/policy[/balancer]],...\n"
       "  scenarios=name[?key=value&...],...\n"
       "  seeds=0..4 | seeds=0,1,7      nodes=1,2   cores=10,20\n"
@@ -83,7 +85,7 @@ int usage(const char* argv0) {
       "                     partials (shard order) into OUT and exit; an\n"
       "                     empty part is JSONL, all parts one format\n"
       "  --verbose          in --workers runs: forward worker stderr\n",
-      argv0);
+      argv0, experiments::CampaignSpec::axis_names().c_str());
   return 2;
 }
 
