@@ -104,7 +104,7 @@ class SeedEngine {
           continue;
         }
         if (top.time > until) {
-          now_ = until;
+          if (now_ < until) now_ = until;
           break;
         }
       }

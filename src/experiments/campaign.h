@@ -176,8 +176,7 @@ class CampaignResult {
                                           const CampaignOptions& options = {});
 
 // Pool the exact per-call samples of several cells (typically one group) in
-// cell order — the campaign replacement for the old RunResult pooling
-// helpers. Aborts if the cells were run without retain_samples.
+// cell order. Aborts if the cells were run without retain_samples.
 [[nodiscard]] std::vector<double> pooled_responses(
     std::span<const CellResult> cells);
 [[nodiscard]] std::vector<double> pooled_stretches(

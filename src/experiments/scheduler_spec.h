@@ -8,9 +8,8 @@ namespace whisk::experiments {
 
 // One scheduler under test, as three registry names: which node-level
 // resource manager runs ("baseline", "ours", ...), which policy orders its
-// pending queue, and how the controller spreads calls over workers.
-// Replaces the old {Approach, PolicyKind} pair with an open, declarative
-// value type:
+// pending queue, and how the controller spreads calls over workers. An
+// open, declarative value type:
 //
 //   auto spec = SchedulerSpec::parse("ours/sept/round-robin");
 //   spec.to_string()  -> "ours/sept/round-robin"
