@@ -406,9 +406,10 @@ void Cluster::resubmit(const workload::CallRequest& call) {
 
 void Cluster::deliver(const metrics::CallRecord& record) {
   // Node-side truth first: the completion may have emptied a draining
-  // node's backlog — the moment its metering stops (Invoker::deliver
-  // removes the call from its in-flight set before invoking this
-  // callback) — no matter what becomes of the message below.
+  // node's backlog — the moment its metering stops — no matter what
+  // becomes of the message below. The invoker drops the call's id from its
+  // in-flight set before it calls this, so in_flight() already leaves the
+  // call out here.
   if (record.node >= 0 &&
       nodes_[static_cast<std::size_t>(record.node)].state ==
           NodeState::kDraining) {

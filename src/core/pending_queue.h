@@ -22,16 +22,6 @@ class PendingQueue {
   [[nodiscard]] bool empty() const { return heap_.empty(); }
   [[nodiscard]] std::size_t size() const { return heap_.size(); }
 
-  [[nodiscard]] const T& top() const {
-    WHISK_CHECK(!heap_.empty(), "top() on empty queue");
-    return heap_.top().value;
-  }
-
-  [[nodiscard]] double top_priority() const {
-    WHISK_CHECK(!heap_.empty(), "top_priority() on empty queue");
-    return heap_.top().priority;
-  }
-
   T pop() {
     WHISK_CHECK(!heap_.empty(), "pop() on empty queue");
     // std::priority_queue::top returns const&; the value is moved out via a

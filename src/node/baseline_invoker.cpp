@@ -11,14 +11,8 @@ BaselineInvoker::BaselineInvoker(sim::Engine& engine,
                                  const workload::FunctionCatalog& catalog,
                                  NodeParams params, sim::Rng rng,
                                  DeliveryFn delivery)
-    : Invoker(engine, catalog, params, rng, std::move(delivery)),
-      pool_(params.memory_limit_mb,
-            container::make_keep_alive(params.keep_alive)),
-      daemon_(engine),
-      cpu_(engine,
-           os::CpuParams{os::ExecMode::kProportionalShare, params.cores,
-                         params.context_switch_beta},
-           [this](os::CpuSystem::TaskId task) { on_exec_complete(task); }) {
+    : Invoker(engine, catalog, params, rng, std::move(delivery),
+              os::ExecMode::kProportionalShare) {
   // Dockerd strains as it juggles more live containers; the baseline churns
   // the container set constantly, so all its serialized ops slow down with
   // the container count (Sec. VI: at 128 GiB "Docker had problems running
@@ -64,20 +58,8 @@ void BaselineInvoker::warmup() {
   }
 }
 
-const InvokerStats& BaselineInvoker::stats() const {
-  sync_station_telemetry(pool_, daemon_);
-  return stats_;
-}
-
-void BaselineInvoker::on_submit(const workload::CallRequest& call) {
-  ++stats_.calls_received;
-  metrics::CallRecord rec;
-  rec.id = call.id;
-  rec.function = call.function;
-  rec.node = node_index_;
-  rec.release = call.release;
-  rec.received = engine_->now();
-  queue_.push_back(rec);
+void BaselineInvoker::on_submit(Slot slot) {
+  queue_.push_back(slot);
   process_queue();
 }
 
@@ -87,20 +69,21 @@ void BaselineInvoker::process_queue() {
   // (free for policies without expiry).
   pool_.sweep_expired(engine_->now());
   while (!queue_.empty()) {
-    metrics::CallRecord rec = queue_.front();
-    const auto& spec = catalog_->spec(rec.function);
+    const Slot slot = queue_.front();
+    const workload::FunctionId function = call(slot).function;
+    const auto& spec = catalog_->spec(function);
 
     // 1. Free-pool container initialized with this function.
-    if (auto warm = pool_.acquire_warm(rec.function)) {
+    if (auto warm = pool_.acquire_warm(function)) {
       queue_.pop_front();
-      dispatch(rec, *warm, metrics::StartKind::kWarm);
+      dispatch(slot, *warm, metrics::StartKind::kWarm);
       continue;
     }
     // 2. Prewarm container (runtime up, function injected on demand).
     if (auto prewarm = pool_.acquire_prewarm()) {
       queue_.pop_front();
-      pool_.assign_function(*prewarm, rec.function);
-      dispatch(rec, *prewarm, metrics::StartKind::kPrewarm);
+      pool_.assign_function(*prewarm, function);
+      dispatch(slot, *prewarm, metrics::StartKind::kPrewarm);
       continue;
     }
     // 3. Create a new container, evicting idle ones (keep-alive policy's
@@ -110,7 +93,7 @@ void BaselineInvoker::process_queue() {
     }
     if (auto created = pool_.begin_creation(spec.memory_mb)) {
       queue_.pop_front();
-      dispatch(rec, *created, metrics::StartKind::kCold);
+      dispatch(slot, *created, metrics::StartKind::kCold);
       continue;
     }
     // 4. Memory exhausted and nothing evictable: the call stays queued
@@ -119,106 +102,41 @@ void BaselineInvoker::process_queue() {
   }
 }
 
-void BaselineInvoker::dispatch(metrics::CallRecord rec,
-                               container::ContainerId cid,
-                               metrics::StartKind start) {
-  rec.start_kind = start;
+void BaselineInvoker::dispatch(Slot slot, container::ContainerId cid,
+                               metrics::StartKind kind) {
   const double act = activity();
-  double op = 0.0;
+  double op = ramped_op(params_.base_dispatch_idle_s,
+                        params_.base_dispatch_loaded_s,
+                        params_.base_dispatch_sigma, act);
   sim::SimTime init_delay = 0.0;
-
-  switch (start) {
-    case metrics::StartKind::kWarm:
-      ++stats_.warm_starts;
-      op = ramped_op(params_.base_dispatch_idle_s,
-                     params_.base_dispatch_loaded_s,
-                     params_.base_dispatch_sigma, act);
-      break;
-    case metrics::StartKind::kPrewarm:
-      ++stats_.prewarm_starts;
-      op = ramped_op(params_.base_dispatch_idle_s,
-                     params_.base_dispatch_loaded_s,
-                     params_.base_dispatch_sigma, act);
-      init_delay = sample_lognormal(params_.prewarm_init_median_s,
-                                    params_.prewarm_init_sigma);
-      replenish_prewarm();
-      break;
-    case metrics::StartKind::kCold:
-      ++stats_.cold_starts;
-      op = ramped_op(params_.base_dispatch_idle_s,
-                     params_.base_dispatch_loaded_s,
-                     params_.base_dispatch_sigma, act) +
-           ramped_op(params_.base_create_idle_s,
-                     params_.base_create_loaded_s, params_.base_create_sigma,
-                     act);
-      init_delay =
-          std::clamp(sample_lognormal(params_.cold_init_median_s,
-                                      params_.cold_init_sigma),
-                     params_.cold_init_min_s, params_.cold_init_max_s);
-      break;
+  if (kind == metrics::StartKind::kPrewarm) {
+    init_delay = sample_lognormal(params_.prewarm_init_median_s,
+                                  params_.prewarm_init_sigma);
+    replenish_prewarm();
+  } else if (kind == metrics::StartKind::kCold) {
+    op += ramped_op(params_.base_create_idle_s, params_.base_create_loaded_s,
+                    params_.base_create_sigma, act);
+    init_delay = sample_cold_init();
   }
-
-  ActiveCall active{rec, cid};
-  daemon_.submit(op, [this, active = std::move(active), init_delay]() mutable {
-    if (dead()) return;
-    if (active.record.start_kind == metrics::StartKind::kCold) {
-      pool_.finish_creation_busy(active.cid, active.record.function);
-    }
-    if (init_delay > 0.0) {
-      engine_->schedule_in(init_delay,
-                           [this, active = std::move(active)]() mutable {
-                             begin_exec(std::move(active));
-                           });
-    } else {
-      begin_exec(std::move(active));
-    }
-  });
+  start_call(slot, cid, kind, op, init_delay, /*urgent=*/false);
 }
 
-void BaselineInvoker::begin_exec(ActiveCall active) {
-  if (dead()) return;
-  active.record.exec_start = engine_->now();
-  active.record.service =
-      catalog_->sample_service(active.record.function, rng_);
-  const auto& spec = catalog_->spec(active.record.function);
-  // OpenWhisk assigns CPU shares proportional to container memory; with our
-  // homogeneous 256 MB actions the weights are equal.
-  const double weight = spec.memory_mb / 256.0;
-  const auto task =
-      cpu_.start(scaled(active.record.service), spec.cpu_fraction, weight);
-  running_.emplace(task, std::move(active));
-}
-
-void BaselineInvoker::on_exec_complete(os::CpuSystem::TaskId task) {
-  if (dead()) return;
-  auto it = running_.find(task);
-  WHISK_CHECK(it != running_.end(), "completion for unknown task");
-  ActiveCall active = std::move(it->second);
-  running_.erase(it);
-  active.record.exec_end = engine_->now();
-
+void BaselineInvoker::on_exec_complete(Slot slot) {
   const double post =
       ramped_op(params_.base_post_idle_s, params_.base_post_loaded_s,
                 params_.base_post_sigma, activity());
-  engine_->schedule_in(post, [this, active = std::move(active)]() mutable {
-    finish_call(std::move(active));
+  engine_->schedule_in(post, [this, slot] {
+    if (dead()) return;
+    finish_call(slot);
+    // The stock invoker pauses the now-idle container; the op consumes the
+    // daemon but blocks nobody directly (the container can still be claimed
+    // while the pause is queued).
+    daemon_.submit(ramped_op(params_.base_pause_idle_s,
+                             params_.base_pause_loaded_s,
+                             params_.base_pause_sigma, activity()),
+                   [] {});
+    process_queue();
   });
-}
-
-void BaselineInvoker::finish_call(ActiveCall active) {
-  if (dead()) return;
-  pool_.release(active.cid, engine_->now());
-  ++stats_.calls_completed;
-  active.record.completion = engine_->now();
-  deliver(active.record);
-  // The stock invoker pauses the now-idle container; the op consumes the
-  // daemon but blocks nobody directly (the container can still be claimed
-  // while the pause is queued).
-  daemon_.submit(ramped_op(params_.base_pause_idle_s,
-                           params_.base_pause_loaded_s,
-                           params_.base_pause_sigma, activity()),
-                 [] {});
-  process_queue();
 }
 
 void BaselineInvoker::replenish_prewarm() {
@@ -232,10 +150,7 @@ void BaselineInvoker::replenish_prewarm() {
   const double op = ramped_op(params_.base_create_idle_s,
                               params_.base_create_loaded_s,
                               params_.base_create_sigma, activity());
-  const double init =
-      std::clamp(sample_lognormal(params_.cold_init_median_s,
-                                  params_.cold_init_sigma),
-                 params_.cold_init_min_s, params_.cold_init_max_s);
+  const double init = sample_cold_init();
   daemon_.submit(op, [this, cid = *cid, init] {
     if (dead()) return;
     engine_->schedule_in(init, [this, cid] {

@@ -1,12 +1,8 @@
 #pragma once
 
 #include <deque>
-#include <unordered_map>
 
-#include "container/docker_daemon.h"
-#include "container/pool.h"
 #include "node/invoker.h"
-#include "os/cpu_system.h"
 
 namespace whisk::node {
 
@@ -35,49 +31,28 @@ class BaselineInvoker final : public Invoker {
     return queue_.size();
   }
   [[nodiscard]] std::size_t executing() const override {
-    return running_.size();
+    return cpu_.running();
   }
   [[nodiscard]] std::string_view approach() const override {
     return "baseline";
   }
 
-  // Base counters plus the daemon-station and pool telemetry.
-  [[nodiscard]] const InvokerStats& stats() const override;
-
-  // Introspection for tests and telemetry.
-  [[nodiscard]] const container::ContainerPool& pool() const { return pool_; }
-  [[nodiscard]] const container::DockerDaemon& daemon() const {
-    return daemon_;
-  }
-
  private:
-  struct ActiveCall {
-    metrics::CallRecord record;
-    container::ContainerId cid = container::kInvalidContainer;
-  };
-
   [[nodiscard]] double activity() const {
-    return static_cast<double>(running_.size()) +
+    return static_cast<double>(cpu_.running()) +
            static_cast<double>(queue_.size()) +
            static_cast<double>(pool_.creating_count());
   }
 
-  void on_submit(const workload::CallRequest& call) override;
+  void on_submit(Slot slot) override;
+  void on_exec_complete(Slot slot) override;
 
   void process_queue();
-  void dispatch(metrics::CallRecord rec, container::ContainerId cid,
-                metrics::StartKind start);
-  void begin_exec(ActiveCall active);
-  void on_exec_complete(os::CpuSystem::TaskId task);
-  void finish_call(ActiveCall active);
+  void dispatch(Slot slot, container::ContainerId cid,
+                metrics::StartKind kind);
   void replenish_prewarm();
 
-  container::ContainerPool pool_;
-  container::DockerDaemon daemon_;
-  os::CpuSystem cpu_;
-
-  std::deque<metrics::CallRecord> queue_;
-  std::unordered_map<os::CpuSystem::TaskId, ActiveCall> running_;
+  std::deque<Slot> queue_;
   int prewarm_creating_ = 0;
 };
 

@@ -2,23 +2,22 @@
 
 #include <algorithm>
 #include <cmath>
+#include <deque>
 #include <functional>
 #include <string_view>
 #include <unordered_map>
 #include <vector>
 
+#include "container/docker_daemon.h"
+#include "container/pool.h"
 #include "metrics/record.h"
 #include "node/params.h"
+#include "os/cpu_system.h"
 #include "sim/engine.h"
 #include "sim/random.h"
 #include "util/check.h"
 #include "workload/function.h"
 #include "workload/scenario.h"
-
-namespace whisk::container {
-class ContainerPool;
-class DockerDaemon;
-}  // namespace whisk::container
 
 namespace whisk::node {
 
@@ -74,6 +73,16 @@ struct InvokerStats {
 // exec_* timestamps and the start kind filled in. The cluster layer adds the
 // return-path latency and stamps c(i).
 //
+// The base owns everything the two managers share: the node's container
+// pool, Docker daemon station and CPU model (built once, in the ExecMode the
+// subclass passes), a call table holding each received call in one slot from
+// submit to delivery, and the call pipeline
+//   start_call (daemon op, then container init) -> execution on the CPU ->
+//   on_exec_complete (the subclass's post-processing) -> finish_call.
+// A subclass keeps only its policy: the pending queue (on_submit), the
+// container choice and op/init draws ending in start_call, the
+// post-processing ending in finish_call, and the warm-up.
+//
 // Node lifecycle: a node is live until the cluster fails it via shutdown(),
 // which returns every call received but not yet delivered (so the
 // controller can re-submit them) and turns all of the node's future engine
@@ -85,12 +94,8 @@ class Invoker {
   using DeliveryFn = std::function<void(const metrics::CallRecord&)>;
 
   Invoker(sim::Engine& engine, const workload::FunctionCatalog& catalog,
-          NodeParams params, sim::Rng rng, DeliveryFn delivery)
-      : engine_(&engine),
-        catalog_(&catalog),
-        params_(params),
-        rng_(rng),
-        delivery_(std::move(delivery)) {}
+          NodeParams params, sim::Rng rng, DeliveryFn delivery,
+          os::ExecMode exec_mode);
 
   virtual ~Invoker() = default;
   Invoker(const Invoker&) = delete;
@@ -102,9 +107,10 @@ class Invoker {
   // counts.
   virtual void warmup() = 0;
 
-  // Receive a call (now == r'(i)); hands off to the implementation's
-  // on_submit. With in-flight tracking enabled the call is also remembered
-  // until delivery so a failure can return it.
+  // Receive a call (now == r'(i)): stamp its record into a free slot and
+  // hand the slot to the implementation's on_submit. With in-flight
+  // tracking enabled the call id is also remembered until delivery so a
+  // failure can return it.
   void submit(const workload::CallRequest& call);
 
   // Opt in to per-call in-flight bookkeeping (one hash-map insert + erase
@@ -121,18 +127,24 @@ class Invoker {
   [[nodiscard]] std::vector<workload::CallRequest> shutdown();
 
   [[nodiscard]] bool failed() const { return failed_; }
-  // Calls received and not yet delivered (queued, executing, or in
-  // post-processing). Always 0 when tracking is disabled.
+  // Call ids received and not yet delivered (queued, executing, or in
+  // post-processing). The first copy of an id enters the set and any
+  // delivery of that id leaves it. Always 0 when tracking is disabled.
   [[nodiscard]] std::size_t in_flight() const { return in_flight_.size(); }
 
   [[nodiscard]] virtual std::size_t queue_length() const = 0;
   [[nodiscard]] virtual std::size_t executing() const = 0;
   [[nodiscard]] virtual std::string_view approach() const = 0;
 
-  // Implementations override to fold live telemetry (daemon station, pool
-  // counters) into the returned snapshot.
-  [[nodiscard]] virtual const InvokerStats& stats() const { return stats_; }
+  // The counters, with the pool and daemon-station telemetry folded in.
+  [[nodiscard]] const InvokerStats& stats() const;
   [[nodiscard]] const NodeParams& params() const { return params_; }
+
+  // Introspection for tests and telemetry.
+  [[nodiscard]] const container::ContainerPool& pool() const { return pool_; }
+  [[nodiscard]] const container::DockerDaemon& daemon() const {
+    return daemon_;
+  }
 
   // Node index stamped into call records (set by the cluster layer).
   void set_node_index(int index) { node_index_ = index; }
@@ -149,31 +161,64 @@ class Invoker {
   [[nodiscard]] double speed_factor() const { return speed_factor_; }
 
  protected:
-  // Implementation hook behind submit().
-  virtual void on_submit(const workload::CallRequest& call) = 0;
+  // Index of a call in the call table; also the CPU task's tag.
+  using Slot = os::CpuSystem::Tag;
 
-  // Deliver a finished record to the cluster layer and drop it from the
-  // in-flight set. Implementations must route completions through here
-  // (never through delivery_ directly) or failed-node re-submission would
-  // double-count.
-  void deliver(const metrics::CallRecord& record);
+  // One received call, from submit to delivery. It holds only what the
+  // node stamps (finish_call builds the delivered metrics::CallRecord from
+  // it), because the table keeps a slot per call the node holds at once.
+  struct Call {
+    workload::CallId id = -1;
+    workload::FunctionId function = workload::kInvalidFunction;
+    metrics::StartKind start_kind = metrics::StartKind::kWarm;
+    sim::SimTime release = 0.0;
+    sim::SimTime received = 0.0;
+    sim::SimTime exec_start = 0.0;
+    sim::SimTime exec_end = 0.0;
+    sim::SimTime service = 0.0;
+    double cp_hint = 0.0;  // the request's, returned by shutdown()
+    container::ContainerId cid = container::kInvalidContainer;
+    sim::SimTime init_delay = 0.0;  // container init after the daemon op
+    // OurInvoker's: the policy priority, computed once on receive, and the
+    // time the call left the pending queue.
+    double priority = 0.0;
+    sim::SimTime dispatch_time = 0.0;
+  };
+
+  // Implementation hooks: a call was received into `slot`, and its
+  // execution ended (exec_end is stamped). on_exec_complete must end
+  // in finish_call, directly or after post-processing.
+  virtual void on_submit(Slot slot) = 0;
+  virtual void on_exec_complete(Slot slot) = 0;
+
+  [[nodiscard]] Call& call(Slot slot) { return calls_[slot]; }
+
+  // Count the start kind and run the call's pipeline: the daemon op of
+  // `op` base seconds (urgent ops jump background ones), then
+  // `init_delay` of container init, then execution on the CPU.
+  void start_call(Slot slot, container::ContainerId cid,
+                  metrics::StartKind kind, double op, sim::SimTime init_delay,
+                  bool urgent);
+
+  // Release the call's container, free its slot, drop its id from the
+  // in-flight set, then deliver its record, stamped complete now.
+  void finish_call(Slot slot);
 
   // True once shutdown() ran; every engine callback re-entering the
   // invoker checks this first and bails.
   [[nodiscard]] bool dead() const { return failed_; }
 
-  // Fold the node's pool and daemon-station telemetry into stats_ — the
-  // one block both stats() overrides share, so a new field cannot be
-  // synced for one invoker and silently report 0 for the other. Defined
-  // in invoker.cpp: the base header stays forward-declaration-only on the
-  // container layer.
-  void sync_station_telemetry(const container::ContainerPool& pool,
-                              const container::DockerDaemon& daemon) const;
-
   // Lognormal sample around `median` with spread `sigma`, stretched by the
   // current straggler factor.
   double sample_lognormal(double median, double sigma) {
     return scaled(rng_.lognormal(std::log(median), sigma));
+  }
+
+  // A cold container's init time: lognormal, clamped to its envelope.
+  double sample_cold_init() {
+    return std::clamp(sample_lognormal(params_.cold_init_median_s,
+                                       params_.cold_init_sigma),
+                      params_.cold_init_min_s, params_.cold_init_max_s);
   }
 
   // Apply the straggler factor to a duration that bypasses
@@ -195,42 +240,24 @@ class Invoker {
   const workload::FunctionCatalog* catalog_;
   NodeParams params_;
   sim::Rng rng_;
-  mutable InvokerStats stats_;
+  container::ContainerPool pool_;
+  container::DockerDaemon daemon_;
+  os::CpuSystem cpu_;
   int node_index_ = 0;
-  double speed_factor_ = 1.0;
 
  private:
+  void begin_exec(Slot slot);
+
   DeliveryFn delivery_;
-  std::unordered_map<workload::CallId, workload::CallRequest> in_flight_;
+  mutable InvokerStats stats_;
+  // The call table: chunked, so a Call& stays valid while slots are added.
+  std::deque<Call> calls_;
+  std::vector<Slot> free_slots_;
+  // Call id -> the slot of its first received copy.
+  std::unordered_map<workload::CallId, Slot> in_flight_;
+  double speed_factor_ = 1.0;
   bool failed_ = false;
   bool track_in_flight_ = false;
 };
-
-inline void Invoker::submit(const workload::CallRequest& call) {
-  WHISK_CHECK(!failed_, "submit to a failed node");
-  if (track_in_flight_) in_flight_.emplace(call.id, call);
-  on_submit(call);
-}
-
-inline void Invoker::deliver(const metrics::CallRecord& record) {
-  if (track_in_flight_) in_flight_.erase(record.id);
-  delivery_(record);
-}
-
-inline std::vector<workload::CallRequest> Invoker::shutdown() {
-  WHISK_CHECK(!failed_, "node failed twice");
-  WHISK_CHECK(track_in_flight_,
-              "shutdown without in-flight tracking enabled");
-  failed_ = true;
-  std::vector<workload::CallRequest> lost;
-  lost.reserve(in_flight_.size());
-  for (const auto& [id, call] : in_flight_) lost.push_back(call);
-  std::sort(lost.begin(), lost.end(),
-            [](const workload::CallRequest& a,
-               const workload::CallRequest& b) { return a.id < b.id; });
-  stats_.calls_lost += lost.size();
-  in_flight_.clear();
-  return lost;
-}
 
 }  // namespace whisk::node

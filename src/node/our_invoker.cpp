@@ -11,16 +11,10 @@ OurInvoker::OurInvoker(sim::Engine& engine,
                        const workload::FunctionCatalog& catalog,
                        NodeParams params, sim::Rng rng, DeliveryFn delivery,
                        std::string_view policy)
-    : Invoker(engine, catalog, params, rng, std::move(delivery)),
+    : Invoker(engine, catalog, params, rng, std::move(delivery),
+              os::ExecMode::kPinnedCore),
       policy_(core::make_policy(policy, params.policy)),
-      history_(params.history_window),
-      pool_(params.memory_limit_mb,
-            container::make_keep_alive(params.keep_alive)),
-      daemon_(engine),
-      cpu_(engine,
-           os::CpuParams{os::ExecMode::kPinnedCore, params.cores,
-                         params.context_switch_beta},
-           [this](os::CpuSystem::TaskId task) { on_exec_complete(task); }) {
+      history_(params.history_window) {
   // Our approach keeps a steady container set and leaves dockerd alone
   // between calls, so no live-container strain applies to its ops.
 
@@ -70,29 +64,16 @@ void OurInvoker::warmup() {
   }
 }
 
-const InvokerStats& OurInvoker::stats() const {
-  sync_station_telemetry(pool_, daemon_);
-  return stats_;
-}
-
-void OurInvoker::on_submit(const workload::CallRequest& call) {
-  ++stats_.calls_received;
-  metrics::CallRecord rec;
-  rec.id = call.id;
-  rec.function = call.function;
-  rec.node = node_index_;
-  rec.release = call.release;
-  rec.received = engine_->now();
-
+void OurInvoker::on_submit(Slot slot) {
+  Call& c = call(slot);
   // Priority is computed once, now, from node-local history (Sec. IV), and
   // the arrival is recorded afterwards so RECT's r-bar(i) refers to the
   // *previous* call of the same function.
-  const core::PolicyContext ctx{rec.received, rec.function, &history_,
-                                call.cp_hint};
-  const double priority = policy_->priority(ctx);
-  history_.record_arrival(rec.function, rec.received);
+  const core::PolicyContext ctx{c.received, c.function, &history_, c.cp_hint};
+  c.priority = policy_->priority(ctx);
+  history_.record_arrival(c.function, c.received);
 
-  pending_.push(priority, PendingCall{rec, priority});
+  pending_.push(c.priority, slot);
   try_dispatch();
 }
 
@@ -119,24 +100,25 @@ void OurInvoker::try_dispatch() {
 }
 
 bool OurInvoker::dispatch_one() {
-  PendingCall pending = pending_.pop();
-  metrics::CallRecord& rec = pending.record;
-  const auto& spec = catalog_->spec(rec.function);
+  const Slot slot = pending_.pop();
+  Call& c = call(slot);
+  const workload::FunctionId function = c.function;
+  const auto& spec = catalog_->spec(function);
   const double act = activity();
 
   container::ContainerId cid = container::kInvalidContainer;
+  metrics::StartKind kind = metrics::StartKind::kWarm;
   sim::SimTime init_delay = 0.0;
   // Serialized pre-dispatch management (unpause, cpu-limit bookkeeping).
   double op = ramped_op(params_.our_preop_idle_s, params_.our_preop_loaded_s,
                         params_.our_preop_sigma, act);
 
-  if (auto warm = pool_.acquire_warm(rec.function)) {
-    rec.start_kind = metrics::StartKind::kWarm;
+  if (auto warm = pool_.acquire_warm(function)) {
     cid = *warm;
   } else if (auto prewarm = pool_.acquire_prewarm()) {
-    rec.start_kind = metrics::StartKind::kPrewarm;
+    kind = metrics::StartKind::kPrewarm;
     cid = *prewarm;
-    pool_.assign_function(cid, rec.function);
+    pool_.assign_function(cid, function);
     init_delay = sample_lognormal(params_.prewarm_init_median_s,
                                   params_.prewarm_init_sigma);
   } else {
@@ -147,79 +129,35 @@ bool OurInvoker::dispatch_one() {
     }
     auto created = pool_.begin_creation(spec.memory_mb);
     if (!created) {
-      // All memory is pinned under busy containers; wait for a release.
-      const double priority = pending.priority;
-      pending_.push(priority, std::move(pending));
+      // All memory is pinned under busy containers; wait for a release
+      // (behind the calls of equal priority already waiting).
+      pending_.push(c.priority, slot);
       return false;
     }
-    rec.start_kind = metrics::StartKind::kCold;
+    kind = metrics::StartKind::kCold;
     cid = *created;
     op += ramped_op(params_.base_create_idle_s, params_.base_create_loaded_s,
                     params_.base_create_sigma, act);
-    init_delay = std::clamp(
-        sample_lognormal(params_.cold_init_median_s, params_.cold_init_sigma),
-        params_.cold_init_min_s, params_.cold_init_max_s);
-  }
-
-  switch (rec.start_kind) {
-    case metrics::StartKind::kWarm:
-      ++stats_.warm_starts;
-      break;
-    case metrics::StartKind::kPrewarm:
-      ++stats_.prewarm_starts;
-      break;
-    case metrics::StartKind::kCold:
-      ++stats_.cold_starts;
-      break;
+    init_delay = sample_cold_init();
   }
 
   ++busy_slots_;
-  ActiveCall active{rec, cid, engine_->now()};
+  c.dispatch_time = engine_->now();
   // Serialized management op, then (for cold/prewarm starts) the container
   // initialization which delays only this call. Dispatch ops take priority
   // over queued background result/log processing.
-  daemon_.submit(op, [this, active = std::move(active), init_delay]() mutable {
-    if (dead()) return;
-    if (active.record.start_kind == metrics::StartKind::kCold) {
-      pool_.finish_creation_busy(active.cid, active.record.function);
-    }
-    if (init_delay > 0.0) {
-      engine_->schedule_in(init_delay,
-                           [this, active = std::move(active)]() mutable {
-                             begin_exec(std::move(active));
-                           });
-    } else {
-      begin_exec(std::move(active));
-    }
-  }, /*urgent=*/true);
+  start_call(slot, cid, kind, op, init_delay, /*urgent=*/true);
   return true;
 }
 
-void OurInvoker::begin_exec(ActiveCall active) {
-  if (dead()) return;
-  active.record.exec_start = engine_->now();
-  active.record.service =
-      catalog_->sample_service(active.record.function, rng_);
-  const auto& spec = catalog_->spec(active.record.function);
-  const auto task = cpu_.start(scaled(active.record.service), spec.cpu_fraction);
-  running_.emplace(task, std::move(active));
-}
-
-void OurInvoker::on_exec_complete(os::CpuSystem::TaskId task) {
-  if (dead()) return;
-  auto it = running_.find(task);
-  WHISK_CHECK(it != running_.end(), "completion for unknown task");
-  ActiveCall active = std::move(it->second);
-  running_.erase(it);
-
-  active.record.exec_end = engine_->now();
-
+void OurInvoker::on_exec_complete(Slot slot) {
+  const Call& c = call(slot);
   // Serialized post-execution result/log processing, proportional to what
   // the call produced (its execution time). This is the order-dependent
   // bottleneck cost that makes short-first policies win on *average*
   // response time (insight 2 in node/params.h).
   const double act = activity();
-  const double exec_s = active.record.exec_end - active.record.exec_start;
+  const double exec_s = c.exec_end - c.exec_start;
   const double f = params_.ramp(act);
   const double factor =
       params_.our_post_factor_idle +
@@ -235,24 +173,17 @@ void OurInvoker::on_exec_complete(os::CpuSystem::TaskId task) {
   // own management and execution, but not time spent queued behind other
   // calls' result processing (which would let load leak into E(p) and bias
   // the policies). Never includes network latency (Sec. IV).
-  history_.record_runtime(active.record.function,
-                          engine_->now() - active.dispatch_time + post,
+  history_.record_runtime(c.function,
+                          engine_->now() - c.dispatch_time + post,
                           engine_->now());
 
-  daemon_.submit(post, [this, active = std::move(active)]() mutable {
-    finish_call(std::move(active));
+  daemon_.submit(post, [this, slot] {
+    if (dead()) return;
+    --busy_slots_;
+    resource_blocked_ = false;
+    finish_call(slot);
+    try_dispatch();
   });
-}
-
-void OurInvoker::finish_call(ActiveCall active) {
-  if (dead()) return;
-  pool_.release(active.cid, engine_->now());
-  --busy_slots_;
-  resource_blocked_ = false;
-  ++stats_.calls_completed;
-  active.record.completion = engine_->now();
-  deliver(active.record);
-  try_dispatch();
 }
 
 }  // namespace whisk::node

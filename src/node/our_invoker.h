@@ -1,15 +1,11 @@
 #pragma once
 
 #include <memory>
-#include <unordered_map>
 
-#include "container/docker_daemon.h"
-#include "container/pool.h"
 #include "core/history.h"
 #include "core/pending_queue.h"
 #include "core/policy.h"
 #include "node/invoker.h"
-#include "os/cpu_system.h"
 
 namespace whisk::node {
 
@@ -44,60 +40,36 @@ class OurInvoker final : public Invoker {
   }
   [[nodiscard]] std::string_view approach() const override { return "our"; }
 
-  // Base counters plus the daemon-station and pool telemetry.
-  [[nodiscard]] const InvokerStats& stats() const override;
-
   [[nodiscard]] std::string_view policy_name() const {
     return policy_->name();
   }
 
   // Introspection for tests and telemetry.
-  [[nodiscard]] const container::ContainerPool& pool() const { return pool_; }
-  [[nodiscard]] const container::DockerDaemon& daemon() const {
-    return daemon_;
-  }
   [[nodiscard]] const core::RuntimeHistory& history() const {
     return history_;
   }
 
  private:
-  struct PendingCall {
-    metrics::CallRecord record;
-    double priority = 0.0;  // computed once on receive, never recomputed
-  };
-
-  struct ActiveCall {
-    metrics::CallRecord record;
-    container::ContainerId cid = container::kInvalidContainer;
-    sim::SimTime dispatch_time = 0.0;  // popped from the pending queue
-  };
-
   // Current in-flight activity driving the idle->loaded management ramp.
   [[nodiscard]] double activity() const {
     return static_cast<double>(busy_slots_) +
            static_cast<double>(pending_.size());
   }
 
-  void on_submit(const workload::CallRequest& call) override;
+  void on_submit(Slot slot) override;
+  void on_exec_complete(Slot slot) override;
 
   void try_dispatch();
   // Returns false when the node is resource-blocked (memory too small for
   // another container and nothing evictable).
   bool dispatch_one();
-  void begin_exec(ActiveCall active);
-  void on_exec_complete(os::CpuSystem::TaskId task);
-  void finish_call(ActiveCall active);
 
   std::unique_ptr<core::Policy> policy_;
   core::RuntimeHistory history_;
-  container::ContainerPool pool_;
-  container::DockerDaemon daemon_;
-  os::CpuSystem cpu_;
-  core::PendingQueue<PendingCall> pending_;
+  core::PendingQueue<Slot> pending_;
 
   int busy_slots_ = 0;
   bool resource_blocked_ = false;
-  std::unordered_map<os::CpuSystem::TaskId, ActiveCall> running_;
 };
 
 }  // namespace whisk::node

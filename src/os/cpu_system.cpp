@@ -25,8 +25,8 @@ CpuSystem::CpuSystem(sim::Engine& engine, CpuParams params,
   WHISK_CHECK(static_cast<bool>(on_complete_), "null completion callback");
 }
 
-CpuSystem::TaskId CpuSystem::start(double service, double cpu_fraction,
-                                   double weight) {
+void CpuSystem::start(Tag tag, double service, double cpu_fraction,
+                      double weight) {
   WHISK_CHECK(service > 0.0, "non-positive service time");
   WHISK_CHECK(cpu_fraction >= 0.0 && cpu_fraction <= 1.0,
               "cpu_fraction out of [0,1]");
@@ -37,21 +37,10 @@ CpuSystem::TaskId CpuSystem::start(double service, double cpu_fraction,
                 "containers at the core count");
   }
   advance();
-  const TaskId id = next_id_++;
-  tasks_.emplace(id, Task{service, cpu_fraction, weight, 1.0, cpu_fraction});
+  tasks_.emplace(next_id_++,
+                 Task{tag, service, cpu_fraction, weight, 1.0, cpu_fraction});
   recompute();
   reschedule();
-  return id;
-}
-
-bool CpuSystem::abort(TaskId id) {
-  auto it = tasks_.find(id);
-  if (it == tasks_.end()) return false;
-  advance();
-  tasks_.erase(it);
-  recompute();
-  reschedule();
-  return true;
 }
 
 double CpuSystem::allocated_cores() const {
@@ -196,24 +185,25 @@ void CpuSystem::on_completion_event() {
   advance();
   // Complete exactly one task per event; ties finish in follow-up events at
   // the same timestamp, keeping per-completion bookkeeping simple.
-  TaskId done = -1;
+  auto done = tasks_.end();
   double best = kEpsilon;
-  for (const auto& [id, t] : tasks_) {
-    if (t.remaining <= best) {
-      best = t.remaining;
-      done = id;
+  for (auto it = tasks_.begin(); it != tasks_.end(); ++it) {
+    if (it->second.remaining <= best) {
+      best = it->second.remaining;
+      done = it;
     }
   }
-  if (done < 0) {
+  if (done == tasks_.end()) {
     // Numerical drift: nothing actually finished; rearm.
     recompute();
     reschedule();
     return;
   }
+  const Tag tag = done->second.tag;
   tasks_.erase(done);
   recompute();
   reschedule();
-  on_complete_(done);
+  on_complete_(tag);
 }
 
 }  // namespace whisk::os

@@ -43,24 +43,22 @@ struct CpuParams {
 // water-filling (1.0 when pinned) and eta the context-switch efficiency.
 //
 // The completion callback fires through the simulation engine when a task's
-// remaining service reaches zero.
+// remaining service reaches zero, with the tag the caller started it under.
 class CpuSystem {
  public:
-  using TaskId = std::int64_t;
-  using CompletionFn = std::function<void(TaskId)>;
+  using Tag = std::uint32_t;
+  using CompletionFn = std::function<void(Tag)>;
 
   CpuSystem(sim::Engine& engine, CpuParams params, CompletionFn on_complete);
 
   CpuSystem(const CpuSystem&) = delete;
   CpuSystem& operator=(const CpuSystem&) = delete;
 
-  // Begin executing a call. `weight` models OpenWhisk's memory-proportional
-  // cpu-shares (equal for our homogeneous 256 MB containers).
-  TaskId start(double service, double cpu_fraction, double weight = 1.0);
-
-  // Abort a running task without firing its completion callback. Returns
-  // false if the task already completed.
-  bool abort(TaskId id);
+  // Begin executing a call; its completion hands `tag` back. `weight`
+  // models OpenWhisk's memory-proportional cpu-shares (equal for our
+  // homogeneous 256 MB containers).
+  void start(Tag tag, double service, double cpu_fraction,
+             double weight = 1.0);
 
   [[nodiscard]] std::size_t running() const { return tasks_.size(); }
 
@@ -73,7 +71,12 @@ class CpuSystem {
   [[nodiscard]] const CpuParams& params() const { return params_; }
 
  private:
+  // Tasks are keyed by start order, not by tag: the float sums over tasks_
+  // follow its bucket order, which depends on the keys.
+  using TaskId = std::int64_t;
+
   struct Task {
+    Tag tag;
     double remaining;     // service-seconds still to run
     double cpu_fraction;  // phi
     double weight;

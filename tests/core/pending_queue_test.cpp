@@ -46,15 +46,6 @@ TEST(PendingQueue, StabilityMakesFifoPolicyExactlyFifo) {
   EXPECT_EQ(q.pop(), "d");
 }
 
-TEST(PendingQueue, TopInspectsWithoutRemoving) {
-  PendingQueue<int> q;
-  q.push(2.0, 20);
-  q.push(1.0, 10);
-  EXPECT_EQ(q.top(), 10);
-  EXPECT_DOUBLE_EQ(q.top_priority(), 1.0);
-  EXPECT_EQ(q.size(), 2u);
-}
-
 TEST(PendingQueue, NegativePrioritiesWork) {
   PendingQueue<int> q;
   q.push(0.0, 0);
@@ -73,11 +64,6 @@ TEST(PendingQueue, MoveOnlyValues) {
 TEST(PendingQueueDeath, PopEmptyAborts) {
   PendingQueue<int> q;
   EXPECT_DEATH(q.pop(), "empty");
-}
-
-TEST(PendingQueueDeath, TopEmptyAborts) {
-  PendingQueue<int> q;
-  EXPECT_DEATH((void)q.top(), "empty");
 }
 
 // Property: popping yields nondecreasing priorities for arbitrary inputs.

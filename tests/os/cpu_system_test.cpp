@@ -7,24 +7,33 @@
 namespace whisk::os {
 namespace {
 
+// Starts tasks under consecutive tags and records each completion's tag
+// and time.
 struct Harness {
   sim::Engine engine;
-  std::vector<CpuSystem::TaskId> completed;
+  std::vector<CpuSystem::Tag> completed;
   std::vector<double> completion_times;
+  CpuSystem::Tag next_tag = 0;
 
   CpuSystem make(ExecMode mode, int cores, double beta = 0.30) {
     return CpuSystem(engine, CpuParams{mode, cores, beta},
-                     [this](CpuSystem::TaskId id) {
-                       completed.push_back(id);
+                     [this](CpuSystem::Tag tag) {
+                       completed.push_back(tag);
                        completion_times.push_back(engine.now());
                      });
+  }
+
+  CpuSystem::Tag start(CpuSystem& cpu, double service, double cpu_fraction,
+                       double weight = 1.0) {
+    cpu.start(next_tag, service, cpu_fraction, weight);
+    return next_tag++;
   }
 };
 
 TEST(PinnedCore, SingleTaskRunsAtNominalSpeed) {
   Harness h;
   auto cpu = h.make(ExecMode::kPinnedCore, 4);
-  cpu.start(2.0, 1.0);
+  h.start(cpu, 2.0, 1.0);
   h.engine.run();
   ASSERT_EQ(h.completed.size(), 1u);
   EXPECT_NEAR(h.completion_times[0], 2.0, 1e-9);
@@ -33,9 +42,9 @@ TEST(PinnedCore, SingleTaskRunsAtNominalSpeed) {
 TEST(PinnedCore, TasksDoNotInterfere) {
   Harness h;
   auto cpu = h.make(ExecMode::kPinnedCore, 4);
-  cpu.start(1.0, 1.0);
-  cpu.start(2.0, 1.0);
-  cpu.start(3.0, 1.0);
+  h.start(cpu, 1.0, 1.0);
+  h.start(cpu, 2.0, 1.0);
+  h.start(cpu, 3.0, 1.0);
   h.engine.run();
   ASSERT_EQ(h.completion_times.size(), 3u);
   EXPECT_NEAR(h.completion_times[0], 1.0, 1e-9);
@@ -46,7 +55,7 @@ TEST(PinnedCore, TasksDoNotInterfere) {
 TEST(PinnedCore, IoTaskRunsAtNominalSpeedToo) {
   Harness h;
   auto cpu = h.make(ExecMode::kPinnedCore, 1);
-  cpu.start(1.5, 0.0);  // pure sleep
+  h.start(cpu, 1.5, 0.0);  // pure sleep
   h.engine.run();
   EXPECT_NEAR(h.completion_times.at(0), 1.5, 1e-9);
 }
@@ -54,16 +63,16 @@ TEST(PinnedCore, IoTaskRunsAtNominalSpeedToo) {
 TEST(PinnedCoreDeath, OversubscriptionAborts) {
   Harness h;
   auto cpu = h.make(ExecMode::kPinnedCore, 2);
-  cpu.start(1.0, 1.0);
-  cpu.start(1.0, 1.0);
-  EXPECT_DEATH(cpu.start(1.0, 1.0), "oversubscribed");
+  h.start(cpu, 1.0, 1.0);
+  h.start(cpu, 1.0, 1.0);
+  EXPECT_DEATH(h.start(cpu, 1.0, 1.0), "oversubscribed");
 }
 
 TEST(ProportionalShare, UncontendedRunsAtNominalSpeed) {
   Harness h;
   auto cpu = h.make(ExecMode::kProportionalShare, 4, 0.0);
-  cpu.start(2.0, 1.0);
-  cpu.start(2.0, 1.0);
+  h.start(cpu, 2.0, 1.0);
+  h.start(cpu, 2.0, 1.0);
   h.engine.run();
   // 2 CPU-bound tasks on 4 cores: no slowdown.
   for (double t : h.completion_times) EXPECT_NEAR(t, 2.0, 1e-9);
@@ -72,8 +81,8 @@ TEST(ProportionalShare, UncontendedRunsAtNominalSpeed) {
 TEST(ProportionalShare, OverloadSlowsDownProportionally) {
   Harness h;
   auto cpu = h.make(ExecMode::kProportionalShare, 1, 0.0);
-  cpu.start(1.0, 1.0);
-  cpu.start(1.0, 1.0);
+  h.start(cpu, 1.0, 1.0);
+  h.start(cpu, 1.0, 1.0);
   h.engine.run();
   // Two equal CPU-bound tasks sharing one core: each takes 2 s.
   ASSERT_EQ(h.completion_times.size(), 2u);
@@ -84,8 +93,8 @@ TEST(ProportionalShare, OverloadSlowsDownProportionally) {
 TEST(ProportionalShare, ContextSwitchPenaltySlowsFurther) {
   Harness slow;
   auto cpu_slow = slow.make(ExecMode::kProportionalShare, 1, 1.0);
-  cpu_slow.start(1.0, 1.0);
-  cpu_slow.start(1.0, 1.0);
+  slow.start(cpu_slow, 1.0, 1.0);
+  slow.start(cpu_slow, 1.0, 1.0);
   slow.engine.run();
   // beta=1, two hungry tasks on one core: eta = 1/(1+1*(2-1)) = 0.5, so the
   // tasks finish at 4 s instead of 2 s.
@@ -95,9 +104,9 @@ TEST(ProportionalShare, ContextSwitchPenaltySlowsFurther) {
 TEST(ProportionalShare, IoTasksUnaffectedByCpuContention) {
   Harness h;
   auto cpu = h.make(ExecMode::kProportionalShare, 1, 0.0);
-  cpu.start(1.0, 0.0);  // sleep
-  cpu.start(1.0, 1.0);
-  cpu.start(1.0, 1.0);
+  h.start(cpu, 1.0, 0.0);  // sleep
+  h.start(cpu, 1.0, 1.0);
+  h.start(cpu, 1.0, 1.0);
   h.engine.run();
   // The sleep finishes at its nominal 1 s despite the CPU overload.
   ASSERT_EQ(h.completion_times.size(), 3u);
@@ -108,7 +117,7 @@ TEST(ProportionalShare, PartialCpuFractionInterpolates) {
   Harness h;
   auto cpu = h.make(ExecMode::kProportionalShare, 1, 0.0);
   // One task with 50% CPU content, alone: no contention, nominal speed.
-  cpu.start(2.0, 0.5);
+  h.start(cpu, 2.0, 0.5);
   h.engine.run();
   EXPECT_NEAR(h.completion_times.at(0), 2.0, 1e-9);
 }
@@ -116,7 +125,7 @@ TEST(ProportionalShare, PartialCpuFractionInterpolates) {
 TEST(ProportionalShare, WaterFillingFavorsNobodyWithEqualWeights) {
   Harness h;
   auto cpu = h.make(ExecMode::kProportionalShare, 2, 0.0);
-  for (int i = 0; i < 4; ++i) cpu.start(1.0, 1.0);
+  for (int i = 0; i < 4; ++i) h.start(cpu, 1.0, 1.0);
   h.engine.run();
   // 4 equal tasks on 2 cores: all finish together at 2 s.
   for (double t : h.completion_times) EXPECT_NEAR(t, 2.0, 1e-9);
@@ -125,8 +134,8 @@ TEST(ProportionalShare, WaterFillingFavorsNobodyWithEqualWeights) {
 TEST(ProportionalShare, HigherWeightFinishesFirst) {
   Harness h;
   auto cpu = h.make(ExecMode::kProportionalShare, 1, 0.0);
-  const auto heavy = cpu.start(1.0, 1.0, /*weight=*/3.0);
-  const auto light = cpu.start(1.0, 1.0, /*weight=*/1.0);
+  const auto heavy = h.start(cpu, 1.0, 1.0, /*weight=*/3.0);
+  const auto light = h.start(cpu, 1.0, 1.0, /*weight=*/1.0);
   h.engine.run();
   ASSERT_EQ(h.completed.size(), 2u);
   EXPECT_EQ(h.completed[0], heavy);
@@ -136,8 +145,8 @@ TEST(ProportionalShare, HigherWeightFinishesFirst) {
 TEST(ProportionalShare, LateArrivalSlowsEarlierTask) {
   Harness h;
   auto cpu = h.make(ExecMode::kProportionalShare, 1, 0.0);
-  cpu.start(2.0, 1.0);
-  h.engine.schedule_at(1.0, [&] { cpu.start(2.0, 1.0); });
+  h.start(cpu, 2.0, 1.0);
+  h.engine.schedule_at(1.0, [&] { h.start(cpu, 2.0, 1.0); });
   h.engine.run();
   // Task A runs alone for 1 s (half done), then shares: finishes at 3 s.
   // Task B gets half speed for 2 s then full: finishes at 1+2+1 = 4 s.
@@ -146,22 +155,12 @@ TEST(ProportionalShare, LateArrivalSlowsEarlierTask) {
   EXPECT_NEAR(h.completion_times[1], 4.0, 1e-6);
 }
 
-TEST(CpuSystem, AbortRemovesTask) {
-  Harness h;
-  auto cpu = h.make(ExecMode::kPinnedCore, 2);
-  const auto id = cpu.start(5.0, 1.0);
-  EXPECT_TRUE(cpu.abort(id));
-  EXPECT_FALSE(cpu.abort(id));
-  h.engine.run();
-  EXPECT_TRUE(h.completed.empty());
-}
-
 TEST(CpuSystem, RunningCountTracksTasks) {
   Harness h;
   auto cpu = h.make(ExecMode::kPinnedCore, 3);
   EXPECT_EQ(cpu.running(), 0u);
-  cpu.start(1.0, 1.0);
-  cpu.start(2.0, 1.0);
+  h.start(cpu, 1.0, 1.0);
+  h.start(cpu, 2.0, 1.0);
   EXPECT_EQ(cpu.running(), 2u);
   h.engine.run();
   EXPECT_EQ(cpu.running(), 0u);
@@ -170,8 +169,8 @@ TEST(CpuSystem, RunningCountTracksTasks) {
 TEST(CpuSystem, BusyCoreSecondsAccumulate) {
   Harness h;
   auto cpu = h.make(ExecMode::kPinnedCore, 2);
-  cpu.start(2.0, 1.0);
-  cpu.start(2.0, 0.5);
+  h.start(cpu, 2.0, 1.0);
+  h.start(cpu, 2.0, 0.5);
   h.engine.run();
   // 2 s at 1.0 core + 2 s at 0.5 core = 3 core-seconds.
   EXPECT_NEAR(cpu.busy_core_seconds(), 3.0, 1e-9);
@@ -180,9 +179,9 @@ TEST(CpuSystem, BusyCoreSecondsAccumulate) {
 TEST(CpuSystemDeath, RejectsBadArguments) {
   Harness h;
   auto cpu = h.make(ExecMode::kPinnedCore, 1);
-  EXPECT_DEATH(cpu.start(0.0, 1.0), "service");
-  EXPECT_DEATH(cpu.start(1.0, 2.0), "cpu_fraction");
-  EXPECT_DEATH(cpu.start(1.0, 1.0, 0.0), "weight");
+  EXPECT_DEATH(h.start(cpu, 0.0, 1.0), "service");
+  EXPECT_DEATH(h.start(cpu, 1.0, 2.0), "cpu_fraction");
+  EXPECT_DEATH(h.start(cpu, 1.0, 1.0, 0.0), "weight");
 }
 
 // Property: in proportional-share mode, total work is conserved — the sum
@@ -198,7 +197,7 @@ TEST_P(WorkConservation, BusyCoreSecondsEqualTotalService) {
   for (int i = 0; i < 20; ++i) {
     state = state * 1664525u + 1013904223u;
     const double service = 0.5 + static_cast<double>(state % 100) / 50.0;
-    cpu.start(service, 1.0);
+    h.start(cpu, service, 1.0);
     total += service;
   }
   h.engine.run();
