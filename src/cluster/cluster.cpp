@@ -81,17 +81,10 @@ Cluster::Cluster(sim::Engine& engine,
   }
 
   if (deployment.resilience.enabled()) {
-    const ResilienceSpec& r = deployment.resilience;
-    resilience_ = std::make_unique<ResilienceConfig>();
-    resilience_->timeout_s = r.number("timeout-s", 0.0);
-    resilience_->retry_budget = r.number("retry-budget", 0.2);
-    resilience_->hedge_p = r.number("hedge-p", 0.0);
-    resilience_->hedge_min_samples = r.count("hedge-min-samples", 32);
-    resilience_->breaker_failures = r.count("breaker-failures", 0);
-    resilience_->breaker_cooldown_s = r.number("breaker-cooldown-s", 30.0);
-    resilience_->max_queue = r.count("max-queue", 0);
+    resilience_ =
+        std::make_unique<ResilienceConfig>(deployment.resilience.config());
     if (timers_armed()) {
-      max_attempts_ = static_cast<int>(r.count("max-attempts", 4));
+      max_attempts_ = static_cast<int>(resilience_->max_attempts);
     }
     if (resilience_->breaker_failures > 0) breakers_.resize(nodes_.size());
     if (resilience_->hedge_p > 0.0) {

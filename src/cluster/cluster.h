@@ -324,15 +324,6 @@ class Cluster : public FaultHost {
     std::size_t primary = FaultHost::npos;  // latest primary target
     std::size_t hedge = FaultHost::npos;    // hedge target, npos until sent
   };
-  struct ResilienceConfig {
-    double timeout_s = 0.0;
-    double retry_budget = 0.2;
-    double hedge_p = 0.0;
-    std::size_t hedge_min_samples = 32;
-    std::size_t breaker_failures = 0;
-    double breaker_cooldown_s = 30.0;
-    std::size_t max_queue = 0;
-  };
   struct Breaker {
     enum class State { kClosed, kOpen, kHalfOpen };
     State state = State::kClosed;

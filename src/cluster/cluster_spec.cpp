@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <iterator>
 #include <limits>
+#include <map>
 #include <utility>
 
 #include "util/check.h"
@@ -12,6 +14,21 @@
 #include "util/table.h"
 
 namespace whisk::cluster {
+
+const std::vector<util::ParamDecl>& node_group_params() {
+  static const auto* params = new std::vector<util::ParamDecl>{
+      {"cores", "", "cores per node (default: the experiment's cores)"},
+      {"cost-per-hour", "0", "price of one node-hour, summed into cost_usd"},
+      {"max-nodes", "1000000", "most nodes the autoscaler may run"},
+      {"memory-mb", "",
+       "container memory per node in MiB (default: the experiment's "
+       "memory-mb)"},
+      {"min-nodes", "1",
+       "fewest nodes the autoscaler keeps (0 for a group deployed empty)"},
+  };
+  return *params;
+}
+
 namespace {
 
 using util::split_any;
@@ -27,9 +44,6 @@ bool valid_group_name(std::string_view name) {
   return true;
 }
 
-constexpr const char* kGroupParamNames =
-    "cores, cost-per-hour, max-nodes, memory-mb, min-nodes";
-
 constexpr const char* kSloMetricNames = "mean, p50, p75, p95, p99, max";
 
 bool valid_slo_metric(const std::string& metric) {
@@ -40,19 +54,103 @@ bool valid_slo_metric(const std::string& metric) {
 // Parameter values are embedded verbatim in to_string()/to_compact_string(),
 // whose section and list separators include ';', '|', ',' and '+' — a value
 // containing one (e.g. memory-mb=6.4e+4) would reparse as a split point and
-// break the round-trip contract. Both group parameters are numeric, so the
-// plain-decimal spelling is always available.
-void check_value_has_no_separators(const std::string& context,
-                                   const std::string& key,
-                                   const std::string& value) {
-  if (value.find_first_of(";|,+& \t") != std::string::npos) {
+// break the round-trip contract. Every numeric value has a plain-decimal
+// spelling. `kind` and `name` name the section as the diagnostics do.
+void check_no_separators(std::string_view kind, std::string_view name,
+                         const util::ParamMap& params) {
+  for (const auto& [key, value] : params) {
+    if (value.find_first_of(";|,+& \t") == std::string::npos) continue;
+    std::string subject = "cluster " + std::string(kind);
+    if (!name.empty()) subject += " \"" + std::string(name) + "\"";
     WHISK_CHECK(false,
-                (context + ": " + key + "=\"" + value +
+                (subject + ": " + key + "=\"" + value +
                  "\" contains a spec separator character (one of ';|,+&' or "
                  "whitespace); write the plain-decimal form instead (e.g. "
                  "64000, not 6.4e+4)")
                     .c_str());
   }
+}
+
+// A group parameter key with its '_' spelling (memory_mb) folded onto the
+// declared key; other keys stay verbatim for the unknown-key diagnostic.
+std::string group_param_key(const std::string& key) {
+  std::string dashed = util::ascii_lower(key);
+  std::replace(dashed.begin(), dashed.end(), '_', '-');
+  for (const auto& param : node_group_params()) {
+    if (param.name == dashed) return dashed;
+  }
+  return key;
+}
+
+// The range of each node-group value, on folded keys.
+void check_group_values(const NodeGroupSpec& group) {
+  for (const auto& [key, value] : group.params) {
+    double number = 0.0;
+    unsigned long long whole = 0;
+    const bool is_number = util::parse_finite_double(value, &number);
+    const bool is_whole = util::parse_whole_number(value, &whole);
+    const char* want = nullptr;
+    if (key == "cores") {
+      if (!is_whole || whole == 0 || whole > 100000) {
+        want = "a positive integer";
+      }
+    } else if (key == "memory-mb") {
+      if (!is_number || number <= 0.0) want = "a positive number";
+    } else if (key == "cost-per-hour") {
+      if (!is_number || number < 0.0) want = "a number >= 0";
+    } else if (!is_whole || whole > 1000000) {  // min-nodes, max-nodes
+      want = "a whole number (0..1000000)";
+    }
+    WHISK_CHECK(want == nullptr,
+                ("cluster group \"" + group.name + "\": " + key + "=\"" +
+                 value + "\" is not " + want)
+                    .c_str());
+  }
+}
+
+// Typed reads of a group's folded parameters.
+double group_number(const NodeGroupSpec& group, std::string_view key,
+                    double fallback) {
+  return util::param_number(group.params, key, fallback, "cluster group",
+                            group.name);
+}
+
+std::size_t group_count(const NodeGroupSpec& group, std::string_view key,
+                        std::size_t fallback) {
+  return util::param_count(group.params, key, fallback, "cluster group",
+                           group.name);
+}
+
+int group_cores(const NodeGroupSpec& group, int base_cores) {
+  return static_cast<int>(
+      group_count(group, "cores", static_cast<std::size_t>(base_cores)));
+}
+
+const NodeGroupSpec& group_at(const ClusterSpec& spec, std::size_t group) {
+  WHISK_CHECK(group < spec.groups.size(), "cluster group index out of range");
+  return spec.groups[group];
+}
+
+// The non-empty items of a ','/'+'-separated list, each through `parse`.
+template <typename Parse>
+auto parse_list(std::string_view text, Parse parse) {
+  std::vector<decltype(parse(text))> out;
+  for (std::string_view item : split_any(text, ",+")) {
+    const std::string_view trimmed = trim_ws(item);
+    if (!trimmed.empty()) out.push_back(parse(trimmed));
+  }
+  return out;
+}
+
+template <typename T, typename Render>
+std::string render_list(const std::vector<T>& items, char sep,
+                        Render render) {
+  std::string out;
+  for (std::size_t i = 0; i < items.size(); ++i) {
+    if (i > 0) out += sep;
+    out += render(items[i]);
+  }
+  return out;
 }
 
 // `name[:count][?key=value&...]`.
@@ -62,8 +160,7 @@ NodeGroupSpec parse_group(std::string_view item) {
   const std::size_t q = item.find('?');
   if (q != std::string_view::npos) {
     head = item.substr(0, q);
-    // The memory_mb alias is folded (and duplicates re-checked) in
-    // normalized().
+    // Keys are folded ('_' aliases) and validated in normalized().
     util::parse_param_list(item.substr(q + 1),
                            "cluster group \"" + std::string(item) + "\"",
                            &group.params);
@@ -184,46 +281,74 @@ std::string event_to_string(const LifecycleEvent& e) {
   return out;
 }
 
+// Every keyed section, in rendering order: its key, how its text sets a
+// spec, and its rendering — empty at the section's default, which omits it.
+struct Section {
+  std::string_view key;
+  void (*parse)(std::string_view text, ClusterSpec& spec);
+  std::string (*render)(const ClusterSpec& spec, char list_sep);
+};
+
+constexpr Section kSections[] = {
+    {"keep-alive",
+     [](std::string_view text, ClusterSpec& spec) {
+       spec.keep_alive = container::KeepAliveSpec::parse(text);
+     },
+     [](const ClusterSpec& spec, char) {
+       return spec.keep_alive == container::KeepAliveSpec{}
+                  ? std::string()
+                  : spec.keep_alive.to_string();
+     }},
+    {"autoscaler",
+     [](std::string_view text, ClusterSpec& spec) {
+       spec.autoscaler = AutoscalerSpec::parse(text);
+     },
+     [](const ClusterSpec& spec, char) {
+       return spec.autoscaler.enabled() ? spec.autoscaler.to_string()
+                                        : std::string();
+     }},
+    {"faults",
+     [](std::string_view text, ClusterSpec& spec) {
+       spec.faults = parse_fault_list(text);
+     },
+     [](const ClusterSpec& spec, char list_sep) {
+       return spec.faults.empty() ? std::string()
+                                  : fault_list_to_string(spec.faults, list_sep);
+     }},
+    {"resilience",
+     [](std::string_view text, ClusterSpec& spec) {
+       spec.resilience = ResilienceSpec::parse(text);
+     },
+     [](const ClusterSpec& spec, char) {
+       return spec.resilience.enabled() ? spec.resilience.to_string()
+                                        : std::string();
+     }},
+    {"slo",
+     [](std::string_view text, ClusterSpec& spec) {
+       spec.slo = SloSpec::parse(text);
+       spec.slo_set = true;
+     },
+     [](const ClusterSpec& spec, char) {
+       return spec.slo_set ? spec.slo.to_string() : std::string();
+     }},
+    {"events",
+     [](std::string_view text, ClusterSpec& spec) {
+       spec.events = parse_list(text, parse_event);
+     },
+     [](const ClusterSpec& spec, char list_sep) {
+       return render_list(spec.events, list_sep, event_to_string);
+     }},
+};
+
 std::string render(const ClusterSpec& spec, char section_sep,
                    char list_sep) {
-  std::string out;
-  for (std::size_t i = 0; i < spec.groups.size(); ++i) {
-    if (i > 0) out += list_sep;
-    out += group_to_string(spec.groups[i]);
-  }
-  if (spec.keep_alive != container::KeepAliveSpec{}) {
+  std::string out = render_list(spec.groups, list_sep, group_to_string);
+  for (const Section& section : kSections) {
+    const std::string text = section.render(spec, list_sep);
+    if (text.empty()) continue;
     out += section_sep;
     if (section_sep == ';') out += ' ';
-    out += "keep-alive=" + spec.keep_alive.to_string();
-  }
-  if (spec.autoscaler.enabled()) {
-    out += section_sep;
-    if (section_sep == ';') out += ' ';
-    out += "autoscaler=" + spec.autoscaler.to_string();
-  }
-  if (!spec.faults.empty()) {
-    out += section_sep;
-    if (section_sep == ';') out += ' ';
-    out += "faults=" + fault_list_to_string(spec.faults, list_sep);
-  }
-  if (spec.resilience.enabled()) {
-    out += section_sep;
-    if (section_sep == ';') out += ' ';
-    out += "resilience=" + spec.resilience.to_string();
-  }
-  if (spec.slo_set) {
-    out += section_sep;
-    if (section_sep == ';') out += ' ';
-    out += "slo=" + spec.slo.to_string();
-  }
-  if (!spec.events.empty()) {
-    out += section_sep;
-    if (section_sep == ';') out += ' ';
-    out += "events=";
-    for (std::size_t i = 0; i < spec.events.size(); ++i) {
-      if (i > 0) out += list_sep;
-      out += event_to_string(spec.events[i]);
-    }
+    out += std::string(section.key) + "=" + text;
   }
   return out;
 }
@@ -261,88 +386,40 @@ ClusterSpec ClusterSpec::parse(std::string_view text) {
               "empty cluster spec; expected group[,group...][; "
               "keep-alive=...][; events=...] like \"big:4?cores=16,small:8; "
               "keep-alive=ttl?idle-s=600\"");
-  ClusterSpec spec;
-  bool groups_seen = false;
-  bool keep_alive_seen = false;
-  bool autoscaler_seen = false;
-  bool faults_seen = false;
-  bool resilience_seen = false;
-  bool slo_seen = false;
-  bool events_seen = false;
+  // Each section's text by its key: the trimmed, lowercased text before its
+  // '='. A section with no known key is the group list, keyed "".
+  std::map<std::string, std::string_view> sections;
   for (std::string_view raw_section : split_any(text, ";|")) {
     const std::string_view section = trim_ws(raw_section);
     if (section.empty()) continue;  // tolerate trailing separators
-    const std::string lowered = util::ascii_lower(section);
-    if (lowered.rfind("autoscaler=", 0) == 0) {
-      WHISK_CHECK(!autoscaler_seen,
-                  ("cluster spec \"" + std::string(text) +
-                   "\" sets autoscaler twice")
+    const std::size_t eq = section.find('=');
+    std::string key = util::ascii_lower(trim_ws(section.substr(0, eq)));
+    if (key == "keep_alive") key = "keep-alive";
+    const bool keyed =
+        eq != std::string_view::npos &&
+        std::any_of(std::begin(kSections), std::end(kSections),
+                    [&key](const Section& s) { return s.key == key; });
+    if (!keyed) key.clear();
+    const std::string_view body =
+        keyed ? trim_ws(section.substr(eq + 1)) : section;
+    if (!sections.emplace(key, body).second) {
+      WHISK_CHECK(false,
+                  ("cluster spec \"" + std::string(text) + "\" " +
+                   (keyed ? "sets " + key + " twice"
+                          : "has two group-list sections (did you mean one "
+                            "list separated by ',' or '+'?)"))
                       .c_str());
-      autoscaler_seen = true;
-      spec.autoscaler = AutoscalerSpec::parse(
-          trim_ws(section.substr(section.find('=') + 1)));
-    } else if (lowered.rfind("faults=", 0) == 0) {
-      WHISK_CHECK(!faults_seen, ("cluster spec \"" + std::string(text) +
-                                 "\" sets faults twice")
-                                    .c_str());
-      faults_seen = true;
-      spec.faults =
-          parse_fault_list(trim_ws(section.substr(section.find('=') + 1)));
-    } else if (lowered.rfind("resilience=", 0) == 0) {
-      WHISK_CHECK(!resilience_seen,
-                  ("cluster spec \"" + std::string(text) +
-                   "\" sets resilience twice")
-                      .c_str());
-      resilience_seen = true;
-      spec.resilience = ResilienceSpec::parse(
-          trim_ws(section.substr(section.find('=') + 1)));
-    } else if (lowered.rfind("slo=", 0) == 0) {
-      WHISK_CHECK(!slo_seen, ("cluster spec \"" + std::string(text) +
-                              "\" sets slo twice")
-                                 .c_str());
-      slo_seen = true;
-      spec.slo_set = true;
-      spec.slo =
-          SloSpec::parse(trim_ws(section.substr(section.find('=') + 1)));
-    } else if (lowered.rfind("keep-alive=", 0) == 0 ||
-               lowered.rfind("keep_alive=", 0) == 0) {
-      WHISK_CHECK(!keep_alive_seen,
-                  ("cluster spec \"" + std::string(text) +
-                   "\" sets keep-alive twice")
-                      .c_str());
-      keep_alive_seen = true;
-      spec.keep_alive = container::KeepAliveSpec::parse(
-          trim_ws(section.substr(section.find('=') + 1)));
-    } else if (lowered.rfind("events=", 0) == 0) {
-      WHISK_CHECK(!events_seen, ("cluster spec \"" + std::string(text) +
-                                 "\" sets events twice")
-                                    .c_str());
-      events_seen = true;
-      for (std::string_view item :
-           split_any(trim_ws(section.substr(section.find('=') + 1)), ",+")) {
-        const std::string_view event = trim_ws(item);
-        if (event.empty()) continue;
-        spec.events.push_back(parse_event(event));
-      }
-    } else {
-      WHISK_CHECK(!groups_seen,
-                  ("cluster spec \"" + std::string(text) +
-                   "\" has two group-list sections (did you mean one list "
-                   "separated by ',' or '+'?)")
-                      .c_str());
-      groups_seen = true;
-      spec.groups.clear();
-      for (std::string_view item : split_any(section, ",+")) {
-        const std::string_view group = trim_ws(item);
-        if (group.empty()) continue;
-        spec.groups.push_back(parse_group(group));
-      }
     }
   }
-  WHISK_CHECK(groups_seen && !spec.groups.empty(),
-              ("cluster spec \"" + std::string(text) +
-               "\" lists no node groups")
-                  .c_str());
+  ClusterSpec spec;
+  spec.groups = parse_list(sections[""], parse_group);
+  for (const Section& section : kSections) {
+    const auto it = sections.find(std::string(section.key));
+    if (it != sections.end()) section.parse(it->second, spec);
+  }
+  WHISK_CHECK(!spec.groups.empty(), ("cluster spec \"" + std::string(text) +
+                                     "\" lists no node groups")
+                                        .c_str());
   return spec.normalized();
 }
 
@@ -372,7 +449,8 @@ ClusterSpec ClusterSpec::normalized() const {
 
   std::vector<std::string> group_names;
   std::size_t initial = 0;
-  for (auto& group : out.groups) {
+  for (std::size_t g = 0; g < out.groups.size(); ++g) {
+    NodeGroupSpec& group = out.groups[g];
     group.name = util::ascii_lower(group.name);
     WHISK_CHECK(valid_group_name(group.name),
                 ("cluster group name \"" + group.name +
@@ -389,65 +467,24 @@ ClusterSpec ClusterSpec::normalized() const {
                                       .c_str());
     initial += static_cast<std::size_t>(group.count);
 
-    std::map<std::string, std::string> params;
+    util::ParamMap params;
     for (const auto& [raw_key, value] : group.params) {
-      std::string key = util::ascii_lower(raw_key);
-      if (key == "memory_mb") key = "memory-mb";
-      if (key == "cost_per_hour") key = "cost-per-hour";
-      if (key == "min_nodes") key = "min-nodes";
-      if (key == "max_nodes") key = "max-nodes";
-      check_value_has_no_separators("cluster group \"" + group.name + "\"",
-                                    key, value);
-      if (key == "cores") {
-        unsigned long long cores = 0;
-        WHISK_CHECK(util::parse_whole_number(value, &cores) && cores > 0 &&
-                        cores <= 100000,
-                    ("cluster group \"" + group.name + "\": cores=\"" +
-                     value + "\" is not a positive integer")
-                        .c_str());
-      } else if (key == "memory-mb") {
-        double memory = 0.0;
-        WHISK_CHECK(util::parse_finite_double(value, &memory) &&
-                        memory > 0.0,
-                    ("cluster group \"" + group.name + "\": memory-mb=\"" +
-                     value + "\" is not a positive number")
-                        .c_str());
-      } else if (key == "cost-per-hour") {
-        double cost = 0.0;
-        WHISK_CHECK(util::parse_finite_double(value, &cost) && cost >= 0.0,
-                    ("cluster group \"" + group.name +
-                     "\": cost-per-hour=\"" + value +
-                     "\" is not a number >= 0")
-                        .c_str());
-      } else if (key == "min-nodes" || key == "max-nodes") {
-        unsigned long long bound = 0;
-        WHISK_CHECK(util::parse_whole_number(value, &bound) &&
-                        bound <= 1000000,
-                    ("cluster group \"" + group.name + "\": " + key +
-                     "=\"" + value +
-                     "\" is not a whole number (0..1000000)")
-                        .c_str());
-      } else {
-        WHISK_CHECK(false, ("cluster group \"" + group.name +
-                            "\" does not take parameter \"" + raw_key +
-                            "\"; valid parameters: " + kGroupParamNames)
-                               .c_str());
-      }
-      WHISK_CHECK(params.count(key) == 0,
+      const std::string key = group_param_key(raw_key);
+      WHISK_CHECK(params.emplace(key, value).second,
                   ("cluster group \"" + group.name + "\" sets parameter \"" +
                    key + "\" twice")
                       .c_str());
-      params[key] = value;
     }
-    group.params = std::move(params);
-  }
-  // Scaling bounds must bracket each other and the initial deployment:
-  // a fleet born outside its own band would scale on the first tick for a
-  // reason the user never asked for.
-  for (std::size_t g = 0; g < out.groups.size(); ++g) {
+    group.params = util::fold_params(params, node_group_params(),
+                                     "cluster group", group.name);
+    check_no_separators("group", group.name, group.params);
+    check_group_values(group);
+
+    // Scaling bounds must bracket each other and the initial deployment:
+    // a fleet born outside its own band would scale on the first tick for
+    // a reason the user never asked for.
     const std::size_t lo = out.group_min_nodes(g);
     const std::size_t hi = out.group_max_nodes(g);
-    const auto& group = out.groups[g];
     WHISK_CHECK(lo <= hi, ("cluster group \"" + group.name +
                            "\": min-nodes=" + std::to_string(lo) +
                            " exceeds max-nodes=" + std::to_string(hi))
@@ -467,16 +504,11 @@ ClusterSpec ClusterSpec::normalized() const {
               "group a positive count");
 
   out.keep_alive = out.keep_alive.normalized();
-  for (const auto& [key, value] : out.keep_alive.params) {
-    check_value_has_no_separators(
-        "cluster keep-alive \"" + out.keep_alive.name + "\"", key, value);
-  }
-
+  check_no_separators("keep-alive", out.keep_alive.name,
+                      out.keep_alive.params);
   out.autoscaler = out.autoscaler.normalized();
-  for (const auto& [key, value] : out.autoscaler.params) {
-    check_value_has_no_separators(
-        "cluster autoscaler \"" + out.autoscaler.name + "\"", key, value);
-  }
+  check_no_separators("autoscaler", out.autoscaler.name,
+                      out.autoscaler.params);
 
   bool drops_completions = false;
   for (auto& fault : out.faults) {
@@ -484,10 +516,7 @@ ClusterSpec ClusterSpec::normalized() const {
     WHISK_CHECK(fault.enabled(),
                 "cluster faults list contains \"none\" — parse_fault_list "
                 "drops it; hand-built specs must too");
-    for (const auto& [key, value] : fault.params) {
-      check_value_has_no_separators("cluster fault \"" + fault.name + "\"",
-                                    key, value);
-    }
+    check_no_separators("fault", fault.name, fault.params);
     // A scoped fault must name a real group, checked here so a typo dies
     // at parse time, not when the process first fires mid-sweep.
     const std::string scope = util::ascii_lower(fault.text("group"));
@@ -504,14 +533,12 @@ ClusterSpec ClusterSpec::normalized() const {
   }
 
   out.resilience = out.resilience.normalized();
-  for (const auto& [key, value] : out.resilience.params) {
-    check_value_has_no_separators("cluster resilience", key, value);
-  }
+  check_no_separators("resilience", "", out.resilience.params);
   // A lost completion leaves the call permanently in flight unless a
   // timeout can re-drive it — without one the run would deadlock, so
   // reject the combination up front.
   if (drops_completions) {
-    WHISK_CHECK(out.resilience.number("timeout-s", 0.0) > 0.0,
+    WHISK_CHECK(out.resilience.config().timeout_s > 0.0,
                 "cluster faults include a completion-dropping process "
                 "(lost-completion) but resilience sets no timeout-s; the "
                 "run would never finish — add resilience=timeout-s=...");
@@ -600,37 +627,18 @@ bool ClusterSpec::needs_in_flight_tracking() const {
 }
 
 double ClusterSpec::group_cost_per_hour(std::size_t group) const {
-  WHISK_CHECK(group < groups.size(), "cluster group index out of range");
-  const auto it = groups[group].params.find("cost-per-hour");
-  if (it == groups[group].params.end()) return 0.0;
-  double cost = 0.0;
-  WHISK_CHECK(util::parse_finite_double(it->second, &cost),
-              "cost-per-hour validated in normalized()");
-  return cost;
+  return group_number(group_at(*this, group), "cost-per-hour", 0.0);
 }
 
 std::size_t ClusterSpec::group_min_nodes(std::size_t group) const {
-  WHISK_CHECK(group < groups.size(), "cluster group index out of range");
-  const auto it = groups[group].params.find("min-nodes");
-  if (it == groups[group].params.end()) {
-    // Groups deployed empty (join-only) default to an empty floor; every
-    // other group keeps at least one node unless min-nodes=0 is explicit.
-    return groups[group].count > 0 ? 1 : 0;
-  }
-  unsigned long long bound = 0;
-  WHISK_CHECK(util::parse_whole_number(it->second, &bound),
-              "min-nodes validated in normalized()");
-  return static_cast<std::size_t>(bound);
+  // Groups deployed empty (join-only) default to an empty floor; every
+  // other group keeps at least one node unless min-nodes=0 is explicit.
+  const NodeGroupSpec& g = group_at(*this, group);
+  return group_count(g, "min-nodes", g.count > 0 ? 1 : 0);
 }
 
 std::size_t ClusterSpec::group_max_nodes(std::size_t group) const {
-  WHISK_CHECK(group < groups.size(), "cluster group index out of range");
-  const auto it = groups[group].params.find("max-nodes");
-  if (it == groups[group].params.end()) return 1000000;
-  unsigned long long bound = 0;
-  WHISK_CHECK(util::parse_whole_number(it->second, &bound),
-              "max-nodes validated in normalized()");
-  return static_cast<std::size_t>(bound);
+  return group_count(group_at(*this, group), "max-nodes", 1000000);
 }
 
 std::size_t ClusterSpec::initial_nodes() const {
@@ -644,15 +652,8 @@ std::size_t ClusterSpec::initial_nodes() const {
 int ClusterSpec::initial_cores(int base_cores) const {
   long long total = 0;
   for (const auto& group : groups) {
-    long long cores = base_cores;
-    const auto it = group.params.find("cores");
-    if (it != group.params.end()) {
-      unsigned long long value = 0;
-      WHISK_CHECK(util::parse_whole_number(it->second, &value),
-                  "cores validated in normalized()");
-      cores = static_cast<long long>(value);
-    }
-    total += cores * std::max(group.count, 0);
+    total += static_cast<long long>(group_cores(group, base_cores)) *
+             std::max(group.count, 0);
   }
   return static_cast<int>(
       std::min<long long>(total, std::numeric_limits<int>::max()));
@@ -674,22 +675,11 @@ std::size_t ClusterSpec::group_index(std::string_view name) const {
 
 node::NodeParams ClusterSpec::node_params(
     std::size_t group, const node::NodeParams& base) const {
-  WHISK_CHECK(group < groups.size(), "cluster group index out of range");
+  const NodeGroupSpec& g = group_at(*this, group);
   node::NodeParams params = base;
   params.keep_alive = keep_alive;
-  const NodeGroupSpec& g = groups[group];
-  if (const auto it = g.params.find("cores"); it != g.params.end()) {
-    unsigned long long cores = 0;
-    WHISK_CHECK(util::parse_whole_number(it->second, &cores),
-                "cores validated in normalized()");
-    params.cores = static_cast<int>(cores);
-  }
-  if (const auto it = g.params.find("memory-mb"); it != g.params.end()) {
-    double memory = 0.0;
-    WHISK_CHECK(util::parse_finite_double(it->second, &memory),
-                "memory-mb validated in normalized()");
-    params.memory_limit_mb = memory;
-  }
+  params.cores = group_cores(g, base.cores);
+  params.memory_limit_mb = group_number(g, "memory-mb", base.memory_limit_mb);
   return params;
 }
 

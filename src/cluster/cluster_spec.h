@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstddef>
-#include <map>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -11,8 +10,14 @@
 #include "cluster/resilience.h"
 #include "container/keep_alive.h"
 #include "node/params.h"
+#include "util/component_spec.h"
 
 namespace whisk::cluster {
+
+// Every node-group parameter, with its default; surfaced by the unknown-key
+// diagnostic and by `whisk_sweep --list`. Each key also takes a '_'
+// spelling (memory_mb).
+[[nodiscard]] const std::vector<util::ParamDecl>& node_group_params();
 
 // One homogeneous slice of the fleet: `count` nodes sharing a name and a
 // set of NodeParams overrides. Parameter values are kept verbatim and
@@ -20,16 +25,12 @@ namespace whisk::cluster {
 struct NodeGroupSpec {
   std::string name = "node";
   int count = 1;
-  // cores=<int>, memory-mb=<MiB> (alias memory_mb); keys are
-  // case-insensitive and validated by normalized().
-  std::map<std::string, std::string> params;
+  // Keys from node_group_params(), case-insensitive; validated and folded
+  // by ClusterSpec::normalized().
+  util::ParamMap params;
 
-  friend bool operator==(const NodeGroupSpec& a, const NodeGroupSpec& b) {
-    return a.name == b.name && a.count == b.count && a.params == b.params;
-  }
-  friend bool operator!=(const NodeGroupSpec& a, const NodeGroupSpec& b) {
-    return !(a == b);
-  }
+  friend bool operator==(const NodeGroupSpec&,
+                         const NodeGroupSpec&) = default;
 };
 
 // Scheduled fleet churn. Times are absolute sim seconds (the measured
@@ -64,12 +65,7 @@ struct SloSpec {
   [[nodiscard]] static SloSpec parse(std::string_view text);
   [[nodiscard]] std::string to_string() const;
 
-  friend bool operator==(const SloSpec& a, const SloSpec& b) {
-    return a.metric == b.metric && a.threshold_s == b.threshold_s;
-  }
-  friend bool operator!=(const SloSpec& a, const SloSpec& b) {
-    return !(a == b);
-  }
+  friend bool operator==(const SloSpec&, const SloSpec&) = default;
 };
 
 struct LifecycleEvent {
@@ -80,13 +76,8 @@ struct LifecycleEvent {
   // join events, which always add a fresh node.
   int node = -1;
 
-  friend bool operator==(const LifecycleEvent& a, const LifecycleEvent& b) {
-    return a.kind == b.kind && a.time == b.time && a.group == b.group &&
-           a.node == b.node;
-  }
-  friend bool operator!=(const LifecycleEvent& a, const LifecycleEvent& b) {
-    return !(a == b);
-  }
+  friend bool operator==(const LifecycleEvent&,
+                         const LifecycleEvent&) = default;
 };
 
 // A declarative deployment description — the cluster-layer mirror of
@@ -101,18 +92,19 @@ struct LifecycleEvent {
 //       "slo=p99<2.5; "
 //       "events=drain@120:big/0,join@300:small");
 //
-// Grammar: semicolon-separated sections. The first (unkeyed) section lists
-// node groups `name[:count][?key=value&...]` (params: cores, memory-mb,
-// cost-per-hour, min-nodes, max-nodes); `keep-alive=` names a
+// Grammar: semicolon-separated sections, each keyed by the case-insensitive
+// word before its '=' (spaces allowed), in any order and at most once. The
+// section with no known key lists node groups `name[:count][?key=value&...]`
+// (params: node_group_params()); `keep-alive=` (alias `keep_alive=`) names a
 // container::KeepAlivePolicyRegistry spec; `autoscaler=` names an
 // AutoscalerRegistry controller that scales groups at runtime within their
 // min-nodes/max-nodes bounds; `faults=` lists FaultRegistry processes the
 // cluster runs under (seeded stochastic churn — see fault.h); `resilience=`
 // sets the controller's recovery policy (timeouts/retries, hedging,
 // breakers, shedding — see resilience.h); `slo=` states the response-time
-// objective runs are scored against; `events=` lists scheduled lifecycle events
-// `kind@time:group[/node]` (drain/fail require the /node index, join takes
-// just the group). A section spelled at its default value
+// objective runs are scored against; `events=` lists scheduled lifecycle
+// events `kind@time:group[/node]` (drain/fail require the /node index, join
+// takes just the group). A section spelled at its default value
 // ("keep-alive=lru", "autoscaler=none", "faults=none", "resilience=none")
 // is the same spec as one without it. Group/policy names are
 // case-insensitive; unknown groups, policies and parameter keys abort with
@@ -203,9 +195,6 @@ struct ClusterSpec {
            a.autoscaler == b.autoscaler && a.faults == b.faults &&
            a.resilience == b.resilience && a.slo == b.slo &&
            a.slo_set == b.slo_set && a.events == b.events;
-  }
-  friend bool operator!=(const ClusterSpec& a, const ClusterSpec& b) {
-    return !(a == b);
   }
 };
 

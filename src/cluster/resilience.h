@@ -14,6 +14,24 @@ namespace whisk::cluster {
 // off, so an empty spec is exactly the pre-resilience controller.
 [[nodiscard]] const std::vector<util::ParamDecl>& resilience_params();
 
+// The typed knob values, read from a spec by ResilienceSpec::config(). The
+// initializers are the knobs' defaults, spelled only here:
+// resilience_params() displays them and a default config is the
+// pre-resilience controller.
+struct ResilienceConfig {
+  double timeout_s = 0.0;
+  std::size_t max_attempts = 4;
+  double retry_budget = 0.2;
+  double hedge_p = 0.0;
+  std::size_t hedge_min_samples = 32;
+  std::size_t breaker_failures = 0;
+  double breaker_cooldown_s = 30.0;
+  std::size_t max_queue = 0;
+
+  friend bool operator==(const ResilienceConfig&,
+                         const ResilienceConfig&) = default;
+};
+
 // The controller-side recovery policy of a deployment — the defensive
 // mirror of the `faults=` section, carried as `resilience=` in ClusterSpec:
 //
@@ -62,6 +80,10 @@ struct ResilienceSpec {
   // Abort with a knob-listing error on an unknown key or an out-of-range
   // value; returns a copy with keys lowercased.
   [[nodiscard]] ResilienceSpec normalized() const;
+
+  // Every knob's value, its default where unset; unparsable values abort
+  // naming the key and offending text.
+  [[nodiscard]] ResilienceConfig config() const;
 
   [[nodiscard]] bool enabled() const { return !params.empty(); }
 

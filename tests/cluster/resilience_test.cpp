@@ -57,6 +57,22 @@ TEST(ResilienceSpecTest, EveryKnobIsDeclared) {
   }
 }
 
+TEST(ResilienceSpecTest, DisplayedDefaultsAreTheTypedDefaults) {
+  // Every knob spelled at its displayed default reads as an empty spec,
+  // and every knob moved off it reaches the typed config.
+  EXPECT_EQ(ResilienceSpec{}.config(), ResilienceConfig{});
+  ResilienceSpec spelled;
+  for (const auto& param : resilience_params()) {
+    spelled.params[param.name] = param.default_value;
+  }
+  EXPECT_EQ(spelled.config(), ResilienceConfig{});
+  for (const auto& param : resilience_params()) {
+    ResilienceSpec moved;
+    moved.params[param.name] = "7";
+    EXPECT_NE(moved.config(), ResilienceConfig{}) << param.name;
+  }
+}
+
 class ResilienceClusterTest : public ::testing::Test {
  protected:
   ResilienceClusterTest() : catalog_(workload::sebs_catalog()) {}

@@ -20,6 +20,7 @@
 
 #include "cluster/autoscaler.h"
 #include "cluster/balancer_registry.h"
+#include "cluster/cluster_spec.h"
 #include "cluster/fault.h"
 #include "cluster/resilience.h"
 #include "container/keep_alive.h"
@@ -197,6 +198,8 @@ int list_registries() {
               cluster::BalancerRegistry::instance().names());
   print_components<workload::ScenarioSpec>("scenarios (scenarios=<name>?...)",
                                            no_details);
+  std::printf("node-group parameters (clusters=<group>:<count>?k=v&...):\n");
+  print_params(cluster::node_group_params(), "  ");
   print_components<container::KeepAliveSpec>(
       "keep-alive policies (clusters=...|keep-alive=<name>?...)", no_details);
   print_components<cluster::AutoscalerSpec>(
