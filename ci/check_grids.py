@@ -3,23 +3,30 @@
 
     python3 ci/check_grids.py path/to/whisk_sweep OUT_DIR
 
-Each grid runs at --threads 1 (the reference), --threads 2, 3 and 16,
+Each grid runs from the repository root (so a grid may name a committed
+file by a repo-relative path) at --threads 1 (the reference), --threads 2, 3
+and 16,
 --workers 1, 2 and 3, and as --shard i/N runs joined by --merge. Every cells
 CSV and JSONL, and every group table on stdout, must equal the reference's
 byte for byte. The reference's per-row FNV-1a 64 hashes are written to
 OUT_DIR/<grid>.digest in perfbench's format and must equal
 ci/reference/<grid>.digest; after a deliberate change to the output, copy the
-new file over the reference. Exits 1 after listing every mismatch.
+new file over the reference. Every name `whisk_sweep --list` prints (a
+component, a node-group parameter or a resilience knob) must appear in some
+grid, so no registered name goes unpinned. Exits 1 after listing every
+mismatch.
 """
 import concurrent.futures
 import csv
 import json
 import os
+import re
 import shlex
 import subprocess
 import sys
 
 HERE = os.path.dirname(os.path.abspath(__file__))
+ROOT = os.path.dirname(HERE)
 REFERENCE = os.path.join(HERE, "reference")
 # perfbench hashes the same cells CSV header with its C++ FNV-1a.
 PERFBENCH_DIGEST = os.path.join(HERE, "..", "perfbench", "reference", "paper.digest")
@@ -146,10 +153,22 @@ def check_grid(grid, out, header):
     return errors
 
 
+def unpinned_names(sweep, grids):
+    """Names `sweep --list` prints (two-space indent) that no grid spells."""
+    listing = subprocess.run([sweep, "--list"], stdout=subprocess.PIPE,
+                             text=True, check=True).stdout
+    listed = re.findall(r"^  ([a-z0-9_-]+)", listing, re.MULTILINE)
+    spelled = set()
+    for grid in grids:
+        spelled.update(re.findall(r"[a-z0-9_-]+", grid["spec"]))
+    return ["%s is in no grid of ci/grids.txt (see whisk_sweep --list)" % name
+            for name in listed if name not in spelled]
+
+
 def main():
     if len(sys.argv) != 3:
         sys.exit(__doc__)
-    sweep, out = sys.argv[1], os.path.abspath(sys.argv[2])
+    sweep, out = os.path.abspath(sys.argv[1]), os.path.abspath(sys.argv[2])
     grids = load_grids()
     header = read_digest(PERFBENCH_DIGEST)[0][1]
     runs, merges = [], []
@@ -171,11 +190,12 @@ def main():
     def launch(job):
         cmd, stdout = job
         with open(stdout, "w") as f:
-            done = subprocess.run(cmd, stdout=f, stderr=subprocess.PIPE, text=True)
+            done = subprocess.run(cmd, stdout=f, stderr=subprocess.PIPE,
+                                  text=True, cwd=ROOT)
         return [] if done.returncode == 0 else [
             "exit %d: %s\n%s" % (done.returncode, shlex.join(cmd), done.stderr)]
 
-    errors = []
+    errors = unpinned_names(sweep, grids)
     with concurrent.futures.ThreadPoolExecutor(min(4, os.cpu_count() or 1)) as pool:
         for jobs in (runs, merges):
             errors += sum(pool.map(launch, jobs), [])

@@ -4,113 +4,64 @@
 
 #include "core/history.h"
 #include "util/check.h"
+#include "util/table.h"
 
 namespace whisk::cluster {
 
-AutoscalerRegistry& AutoscalerTraits::registry() {
-  return AutoscalerRegistry::instance();
-}
-
-// Constructing the controller validates the parameter *values* too, so a
-// bad value dies at parse time, not mid-sweep. The driver keys ride in
-// every spec, so a bad cadence dies here too, not when the Cluster first
-// reads it.
+// The band controllers check high > low in their constructors.
 void AutoscalerTraits::validate(const AutoscalerSpec& spec) {
-  (void)registry().create(spec.name, spec);
-  const double tick = spec.number("tick-s", 5.0);
-  WHISK_CHECK(tick > 0.0, ("autoscaler \"" + spec.name + "\": tick-s = " +
-                           std::to_string(tick) + " must be > 0")
-                              .c_str());
-  const double cooldown = spec.number("cooldown-s", 60.0);
-  WHISK_CHECK(cooldown >= 0.0,
-              ("autoscaler \"" + spec.name + "\": cooldown-s = " +
-               std::to_string(cooldown) + " must be >= 0")
-                  .c_str());
-}
-
-const std::vector<util::ParamDecl>& AutoscalerTraits::common_params() {
-  static const std::vector<util::ParamDecl> kCommon = {
-      {"tick-s", "5", "seconds between controller observations"},
-      {"cooldown-s", "60",
-       "per-group minimum seconds between scaling actions"},
-  };
-  return kCommon;
+  (void)AutoscalerRegistry::instance().create(spec.name, spec);
 }
 
 namespace {
 
-// Keep each group's utilization (queued + executing per core) inside a
-// band: above `high` grows the group one node, below `low` shrinks it one
-// node, one step per tick. The classic CPU-utilization target rule.
-class TargetUtilAutoscaler final : public Autoscaler {
+// Keep a per-group load metric inside a band: above `high` grows the group
+// one node, below `low` shrinks it one node, one step per tick. target-util
+// bands utilization (queued + executing per core), the classic
+// CPU-utilization target rule. queue-depth bands the daemon backlog per
+// active node, blind to executing work on purpose — it models the "queue
+// depth" alarms real deployments scale on.
+template <bool kQueueDepth>
+class BandAutoscaler final : public Autoscaler {
  public:
-  explicit TargetUtilAutoscaler(const AutoscalerSpec& spec)
-      : low_(spec.number("low", 0.3)), high_(spec.number("high", 0.85)) {
-    WHISK_CHECK(low_ >= 0.0, ("autoscaler \"target-util\": low = " +
-                              std::to_string(low_) + " must be >= 0")
-                                 .c_str());
-    WHISK_CHECK(high_ > low_, ("autoscaler \"target-util\": high = " +
-                               std::to_string(high_) +
-                               " must exceed low = " + std::to_string(low_))
+  static std::vector<util::ParamDecl> params() {
+    using util::number_param;
+    if (kQueueDepth) {
+      return {number_param("low", 0.5, ">= 0",
+                           "queued calls per node below which it shrinks"),
+              number_param("high", 4, "",
+                           "queued calls per node above which it grows")};
+    }
+    return {number_param("low", 0.3, ">= 0",
+                         "utilization below which the group shrinks"),
+            number_param("high", 0.85, "",
+                         "utilization above which the group grows")};
+  }
+  explicit BandAutoscaler(const AutoscalerSpec& spec)
+      : low_(spec.number("low")), high_(spec.number("high")) {
+    WHISK_CHECK(high_ > low_, ("autoscaler \"" + spec.name + "\": high = " +
+                               util::fmt_g(high_) + " must exceed low = " +
+                               util::fmt_g(low_))
                                   .c_str());
   }
 
-  std::string_view name() const override { return "target-util"; }
-  std::string help() const override {
-    return "keeps per-group utilization (load per core) inside [low, high]; "
-           "one node step per tick";
+  std::string_view name() const override {
+    return kQueueDepth ? "queue-depth" : "target-util";
   }
-  std::vector<util::ParamDecl> params() const override {
-    return {{"low", "0.3", "utilization below which the group shrinks"},
-            {"high", "0.85", "utilization above which the group grows"}};
+  std::string help() const override {
+    return kQueueDepth ? "scales on queued calls per active node: above "
+                         "high grows, below low shrinks"
+                       : "keeps per-group utilization (load per core) "
+                         "inside [low, high]; one node step per tick";
   }
   std::size_t desired_nodes(const GroupObservation& group,
                             const ClusterObservation&) override {
     if (group.active == 0) return 0;
-    const double util = group.utilization();
-    if (util > high_) return group.active + 1;
-    if (util < low_) return group.active - 1;
-    return group.active;
-  }
-
- private:
-  double low_;
-  double high_;
-};
-
-// React to the daemon backlog: more than `high` queued calls per active
-// node grows the group, fewer than `low` shrinks it. Blind to executing
-// work on purpose — it models the "queue depth" alarms real deployments
-// scale on.
-class QueueDepthAutoscaler final : public Autoscaler {
- public:
-  explicit QueueDepthAutoscaler(const AutoscalerSpec& spec)
-      : low_(spec.number("low", 0.5)), high_(spec.number("high", 4.0)) {
-    WHISK_CHECK(low_ >= 0.0, ("autoscaler \"queue-depth\": low = " +
-                              std::to_string(low_) + " must be >= 0")
-                                 .c_str());
-    WHISK_CHECK(high_ > low_, ("autoscaler \"queue-depth\": high = " +
-                               std::to_string(high_) +
-                               " must exceed low = " + std::to_string(low_))
-                                  .c_str());
-  }
-
-  std::string_view name() const override { return "queue-depth"; }
-  std::string help() const override {
-    return "scales on queued calls per active node: above high grows, "
-           "below low shrinks";
-  }
-  std::vector<util::ParamDecl> params() const override {
-    return {{"low", "0.5", "queued calls per node below which it shrinks"},
-            {"high", "4", "queued calls per node above which it grows"}};
-  }
-  std::size_t desired_nodes(const GroupObservation& group,
-                            const ClusterObservation&) override {
-    if (group.active == 0) return 0;
-    const double per_node = static_cast<double>(group.queued) /
-                            static_cast<double>(group.active);
-    if (per_node > high_) return group.active + 1;
-    if (per_node < low_) return group.active - 1;
+    const double load = kQueueDepth ? static_cast<double>(group.queued) /
+                                          static_cast<double>(group.active)
+                                    : group.utilization();
+    if (load > high_) return group.active + 1;
+    if (load < low_) return group.active - 1;
     return group.active;
   }
 
@@ -127,27 +78,19 @@ class QueueDepthAutoscaler final : public Autoscaler {
 // in one tick instead of creeping one step at a time.
 class PredictiveAutoscaler final : public Autoscaler {
  public:
-  explicit PredictiveAutoscaler(const AutoscalerSpec& spec)
-      : window_s_(spec.number("window-s", 30.0)),
-        target_(spec.number("target", 0.7)) {
-    WHISK_CHECK(window_s_ > 0.0, ("autoscaler \"predictive\": window-s = " +
-                                  std::to_string(window_s_) +
-                                  " must be > 0")
-                                     .c_str());
-    WHISK_CHECK(target_ > 0.0 && target_ <= 1.0,
-                ("autoscaler \"predictive\": target = " +
-                 std::to_string(target_) + " must be in (0, 1]")
-                    .c_str());
+  static std::vector<util::ParamDecl> params() {
+    return {util::number_param("window-s", 30, "> 0",
+                               "arrival/completion horizon in seconds"),
+            util::number_param("target", 0.7, "(0, 1]",
+                               "utilization the demand is provisioned at")};
   }
+  explicit PredictiveAutoscaler(const AutoscalerSpec& spec)
+      : window_s_(spec.number("window-s")), target_(spec.number("target")) {}
 
   std::string_view name() const override { return "predictive"; }
   std::string help() const override {
     return "sizes each group for the arrival-rate x E(p) demand estimate "
            "over the last window-s seconds at `target` utilization";
-  }
-  std::vector<util::ParamDecl> params() const override {
-    return {{"window-s", "30", "arrival/completion horizon in seconds"},
-            {"target", "0.7", "utilization the demand is provisioned at"}};
   }
   double history_window_s() const override { return window_s_; }
 
@@ -191,37 +134,39 @@ class PredictiveAutoscaler final : public Autoscaler {
   double target_;
 };
 
-void register_builtin_autoscalers(AutoscalerRegistry& registry) {
-  registry.register_factory("target-util", [](const AutoscalerSpec& spec) {
-    return std::make_unique<TargetUtilAutoscaler>(spec);
-  });
-  registry.register_factory("queue-depth", [](const AutoscalerSpec& spec) {
-    return std::make_unique<QueueDepthAutoscaler>(spec);
-  });
-  registry.register_factory("predictive", [](const AutoscalerSpec& spec) {
-    return std::make_unique<PredictiveAutoscaler>(spec);
-  });
-  registry.register_alias("utilization", "target-util");
+// tick-s and cooldown-s are read by the Cluster driver, not the
+// controller, but ride in every controller's spec.
+std::vector<util::ParamDecl> driver_params() {
+  return {util::number_param("tick-s", 5, "> 0",
+                             "seconds between controller observations"),
+          util::number_param(
+              "cooldown-s", 60, ">= 0",
+              "per-group minimum seconds between scaling actions")};
 }
 
 }  // namespace
 
+AutoscalerRegistry::AutoscalerRegistry()
+    : ComponentRegistry("autoscaler", &driver_params) {
+  add<BandAutoscaler<false>>("target-util");
+  add<BandAutoscaler<true>>("queue-depth");
+  add<PredictiveAutoscaler>("predictive");
+  register_alias("utilization", "target-util");
+}
+
 AutoscalerRegistry& AutoscalerRegistry::instance() {
-  static AutoscalerRegistry* registry = [] {
-    auto* r = new AutoscalerRegistry();
-    register_builtin_autoscalers(*r);
-    return r;
-  }();
+  static auto* registry = new AutoscalerRegistry();
   return *registry;
 }
 
 std::unique_ptr<Autoscaler> make_autoscaler(const AutoscalerSpec& spec) {
-  // folded() skips normalized()'s throwaway validation instance: the
-  // returned construction validates the parameter values itself. One
-  // controller object per Cluster.
+  // folded() plus the value checks skips normalized()'s throwaway
+  // instance: the returned construction checks the cross-parameter rules
+  // itself. One controller object per Cluster.
   WHISK_CHECK(spec.enabled(),
               "make_autoscaler on \"none\": check enabled() first");
   const AutoscalerSpec folded = spec.folded();
+  folded.check_values();
   return AutoscalerRegistry::instance().create(folded.name, folded);
 }
 

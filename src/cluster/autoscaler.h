@@ -28,8 +28,9 @@ struct AutoscalerTraits;
 //
 // See util::ComponentSpec for the grammar. The reserved name "none" (the
 // default) means closed-loop scaling is off. Every controller also accepts
-// the driver keys tick-s / cooldown-s; normalized() validates the values by
-// constructing the controller and checking the driver keys.
+// the driver keys tick-s / cooldown-s; normalized() range-checks every value
+// against its declaration and constructs the controller for the rules that
+// span parameters (high > low).
 using AutoscalerSpec = util::ComponentSpec<AutoscalerTraits>;
 
 struct AutoscalerTraits {
@@ -37,13 +38,8 @@ struct AutoscalerTraits {
   static constexpr bool kNoneReserved = true;
   static constexpr std::string_view kExample =
       "\"target-util?low=0.3&high=0.85\"";
-  static AutoscalerRegistry& registry();
+  using Registry = AutoscalerRegistry;
   static void validate(const AutoscalerSpec& spec);
-  // The driver-level parameters every controller accepts: the observation
-  // cadence and the per-group minimum seconds between scaling actions.
-  // They ride in the spec like controller parameters but are consumed by
-  // the Cluster driver, not the controller.
-  static const std::vector<util::ParamDecl>& common_params();
 };
 
 // What a controller observes about one node group at a tick. Draining,
@@ -93,9 +89,6 @@ class Autoscaler {
   // Canonical registry name ("target-util", "queue-depth", "predictive").
   [[nodiscard]] virtual std::string_view name() const = 0;
   [[nodiscard]] virtual std::string help() const = 0;
-  [[nodiscard]] virtual std::vector<util::ParamDecl> params() const {
-    return {};
-  }
 
   // Horizon (seconds) of the controller-side RuntimeHistory this controller
   // wants, or 0 for none. A positive value makes the Cluster feed a
@@ -114,27 +107,26 @@ class Autoscaler {
 // Built-ins ("target-util", "queue-depth", "predictive") are registered on
 // first use; new controllers can be added at runtime:
 //
-//   AutoscalerRegistry::instance().register_factory(
-//       "my-controller", [](const AutoscalerSpec& spec) {
-//         return std::make_unique<MyController>(spec);
-//       });
+//   AutoscalerRegistry::instance().add<MyController>("my-controller");
 //
-// Factory contract: spec validation discovers a controller's declared keys
-// by constructing a probe with an *empty* parameter set, so every parameter
-// must have a usable default (read it with spec.number(key, fallback) /
-// spec.count(key, fallback), never require presence). Out-of-range *values*
-// should still abort loudly — that check runs with the user's actual
-// parameters. "none" is not a registry entry: an AutoscalerSpec that is not
-// enabled() never reaches the registry.
+// MyController has a constructor from const AutoscalerSpec& and a static
+// params() that declares each parameter once: its type, default and range,
+// e.g. util::number_param("gain", 0.5, "(0, 1]", "step per tick"). The
+// spec code range-checks every set value against it, and the controller
+// reads its values with spec.number(key) / spec.count(key), the declared
+// default applying when unset; only rules spanning parameters are checked
+// in the constructor.
+// "none" is not a registry entry: an AutoscalerSpec that is not enabled()
+// never reaches the registry.
 //
 // Unknown names abort with a message listing every registered name.
 class AutoscalerRegistry final
-    : public util::FactoryRegistry<Autoscaler, const AutoscalerSpec&> {
+    : public util::ComponentRegistry<Autoscaler, const AutoscalerSpec&> {
  public:
   static AutoscalerRegistry& instance();
 
  private:
-  AutoscalerRegistry() : FactoryRegistry("autoscaler") {}
+  AutoscalerRegistry();  // registers the built-ins and the driver keys
 };
 
 // Validate `spec` against the registry and construct the controller — the

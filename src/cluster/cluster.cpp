@@ -51,8 +51,8 @@ Cluster::Cluster(sim::Engine& engine,
   const ClusterSpec& deployment = params_.deployment;
   if (deployment.autoscaler.enabled()) {
     autoscaler_ = make_autoscaler(deployment.autoscaler);
-    tick_s_ = deployment.autoscaler.number("tick-s", 5.0);
-    cooldown_s_ = deployment.autoscaler.number("cooldown-s", 60.0);
+    tick_s_ = deployment.autoscaler.number("tick-s");
+    cooldown_s_ = deployment.autoscaler.number("cooldown-s");
     last_scale_.assign(deployment.groups.size(),
                        -std::numeric_limits<double>::infinity());
     const double window = autoscaler_->history_window_s();

@@ -386,8 +386,8 @@ class Cluster : public FaultHost {
   // Controller-side history fed with every submitted arrival and every
   // completion; only allocated when the controller wants a window.
   std::unique_ptr<core::RuntimeHistory> controller_history_;
-  double tick_s_ = 5.0;
-  double cooldown_s_ = 60.0;
+  double tick_s_ = 0.0;      // the autoscaler's tick-s
+  double cooldown_s_ = 0.0;  // and cooldown-s
   std::vector<sim::SimTime> last_scale_;  // per group; -inf = never
   std::vector<double> capacity_share_;    // per group, t=0 core fractions
   bool tick_scheduled_ = false;

@@ -16,15 +16,20 @@
 namespace whisk::cluster {
 
 const std::vector<util::ParamDecl>& node_group_params() {
+  using Type = util::ParamDecl::Type;
   static const auto* params = new std::vector<util::ParamDecl>{
-      {"cores", "", "cores per node (default: the experiment's cores)"},
-      {"cost-per-hour", "0", "price of one node-hour, summed into cost_usd"},
-      {"max-nodes", "1000000", "most nodes the autoscaler may run"},
-      {"memory-mb", "",
-       "container memory per node in MiB (default: the experiment's "
-       "memory-mb)"},
-      {"min-nodes", "1",
-       "fewest nodes the autoscaler keeps (0 for a group deployed empty)"},
+      util::derived_param(Type::kCount, "cores", "", "[1, 100000]",
+                          "cores per node (default: the experiment's cores)"),
+      util::number_param("cost-per-hour", 0, ">= 0",
+                         "price of one node-hour, summed into cost_usd"),
+      util::count_param("max-nodes", 1000000, "<= 1000000",
+                        "most nodes the autoscaler may run"),
+      util::derived_param(Type::kNumber, "memory-mb", "", "> 0",
+                          "container memory per node in MiB (default: the "
+                          "experiment's memory-mb)"),
+      util::count_param("min-nodes", 1, "<= 1000000",
+                        "fewest nodes the autoscaler keeps (0 for a group "
+                        "deployed empty)"),
   };
   return *params;
 }
@@ -82,48 +87,15 @@ std::string group_param_key(const std::string& key) {
   return key;
 }
 
-// The range of each node-group value, on folded keys.
-void check_group_values(const NodeGroupSpec& group) {
-  for (const auto& [key, value] : group.params) {
-    double number = 0.0;
-    unsigned long long whole = 0;
-    const bool is_number = util::parse_finite_double(value, &number);
-    const bool is_whole = util::parse_whole_number(value, &whole);
-    const char* want = nullptr;
-    if (key == "cores") {
-      if (!is_whole || whole == 0 || whole > 100000) {
-        want = "a positive integer";
-      }
-    } else if (key == "memory-mb") {
-      if (!is_number || number <= 0.0) want = "a positive number";
-    } else if (key == "cost-per-hour") {
-      if (!is_number || number < 0.0) want = "a number >= 0";
-    } else if (!is_whole || whole > 1000000) {  // min-nodes, max-nodes
-      want = "a whole number (0..1000000)";
-    }
-    WHISK_CHECK(want == nullptr,
-                ("cluster group \"" + group.name + "\": " + key + "=\"" +
-                 value + "\" is not " + want)
-                    .c_str());
-  }
-}
-
-// Typed reads of a group's folded parameters.
-double group_number(const NodeGroupSpec& group, std::string_view key,
-                    double fallback) {
-  return util::param_number(group.params, key, fallback, "cluster group",
-                            group.name);
-}
-
-std::size_t group_count(const NodeGroupSpec& group, std::string_view key,
-                        std::size_t fallback) {
-  return util::param_count(group.params, key, fallback, "cluster group",
-                           group.name);
+// Typed reads of a group's folded parameters; cores and memory-mb default
+// to the experiment's values, so they are read with a fallback.
+util::ParamReader group_reader(const NodeGroupSpec& group) {
+  return {group.params, node_group_params(), "cluster group", group.name};
 }
 
 int group_cores(const NodeGroupSpec& group, int base_cores) {
-  return static_cast<int>(
-      group_count(group, "cores", static_cast<std::size_t>(base_cores)));
+  return static_cast<int>(group_reader(group).count(
+      "cores", static_cast<std::size_t>(base_cores)));
 }
 
 const NodeGroupSpec& group_at(const ClusterSpec& spec, std::size_t group) {
@@ -260,15 +232,16 @@ std::string format_number(double value) {
 }
 
 // Shared by SloSpec::parse and ClusterSpec::normalized (hand-built specs
-// skip parse, so the checks must not live only there).
-void check_slo(const SloSpec& slo) {
+// skip parse, so the checks must not live only there). `threshold` is the
+// threshold as the input spelled it.
+void check_slo(const SloSpec& slo, std::string_view threshold) {
   WHISK_CHECK(valid_slo_metric(slo.metric),
               ("cluster slo metric \"" + slo.metric +
                "\" is unknown; metrics: " + kSloMetricNames)
                   .c_str());
   WHISK_CHECK(slo.threshold_s > 0.0 && slo.threshold_s <= 1e9,
-              ("cluster slo threshold " + std::to_string(slo.threshold_s) +
-               " must be in (0, 1e9] seconds")
+              ("cluster slo threshold must be in (0, 1e9] seconds, got \"" +
+               std::string(threshold) + "\"")
                   .c_str());
 }
 
@@ -373,7 +346,7 @@ SloSpec SloSpec::parse(std::string_view text) {
   if (!util::parse_finite_double(threshold, &slo.threshold_s)) {
     fail("has a bad threshold \"" + std::string(threshold) + "\"");
   }
-  check_slo(slo);
+  check_slo(slo, threshold);
   return slo;
 }
 
@@ -399,15 +372,26 @@ ClusterSpec ClusterSpec::parse(std::string_view text) {
         eq != std::string_view::npos &&
         std::any_of(std::begin(kSections), std::end(kSections),
                     [&key](const Section& s) { return s.key == key; });
+    // A group list has no '=' before its first '?', so such a section is a
+    // misspelt key.
+    const bool misspelt =
+        !keyed && eq != std::string_view::npos && section.find('?') > eq;
     if (!keyed) key.clear();
     const std::string_view body =
         keyed ? trim_ws(section.substr(eq + 1)) : section;
-    if (!sections.emplace(key, body).second) {
+    if (misspelt || !sections.emplace(key, body).second) {
+      std::vector<std::string> keys;
+      for (const Section& s : kSections) keys.emplace_back(s.key);
       WHISK_CHECK(false,
                   ("cluster spec \"" + std::string(text) + "\" " +
-                   (keyed ? "sets " + key + " twice"
-                          : "has two group-list sections (did you mean one "
-                            "list separated by ',' or '+'?)"))
+                   (misspelt ? "has unknown section \"" +
+                                   std::string(trim_ws(section.substr(0, eq))) +
+                                   "\""
+                    : keyed ? "sets " + key + " twice"
+                            : std::string("has two group-list sections (did "
+                                          "you mean one list separated by "
+                                          "',' or '+'?)")) +
+                   "; sections: " + util::join(keys) + ", and one group list")
                       .c_str());
     }
   }
@@ -478,7 +462,7 @@ ClusterSpec ClusterSpec::normalized() const {
     group.params = util::fold_params(params, node_group_params(),
                                      "cluster group", group.name);
     check_no_separators("group", group.name, group.params);
-    check_group_values(group);
+    group_reader(group).check();
 
     // Scaling bounds must bracket each other and the initial deployment:
     // a fleet born outside its own band would scale on the first tick for
@@ -519,7 +503,8 @@ ClusterSpec ClusterSpec::normalized() const {
     check_no_separators("fault", fault.name, fault.params);
     // A scoped fault must name a real group, checked here so a typo dies
     // at parse time, not when the process first fires mid-sweep.
-    const std::string scope = util::ascii_lower(fault.text("group"));
+    // Not every process declares `group`, so read it with a fallback.
+    const std::string scope = util::ascii_lower(fault.text("group", ""));
     if (!scope.empty()) {
       WHISK_CHECK(std::find(group_names.begin(), group_names.end(), scope) !=
                       group_names.end(),
@@ -544,7 +529,7 @@ ClusterSpec ClusterSpec::normalized() const {
                 "run would never finish — add resilience=timeout-s=...");
   }
 
-  if (out.slo_set) check_slo(out.slo);
+  if (out.slo_set) check_slo(out.slo, format_number(out.slo.threshold_s));
 
   // Validate the event schedule exactly as the cluster will execute it:
   // walk the events in firing order with a running per-group node count
@@ -627,18 +612,19 @@ bool ClusterSpec::needs_in_flight_tracking() const {
 }
 
 double ClusterSpec::group_cost_per_hour(std::size_t group) const {
-  return group_number(group_at(*this, group), "cost-per-hour", 0.0);
+  return group_reader(group_at(*this, group)).number("cost-per-hour");
 }
 
 std::size_t ClusterSpec::group_min_nodes(std::size_t group) const {
   // Groups deployed empty (join-only) default to an empty floor; every
   // other group keeps at least one node unless min-nodes=0 is explicit.
   const NodeGroupSpec& g = group_at(*this, group);
-  return group_count(g, "min-nodes", g.count > 0 ? 1 : 0);
+  return g.count > 0 ? group_reader(g).count("min-nodes")
+                     : group_reader(g).count("min-nodes", 0);
 }
 
 std::size_t ClusterSpec::group_max_nodes(std::size_t group) const {
-  return group_count(group_at(*this, group), "max-nodes", 1000000);
+  return group_reader(group_at(*this, group)).count("max-nodes");
 }
 
 std::size_t ClusterSpec::initial_nodes() const {
@@ -679,7 +665,8 @@ node::NodeParams ClusterSpec::node_params(
   node::NodeParams params = base;
   params.keep_alive = keep_alive;
   params.cores = group_cores(g, base.cores);
-  params.memory_limit_mb = group_number(g, "memory-mb", base.memory_limit_mb);
+  params.memory_limit_mb =
+      group_reader(g).number("memory-mb", base.memory_limit_mb);
   return params;
 }
 

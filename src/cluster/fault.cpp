@@ -8,14 +8,6 @@
 
 namespace whisk::cluster {
 
-FaultRegistry& FaultTraits::registry() { return FaultRegistry::instance(); }
-
-// Constructing the process validates the parameter *values* too, so a bad
-// MTBF dies at parse time, not mid-sweep.
-void FaultTraits::validate(const FaultSpec& spec) {
-  (void)registry().create(spec.name, spec);
-}
-
 std::vector<FaultSpec> parse_fault_list(std::string_view text) {
   std::vector<FaultSpec> out;
   if (util::ascii_lower(util::trim_ws(text)) == "none") return out;
@@ -50,28 +42,24 @@ namespace {
 // churn model production fleets are sized against.
 class CrashRestartFault final : public FaultProcess {
  public:
-  explicit CrashRestartFault(const FaultSpec& spec)
-      : mtbf_s_(spec.number("mtbf-s", 300.0)),
-        mttr_s_(spec.number("mttr-s", 30.0)),
-        group_name_(util::ascii_lower(spec.text("group"))) {
-    WHISK_CHECK(mtbf_s_ > 0.0, ("fault \"crash-restart\": mtbf-s = " +
-                                std::to_string(mtbf_s_) + " must be > 0")
-                                   .c_str());
-    WHISK_CHECK(mttr_s_ > 0.0, ("fault \"crash-restart\": mttr-s = " +
-                                std::to_string(mttr_s_) + " must be > 0")
-                                   .c_str());
+  static std::vector<util::ParamDecl> params() {
+    return {util::number_param("mtbf-s", 300, "> 0",
+                               "per-node mean time between failures"),
+            util::number_param("mttr-s", 30, "> 0",
+                               "mean time to repair (restart) a crashed node"),
+            util::text_param("group", "",
+                             "restrict crashes to one deployment group")};
   }
+  explicit CrashRestartFault(const FaultSpec& spec)
+      : mtbf_s_(spec.number("mtbf-s")),
+        mttr_s_(spec.number("mttr-s")),
+        group_name_(util::ascii_lower(spec.text("group"))) {}
 
   std::string_view name() const override { return "crash-restart"; }
   std::string help() const override {
     return "per-node exponential MTBF/MTTR churn: active nodes crash at "
            "rate active/mtbf-s and restart (cold, in place) after "
            "~Exp(mttr-s)";
-  }
-  std::vector<util::ParamDecl> params() const override {
-    return {{"mtbf-s", "300", "per-node mean time between failures"},
-            {"mttr-s", "30", "mean time to repair (restart) a crashed node"},
-            {"group", "", "restrict crashes to one deployment group"}};
   }
   bool disruptive() const override { return true; }
 
@@ -127,33 +115,30 @@ class CrashRestartFault final : public FaultProcess {
 // memoryless balancer keeps feeding the flapping node, a breaker ejects it.
 class FlapFault final : public FaultProcess {
  public:
-  explicit FlapFault(const FaultSpec& spec)
-      : period_s_(spec.number("period-s", 60.0)),
-        down_s_(spec.number("down-s", 5.0)),
-        cycles_(spec.count("count", 0)),
-        member_(spec.count("node", 0)),
-        group_name_(util::ascii_lower(spec.text("group"))) {
-    WHISK_CHECK(period_s_ > 0.0, ("fault \"flap\": period-s = " +
-                                  std::to_string(period_s_) +
-                                  " must be > 0")
-                                     .c_str());
-    WHISK_CHECK(down_s_ > 0.0, ("fault \"flap\": down-s = " +
-                                std::to_string(down_s_) + " must be > 0")
-                                   .c_str());
+  static std::vector<util::ParamDecl> params() {
+    return {util::number_param("period-s", 60, "> 0",
+                               "mean up-time between flaps"),
+            util::number_param("down-s", 5, "> 0", "mean down-time per flap"),
+            util::count_param("count", 0, "",
+                              "flap cycles before stopping (0 = unlimited)"),
+            util::count_param("node", 0, "",
+                              "member index within the group (creation "
+                              "order)"),
+            util::text_param("group", "",
+                             "deployment group of the node (first group "
+                             "when empty)")};
   }
+  explicit FlapFault(const FaultSpec& spec)
+      : period_s_(spec.number("period-s")),
+        down_s_(spec.number("down-s")),
+        cycles_(spec.count("count")),
+        member_(spec.count("node")),
+        group_name_(util::ascii_lower(spec.text("group"))) {}
 
   std::string_view name() const override { return "flap"; }
   std::string help() const override {
     return "one node repeatedly fails and rejoins: up ~Exp(period-s), down "
            "~Exp(down-s), `count` cycles (0 = until the run ends)";
-  }
-  std::vector<util::ParamDecl> params() const override {
-    return {{"period-s", "60", "mean up-time between flaps"},
-            {"down-s", "5", "mean down-time per flap"},
-            {"count", "0", "flap cycles before stopping (0 = unlimited)"},
-            {"node", "0", "member index within the group (creation order)"},
-            {"group", "", "deployment group of the node (first group when "
-                          "empty)"}};
   }
   bool disruptive() const override { return true; }
 
@@ -204,34 +189,26 @@ class FlapFault final : public FaultProcess {
 // requests exist for — the node still answers, just late.
 class SlowNodeFault final : public FaultProcess {
  public:
-  explicit SlowNodeFault(const FaultSpec& spec)
-      : mtbf_s_(spec.number("mtbf-s", 120.0)),
-        duration_s_(spec.number("duration-s", 30.0)),
-        factor_(spec.number("factor", 3.0)),
-        group_name_(util::ascii_lower(spec.text("group"))) {
-    WHISK_CHECK(mtbf_s_ > 0.0, ("fault \"slow-node\": mtbf-s = " +
-                                std::to_string(mtbf_s_) + " must be > 0")
-                                   .c_str());
-    WHISK_CHECK(duration_s_ > 0.0, ("fault \"slow-node\": duration-s = " +
-                                    std::to_string(duration_s_) +
-                                    " must be > 0")
-                                       .c_str());
-    WHISK_CHECK(factor_ >= 1.0, ("fault \"slow-node\": factor = " +
-                                 std::to_string(factor_) +
-                                 " must be >= 1 (a slowdown multiplier)")
-                                    .c_str());
+  static std::vector<util::ParamDecl> params() {
+    return {util::number_param("mtbf-s", 120, "> 0",
+                               "per-node mean time between slow windows"),
+            util::number_param("duration-s", 30, "> 0",
+                               "mean length of one slow window"),
+            util::number_param("factor", 3, ">= 1",
+                               "duration multiplier while slowed (>= 1)"),
+            util::text_param("group", "",
+                             "restrict stragglers to one deployment group")};
   }
+  explicit SlowNodeFault(const FaultSpec& spec)
+      : mtbf_s_(spec.number("mtbf-s")),
+        duration_s_(spec.number("duration-s")),
+        factor_(spec.number("factor")),
+        group_name_(util::ascii_lower(spec.text("group"))) {}
 
   std::string_view name() const override { return "slow-node"; }
   std::string help() const override {
     return "straggler windows: a random active node runs `factor`x slower "
            "for ~Exp(duration-s); onsets at rate active/mtbf-s";
-  }
-  std::vector<util::ParamDecl> params() const override {
-    return {{"mtbf-s", "120", "per-node mean time between slow windows"},
-            {"duration-s", "30", "mean length of one slow window"},
-            {"factor", "3", "duration multiplier while slowed (>= 1)"},
-            {"group", "", "restrict stragglers to one deployment group"}};
   }
 
   void start(FaultHost& host, sim::Rng rng) override {
@@ -284,23 +261,18 @@ class SlowNodeFault final : public FaultProcess {
 // the combination at parse time.
 class LostCompletionFault final : public FaultProcess {
  public:
-  explicit LostCompletionFault(const FaultSpec& spec)
-      : probability_(spec.number("probability", 0.01)) {
-    WHISK_CHECK(probability_ >= 0.0 && probability_ <= 1.0,
-                ("fault \"lost-completion\": probability = " +
-                 std::to_string(probability_) + " must be in [0, 1]")
-                    .c_str());
+  static std::vector<util::ParamDecl> params() {
+    return {util::number_param("probability", 0.01, "[0, 1]",
+                               "chance a completion is lost, per delivery")};
   }
+  explicit LostCompletionFault(const FaultSpec& spec)
+      : probability_(spec.number("probability")) {}
 
   std::string_view name() const override { return "lost-completion"; }
   std::string help() const override {
     return "each completion is silently dropped before the controller with "
            "`probability`; only a resilience timeout retry recovers the "
            "call";
-  }
-  std::vector<util::ParamDecl> params() const override {
-    return {{"probability", "0.01",
-             "chance a completion is lost, per delivery"}};
   }
   bool drops_completions() const override { return true; }
 
@@ -321,38 +293,26 @@ class LostCompletionFault final : public FaultProcess {
   sim::Rng rng_{0};
 };
 
-void register_builtin_faults(FaultRegistry& registry) {
-  registry.register_factory("crash-restart", [](const FaultSpec& spec) {
-    return std::make_unique<CrashRestartFault>(spec);
-  });
-  registry.register_factory("flap", [](const FaultSpec& spec) {
-    return std::make_unique<FlapFault>(spec);
-  });
-  registry.register_factory("slow-node", [](const FaultSpec& spec) {
-    return std::make_unique<SlowNodeFault>(spec);
-  });
-  registry.register_factory("lost-completion", [](const FaultSpec& spec) {
-    return std::make_unique<LostCompletionFault>(spec);
-  });
-  registry.register_alias("crash", "crash-restart");
-  registry.register_alias("straggler", "slow-node");
-}
-
 }  // namespace
 
+FaultRegistry::FaultRegistry() : ComponentRegistry("fault") {
+  add<CrashRestartFault>("crash-restart");
+  add<FlapFault>("flap");
+  add<SlowNodeFault>("slow-node");
+  add<LostCompletionFault>("lost-completion");
+  register_alias("crash", "crash-restart");
+  register_alias("straggler", "slow-node");
+}
+
 FaultRegistry& FaultRegistry::instance() {
-  static FaultRegistry* registry = [] {
-    auto* r = new FaultRegistry();
-    register_builtin_faults(*r);
-    return r;
-  }();
+  static auto* registry = new FaultRegistry();
   return *registry;
 }
 
 std::unique_ptr<FaultProcess> make_fault(const FaultSpec& spec) {
   WHISK_CHECK(spec.enabled(), "make_fault on \"none\": check enabled() first");
-  const FaultSpec folded = spec.folded();
-  return FaultRegistry::instance().create(folded.name, folded);
+  const FaultSpec checked = spec.normalized();
+  return FaultRegistry::instance().create(checked.name, checked);
 }
 
 bool fault_is_disruptive(const std::string& canonical_name) {

@@ -26,7 +26,8 @@ struct FaultTraits;
 //   spec.to_string()  -> "crash-restart?mtbf-s=120&mttr-s=15"
 //
 // See util::ComponentSpec for the grammar. The reserved name "none" means
-// no fault; normalized() validates the values by constructing the process.
+// no fault; normalized() range-checks the values against the declarations
+// registered with each process.
 //
 // A deployment carries a *list* of fault specs (its `faults=` section);
 // parse_fault_list splits on ',' (and the grid-safe '+') and drops "none"
@@ -38,8 +39,7 @@ struct FaultTraits {
   static constexpr bool kNoneReserved = true;
   static constexpr std::string_view kExample =
       "\"crash-restart?mtbf-s=120&mttr-s=15\"";
-  static FaultRegistry& registry();
-  static void validate(const FaultSpec& spec);
+  using Registry = FaultRegistry;
 };
 
 // Parse a ','/'+'-separated fault list ("none" or empty -> no faults).
@@ -110,9 +110,6 @@ class FaultProcess {
   // Canonical registry name ("crash-restart", "flap", ...).
   [[nodiscard]] virtual std::string_view name() const = 0;
   [[nodiscard]] virtual std::string help() const = 0;
-  [[nodiscard]] virtual std::vector<util::ParamDecl> params() const {
-    return {};
-  }
 
   // True when the process can fail nodes — the cluster then enables
   // per-call in-flight tracking so interrupted calls can be re-submitted.
@@ -142,26 +139,21 @@ class FaultProcess {
 // Built-ins ("crash-restart", "flap", "slow-node", "lost-completion") are
 // registered on first use; new processes can be added at runtime:
 //
-//   FaultRegistry::instance().register_factory(
-//       "my-fault", [](const FaultSpec& spec) {
-//         return std::make_unique<MyFault>(spec);
-//       });
+//   FaultRegistry::instance().add<MyFault>("my-fault");
 //
-// Factory contract (same as AutoscalerRegistry): spec validation discovers
-// a process's declared keys by constructing a probe with an *empty*
-// parameter set, so every parameter must have a usable default. Value
-// validation should still abort loudly — that check runs with the user's
-// actual parameters. "none" is not a registry entry.
+// MyFault has a constructor from const FaultSpec& and a static params()
+// declaring each parameter once (same contract as AutoscalerRegistry).
+// "none" is not a registry entry.
 class FaultRegistry final
-    : public util::FactoryRegistry<FaultProcess, const FaultSpec&> {
+    : public util::ComponentRegistry<FaultProcess, const FaultSpec&> {
  public:
   static FaultRegistry& instance();
 
  private:
-  FaultRegistry() : FactoryRegistry("fault") {}
+  FaultRegistry();  // registers the built-ins
 };
 
-// Validate `spec` against the registry and construct the process — the
+// Normalize `spec` against the registry and construct the process — the
 // one-call surface used by the Cluster. `spec` must be enabled().
 [[nodiscard]] std::unique_ptr<FaultProcess> make_fault(const FaultSpec& spec);
 

@@ -9,24 +9,27 @@
 
 namespace whisk::cluster {
 
-// Every knob the controller-side resilience layer understands, with its
-// default and the value that disables it. A knob left at its default is
-// off, so an empty spec is exactly the pre-resilience controller.
+// Every knob the controller-side resilience layer understands, declared
+// once with its default, its range and the value that disables it. A knob
+// left at its default is off, so an empty spec is exactly the
+// pre-resilience controller.
 [[nodiscard]] const std::vector<util::ParamDecl>& resilience_params();
 
-// The typed knob values, read from a spec by ResilienceSpec::config(). The
-// initializers are the knobs' defaults, spelled only here:
-// resilience_params() displays them and a default config is the
-// pre-resilience controller.
+// The typed knob values of a parameter map, each read through its
+// resilience_params() declaration (the declared default where unset); a
+// default config is the pre-resilience controller.
 struct ResilienceConfig {
-  double timeout_s = 0.0;
-  std::size_t max_attempts = 4;
-  double retry_budget = 0.2;
-  double hedge_p = 0.0;
-  std::size_t hedge_min_samples = 32;
-  std::size_t breaker_failures = 0;
-  double breaker_cooldown_s = 30.0;
-  std::size_t max_queue = 0;
+  ResilienceConfig() : ResilienceConfig(util::ParamMap{}) {}
+  explicit ResilienceConfig(const util::ParamMap& params);
+
+  double timeout_s;
+  std::size_t max_attempts;
+  double retry_budget;
+  double hedge_p;
+  std::size_t hedge_min_samples;
+  std::size_t breaker_failures;
+  double breaker_cooldown_s;
+  std::size_t max_queue;
 
   friend bool operator==(const ResilienceConfig&,
                          const ResilienceConfig&) = default;
@@ -83,21 +86,25 @@ struct ResilienceSpec {
 
   // Every knob's value, its default where unset; unparsable values abort
   // naming the key and offending text.
-  [[nodiscard]] ResilienceConfig config() const;
+  [[nodiscard]] ResilienceConfig config() const {
+    return ResilienceConfig(params);
+  }
 
   [[nodiscard]] bool enabled() const { return !params.empty(); }
 
   [[nodiscard]] bool has(std::string_view key) const {
     return util::has_param(params, key);
   }
-  // Typed access with the declared default as fallback; unparsable values
-  // abort naming the key and offending text.
+  // Typed reads of the knobs (see util::ParamReader).
+  [[nodiscard]] util::ParamReader reader() const {
+    return {params, resilience_params(), "resilience", {}};
+  }
   [[nodiscard]] double number(std::string_view key, double fallback) const {
-    return util::param_number(params, key, fallback, "resilience", {});
+    return reader().number(key, fallback);
   }
   [[nodiscard]] std::size_t count(std::string_view key,
                                   std::size_t fallback) const {
-    return util::param_count(params, key, fallback, "resilience", {});
+    return reader().count(key, fallback);
   }
 
   friend bool operator==(const ResilienceSpec&,

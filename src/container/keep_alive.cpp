@@ -6,16 +6,6 @@
 
 namespace whisk::container {
 
-KeepAlivePolicyRegistry& KeepAliveTraits::registry() {
-  return KeepAlivePolicyRegistry::instance();
-}
-
-// Constructing the policy validates the parameter *values* too, so a bad
-// value dies at parse time, not mid-sweep.
-void KeepAliveTraits::validate(const KeepAliveSpec& spec) {
-  (void)registry().create(spec.name, spec);
-}
-
 namespace {
 
 // Least-recently-used among the candidates satisfying `pred`:
@@ -46,6 +36,7 @@ std::size_t lru_scan(std::span<const IdleCandidate> candidates) {
 // least recently used idle container first.
 class LruKeepAlive final : public KeepAlivePolicy {
  public:
+  explicit LruKeepAlive(const KeepAliveSpec&) {}
   std::string_view name() const override { return "lru"; }
   std::size_t victim(std::span<const IdleCandidate> candidates) override {
     return lru_scan(candidates);
@@ -57,18 +48,15 @@ class LruKeepAlive final : public KeepAlivePolicy {
 // of its function; pressure evictions still go oldest-first.
 class TtlKeepAlive final : public KeepAlivePolicy {
  public:
-  explicit TtlKeepAlive(const KeepAliveSpec& spec)
-      : idle_s_(spec.number("idle-s", 600.0)) {
-    WHISK_CHECK(idle_s_ > 0.0, ("keep-alive policy \"ttl\": idle-s = " +
-                                std::to_string(idle_s_) + " must be > 0")
-                                   .c_str());
+  static std::vector<util::ParamDecl> params() {
+    return {util::number_param(
+        "idle-s", 600, "> 0",
+        "seconds an idle container survives before reclamation")};
   }
+  explicit TtlKeepAlive(const KeepAliveSpec& spec)
+      : idle_s_(spec.number("idle-s")) {}
 
   std::string_view name() const override { return "ttl"; }
-  std::vector<util::ParamDecl> params() const override {
-    return {{"idle-s", "600",
-             "seconds an idle container survives before reclamation"}};
-  }
   std::size_t victim(std::span<const IdleCandidate> candidates) override {
     return lru_scan(candidates);
   }
@@ -89,14 +77,14 @@ class TtlKeepAlive final : public KeepAlivePolicy {
 // and plain LRU applies (a hard floor could deadlock a fully-pinned pool).
 class PoolTargetKeepAlive final : public KeepAlivePolicy {
  public:
+  static std::vector<util::ParamDecl> params() {
+    return {util::count_param(
+        "floor", 1, "", "idle containers per function shielded from eviction")};
+  }
   explicit PoolTargetKeepAlive(const KeepAliveSpec& spec)
-      : floor_(spec.count("floor", 1)) {}
+      : floor_(spec.count("floor")) {}
 
   std::string_view name() const override { return "pool-target"; }
-  std::vector<util::ParamDecl> params() const override {
-    return {{"floor", "1",
-             "idle containers per function shielded from eviction"}};
-  }
   std::size_t victim(std::span<const IdleCandidate> candidates) override {
     const std::size_t above_floor =
         lru_scan_where(candidates, [this](const IdleCandidate& c) {
@@ -110,36 +98,25 @@ class PoolTargetKeepAlive final : public KeepAlivePolicy {
   std::size_t floor_;
 };
 
-void register_builtin_keep_alive(KeepAlivePolicyRegistry& registry) {
-  registry.register_factory("lru", [](const KeepAliveSpec&) {
-    return std::make_unique<LruKeepAlive>();
-  });
-  registry.register_factory("ttl", [](const KeepAliveSpec& spec) {
-    return std::make_unique<TtlKeepAlive>(spec);
-  });
-  registry.register_factory("pool-target", [](const KeepAliveSpec& spec) {
-    return std::make_unique<PoolTargetKeepAlive>(spec);
-  });
-  registry.register_alias("fixed", "ttl");
-}
-
 }  // namespace
 
+KeepAlivePolicyRegistry::KeepAlivePolicyRegistry()
+    : ComponentRegistry("keep-alive policy") {
+  add<LruKeepAlive>("lru");
+  add<TtlKeepAlive>("ttl");
+  add<PoolTargetKeepAlive>("pool-target");
+  register_alias("fixed", "ttl");
+}
+
 KeepAlivePolicyRegistry& KeepAlivePolicyRegistry::instance() {
-  static KeepAlivePolicyRegistry* registry = [] {
-    auto* r = new KeepAlivePolicyRegistry();
-    register_builtin_keep_alive(*r);
-    return r;
-  }();
+  static auto* registry = new KeepAlivePolicyRegistry();
   return *registry;
 }
 
 std::unique_ptr<KeepAlivePolicy> make_keep_alive(const KeepAliveSpec& spec) {
-  // folded() skips normalized()'s throwaway validation instance: the
-  // returned construction validates the parameter values itself. One
-  // policy object per call — this runs once per node per campaign cell.
-  const KeepAliveSpec folded = spec.folded();
-  return KeepAlivePolicyRegistry::instance().create(folded.name, folded);
+  // One policy object per call — this runs once per node per campaign cell.
+  const KeepAliveSpec checked = spec.normalized();
+  return KeepAlivePolicyRegistry::instance().create(checked.name, checked);
 }
 
 }  // namespace whisk::container

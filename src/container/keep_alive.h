@@ -29,16 +29,15 @@ struct KeepAliveTraits;
 //   auto spec = KeepAliveSpec::parse("ttl?idle-s=600");
 //   spec.to_string()  -> "ttl?idle-s=600"
 //
-// See util::ComponentSpec for the grammar; normalized() validates the
-// values by constructing the policy.
+// See util::ComponentSpec for the grammar; normalized() range-checks the
+// values against the declarations registered with each policy.
 using KeepAliveSpec = util::ComponentSpec<KeepAliveTraits>;
 
 struct KeepAliveTraits {
   static constexpr std::string_view kDefaultName = "lru";
   static constexpr bool kNoneReserved = false;
   static constexpr std::string_view kExample = "\"ttl?idle-s=600\"";
-  static KeepAlivePolicyRegistry& registry();
-  static void validate(const KeepAliveSpec& spec);
+  using Registry = KeepAlivePolicyRegistry;
 };
 
 // One idle-container eviction candidate, as the pool presents it to the
@@ -72,9 +71,6 @@ class KeepAlivePolicy {
 
   // Canonical registry name ("lru", "ttl", "pool-target", ...).
   [[nodiscard]] virtual std::string_view name() const = 0;
-  [[nodiscard]] virtual std::vector<util::ParamDecl> params() const {
-    return {};
-  }
 
   // Index of the eviction victim among `candidates` (never empty). The
   // pool destroys the chosen container; busy/creating/prewarm containers
@@ -105,29 +101,26 @@ class KeepAlivePolicy {
 // Built-ins ("lru", "ttl", "pool-target") are registered on first use; new
 // policies can be added at runtime:
 //
-//   KeepAlivePolicyRegistry::instance().register_factory(
-//       "my-policy", [](const KeepAliveSpec& spec) {
-//         return std::make_unique<MyPolicy>(spec);
-//       });
+//   KeepAlivePolicyRegistry::instance().add<MyPolicy>("my-policy");
 //
-// Factory contract: spec validation discovers a policy's declared keys by
-// constructing a probe with an *empty* parameter set, so every parameter
-// must have a usable default (read it with spec.number(key, fallback) /
-// spec.count(key, fallback), never require presence). Out-of-range
-// *values* should still abort loudly — that check runs with the user's
-// actual parameters.
+// MyPolicy has a constructor from const KeepAliveSpec& and a static
+// params() that declares each parameter once: its type, default and range,
+// e.g. util::number_param("idle-s", 60, "> 0", "seconds before reclaim").
+// The spec code range-checks every set value against it before the
+// factory runs, and the policy reads its values with spec.number(key) /
+// spec.count(key), the declared default applying when unset.
 //
 // Unknown names abort with a message listing every registered name.
 class KeepAlivePolicyRegistry final
-    : public util::FactoryRegistry<KeepAlivePolicy, const KeepAliveSpec&> {
+    : public util::ComponentRegistry<KeepAlivePolicy, const KeepAliveSpec&> {
  public:
   static KeepAlivePolicyRegistry& instance();
 
  private:
-  KeepAlivePolicyRegistry() : FactoryRegistry("keep-alive policy") {}
+  KeepAlivePolicyRegistry();  // registers the built-ins
 };
 
-// Validate `spec` against the registry and construct the policy — the
+// Normalize `spec` against the registry and construct the policy — the
 // one-call surface used by the container pool.
 [[nodiscard]] std::unique_ptr<KeepAlivePolicy> make_keep_alive(
     const KeepAliveSpec& spec);

@@ -4,9 +4,9 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <string_view>
-#include <type_traits>
 #include <vector>
 
 #include "util/check.h"
@@ -15,16 +15,42 @@
 
 namespace whisk::util {
 
-// One declared parameter of a registered component (or of the flat
-// resilience knob set); surfaced by the unknown-key diagnostics and by
-// `whisk_sweep --list`.
+// One declared parameter of a component, a node group or the resilience
+// knobs: the one place its name, type, default, range and help are
+// written. Values are read and range-checked through it; `whisk_sweep
+// --list` and the unknown-key diagnostics show it. Build one with
+// number_param / count_param / text_param, or derived_param for a default
+// the reader computes at run time.
 struct ParamDecl {
+  enum class Type { kText, kNumber, kCount };
+
   std::string name;
-  // Display form, e.g. "60" or "round-robin"; the component resolves the
-  // actual fallback itself. Empty when there is none.
+  // Display form of the default: the typed default through fmt_g, the text
+  // default, or a derived default's note; empty when there is none.
   std::string default_value;
   std::string help;
+  Type type = Type::kText;
+  // The typed default; absent when derived (the reader passes a fallback).
+  std::optional<double> fallback = std::nullopt;
+  // Allowed values: "" (any), "> 0", ">= 1", "<= 1000000", "[0, 1)" or
+  // "(0, 1]"; diagnostics quote it.
+  std::string range = {};
 };
+
+[[nodiscard]] ParamDecl number_param(std::string name, double fallback,
+                                     std::string range, std::string help);
+[[nodiscard]] ParamDecl count_param(std::string name, std::size_t fallback,
+                                    std::string range, std::string help);
+[[nodiscard]] ParamDecl text_param(std::string name, std::string fallback,
+                                   std::string help);
+// A number or count whose default depends on the run (a period that
+// defaults to the window); `note` is shown as its default.
+[[nodiscard]] ParamDecl derived_param(ParamDecl::Type type, std::string name,
+                                      std::string note, std::string range,
+                                      std::string help);
+
+// Whether `value` lies in a ParamDecl range; a malformed range aborts.
+[[nodiscard]] bool in_range(double value, std::string_view range);
 
 // --- the parameter-map half --------------------------------------------------
 //
@@ -36,20 +62,6 @@ using ParamMap = std::map<std::string, std::string>;
 
 [[nodiscard]] bool has_param(const ParamMap& params, std::string_view key);
 
-// Typed access with a fallback for absent keys. Unparsable values abort,
-// naming the subject, the key and the offending value.
-[[nodiscard]] double param_number(const ParamMap& params, std::string_view key,
-                                  double fallback, std::string_view kind,
-                                  std::string_view name);
-[[nodiscard]] std::size_t param_count(const ParamMap& params,
-                                      std::string_view key,
-                                      std::size_t fallback,
-                                      std::string_view kind,
-                                      std::string_view name);
-[[nodiscard]] std::string param_text(const ParamMap& params,
-                                     std::string_view key,
-                                     std::string_view fallback);
-
 // Lowercase the keys of `params`, aborting on a key set twice (case-variant
 // duplicates on a hand-built map) or on a key `declared` does not list; the
 // unknown-key error lists every declared key.
@@ -57,6 +69,92 @@ using ParamMap = std::map<std::string, std::string>;
                                    const std::vector<ParamDecl>& declared,
                                    std::string_view kind,
                                    std::string_view name);
+
+// Typed reads of a folded parameter map against its declarations: an unset
+// key yields `fallback`, or without one its declared default (the key must
+// then be declared, its default not derived). Unparsable values abort,
+// naming the subject, the key and the offending value.
+struct ParamReader {
+  const ParamMap& params;
+  const std::vector<ParamDecl>& declared;
+  std::string_view kind;
+  std::string_view name;
+
+  [[nodiscard]] double number(std::string_view key,
+                              std::optional<double> fallback = {}) const;
+  [[nodiscard]] std::size_t count(
+      std::string_view key, std::optional<std::size_t> fallback = {}) const;
+  [[nodiscard]] std::string text(
+      std::string_view key,
+      std::optional<std::string_view> fallback = {}) const;
+
+  // The declaration of `key` for a read without a fallback, typed (number
+  // or count) or text; aborts on an undeclared key, a declaration of the
+  // other type or a derived default (each a programming error).
+  [[nodiscard]] const ParamDecl& decl(std::string_view key, bool typed) const;
+  // Abort unless every value parses as its declared type and lies in its
+  // declared range; the message quotes the input text:
+  //   fault "crash-restart": mtbf-s must be > 0, got "-1e-7"
+  void check() const;
+};
+
+// A FactoryRegistry whose entries carry their declared parameters, so they
+// are known without constructing a component (whose constructor reads
+// them). A component declares its table in a static params(), next to the
+// constructor that reads it, and registers by type:
+//
+//   registry.add<TtlKeepAlive>("ttl");  // TtlKeepAlive::params() declares
+//
+// A stateless def (a factory taking no arguments) declares through its
+// virtual params() instead. `common` parameters lead every table.
+template <typename Product, typename... Args>
+class ComponentRegistry : public FactoryRegistry<Product, Args...> {
+ public:
+  using Declare = std::vector<ParamDecl> (*)();
+
+  explicit ComponentRegistry(std::string kind, Declare common = nullptr)
+      : FactoryRegistry<Product, Args...>(std::move(kind)), common_(common) {}
+
+  // Register T, constructed from the factory's arguments.
+  template <typename T>
+  void add(std::string_view name) {
+    this->register_factory(name, [](Args... args) {
+      return std::make_unique<T>(std::forward<Args>(args)...);
+    });
+    if constexpr (requires { T::params(); }) {
+      declare_[ascii_lower(name)] = &T::params;
+    }
+  }
+
+  // The declared parameters of `name`, an alias or any case of a registered
+  // name (none if it is not registered), built on first use and cached by
+  // canonical name under a mutex, since campaign workers normalize specs
+  // concurrently; map nodes are stable, so the reference outlives the lock.
+  [[nodiscard]] const std::vector<ParamDecl>& params(
+      std::string_view name) const {
+    static const std::vector<ParamDecl> kNone;
+    if (!this->contains(name)) return kNone;
+    const std::string canon = this->resolve(name);
+    std::lock_guard<std::mutex> lock(mutex_);
+    auto [it, fresh] = tables_.try_emplace(canon);
+    if (fresh) {
+      if (common_ != nullptr) it->second = common_();
+      std::vector<ParamDecl> own;
+      if constexpr (sizeof...(Args) == 0) own = this->create(canon)->params();
+      if (const auto d = declare_.find(canon); d != declare_.end()) {
+        own = d->second();
+      }
+      it->second.insert(it->second.end(), own.begin(), own.end());
+    }
+    return it->second;
+  }
+
+ private:
+  Declare common_;
+  std::map<std::string, Declare> declare_;
+  mutable std::mutex mutex_;
+  mutable std::map<std::string, std::vector<ParamDecl>> tables_;
+};
 
 // --- the component spec ------------------------------------------------------
 
@@ -72,28 +170,27 @@ using ParamMap = std::map<std::string, std::string>;
 // paths). to_string() is canonical and parse(to_string()) round-trips.
 // normalized() resolves the name against the kind's registry (aliases,
 // case), rejects unknown keys with an error that lists the component's
-// declared keys, and validates the values the way the kind does.
+// declared keys, range-checks every set value against its declaration and
+// runs the kind's own validation.
 //
 // Traits supplies what differs per kind:
 //
 //   static constexpr std::string_view kDefaultName;  // default-constructed
 //   static constexpr bool kNoneReserved;  // "none" = off, takes no params
 //   static constexpr std::string_view kExample;  // for the empty-spec error
-//   static Registry& registry();  // a util::FactoryRegistry; kind() is the
-//                                 // noun every diagnostic uses
-//   static void validate(const ComponentSpec& spec);  // values of a folded
-//                                                     // spec; abort if bad
-//   static const std::vector<ParamDecl>& common_params();  // optional: keys
-//                                 // every component of the kind accepts
-//
-// Declared keys come from a probe: the registry's factory run with an empty
-// parameter set (so every parameter must have a usable default).
+//   using Registry = ...;  // a util::ComponentRegistry with a static
+//                          // instance(); kind() is the noun every
+//                          // diagnostic uses
+//   static void validate(const ComponentSpec& spec);  // optional: the rules
+//                                 // spanning parameters; abort if broken
+//   static constexpr bool kChecksValuesLate;  // optional: true when values
+//                                 // are range-checked on use, not on parse
 template <typename Traits>
 struct ComponentSpec {
   std::string name = std::string(Traits::kDefaultName);
   ParamMap params;
 
-  // A probe instance and its declared keys (common_params() first).
+  // A probe instance and its declared keys.
   struct Probe;
 
   [[nodiscard]] static ComponentSpec parse(std::string_view text);
@@ -106,9 +203,11 @@ struct ComponentSpec {
   // canonicalized and keys lowercased. "none", where reserved, must carry
   // no parameters.
   [[nodiscard]] ComponentSpec normalized() const;
-  // normalized() without the value validation — for callers that construct
-  // the component right away, which validates the values anyway.
+  // normalized() without the value checks: the name resolved, keys folded.
   [[nodiscard]] ComponentSpec folded() const;
+  // Abort unless every value of this folded spec parses as its declared
+  // type and lies in its declared range.
+  void check_values() const { reader().check(); }
 
   // False for the reserved name "none".
   [[nodiscard]] bool enabled() const { return name != "none"; }
@@ -116,23 +215,36 @@ struct ComponentSpec {
   [[nodiscard]] bool has(std::string_view key) const {
     return has_param(params, key);
   }
-  [[nodiscard]] double number(std::string_view key, double fallback) const {
-    return param_number(params, key, fallback, Traits::registry().kind(),
-                        name);
+  // Typed reads (see ParamReader) of a folded spec.
+  [[nodiscard]] ParamReader reader() const {
+    return {params, declared(name), registry().kind(), name};
   }
-  [[nodiscard]] std::size_t count(std::string_view key,
-                                  std::size_t fallback) const {
-    return param_count(params, key, fallback, Traits::registry().kind(),
-                       name);
+  [[nodiscard]] double number(std::string_view key,
+                              std::optional<double> fallback = {}) const {
+    return reader().number(key, fallback);
   }
-  [[nodiscard]] std::string text(std::string_view key,
-                                 std::string_view fallback = {}) const {
-    return param_text(params, key, fallback);
+  [[nodiscard]] std::size_t count(
+      std::string_view key, std::optional<std::size_t> fallback = {}) const {
+    return reader().count(key, fallback);
+  }
+  [[nodiscard]] std::string text(
+      std::string_view key,
+      std::optional<std::string_view> fallback = {}) const {
+    return reader().text(key, fallback);
   }
 
-  [[nodiscard]] static auto& registry() { return Traits::registry(); }
+  [[nodiscard]] static auto& registry() {
+    return Traits::Registry::instance();
+  }
 
-  // The probe for canonical name `canon`, built on first use and cached:
+  // The declared parameters of canonical name `canon`, as registered.
+  [[nodiscard]] static const std::vector<ParamDecl>& declared(
+      const std::string& canon) {
+    return registry().params(canon);
+  }
+
+  // The probe for canonical name `canon` (a component built with no
+  // parameters, for its help and traits), built on first use and cached:
   // registrations are append-only, so an entry never goes stale.
   // Mutex-guarded, since campaign workers normalize specs concurrently;
   // map nodes are stable, so the reference outlives the lock.
@@ -144,15 +256,13 @@ struct ComponentSpec {
 
 template <typename Traits>
 struct ComponentSpec<Traits>::Probe {
-  using Registry = std::remove_reference_t<decltype(Traits::registry())>;
-
-  std::unique_ptr<typename Registry::product_type> component;
-  std::vector<ParamDecl> params;
+  std::unique_ptr<typename Traits::Registry::product_type> component;
+  const std::vector<ParamDecl>& params;
 };
 
 template <typename Traits>
 ComponentSpec<Traits> ComponentSpec<Traits>::parse(std::string_view text) {
-  const std::string& kind = Traits::registry().kind();
+  const std::string& kind = registry().kind();
   WHISK_CHECK(!trim_ws(text).empty(),
               ("empty " + kind +
                " spec; expected \"name[?key=value[&...]]\" like " +
@@ -176,28 +286,30 @@ ComponentSpec<Traits> ComponentSpec<Traits>::parse(std::string_view text) {
 
 template <typename Traits>
 ComponentSpec<Traits> ComponentSpec<Traits>::folded() const {
-  auto& registry = Traits::registry();
+  auto& reg = registry();
   const std::string_view trimmed = trim_ws(name);
   ComponentSpec out;
   if (Traits::kNoneReserved && ascii_lower(trimmed) == "none") {
     WHISK_CHECK(params.empty(),
-                (registry.kind() +
-                 " \"none\" takes no parameters; name one of " +
-                 join(registry.names()) + " to configure one")
+                (reg.kind() + " \"none\" takes no parameters; name one of " +
+                 join(reg.names()) + " to configure one")
                     .c_str());
     out.name = "none";
     return out;
   }
-  out.name = registry.resolve(trimmed);
-  out.params =
-      fold_params(params, probe(out.name).params, registry.kind(), out.name);
+  out.name = reg.resolve(trimmed);
+  out.params = fold_params(params, declared(out.name), reg.kind(), out.name);
   return out;
 }
 
 template <typename Traits>
 ComponentSpec<Traits> ComponentSpec<Traits>::normalized() const {
   ComponentSpec out = folded();
-  if (out.enabled()) Traits::validate(out);
+  if (!out.enabled()) return out;
+  if constexpr (!requires { requires Traits::kChecksValuesLate; }) {
+    out.check_values();
+  }
+  if constexpr (requires { Traits::validate(out); }) Traits::validate(out);
   return out;
 }
 
@@ -208,18 +320,11 @@ auto ComponentSpec<Traits>::probe(const std::string& canon) -> const Probe& {
   std::lock_guard<std::mutex> lock(*mutex);
   auto it = cache->find(canon);
   if (it == cache->end()) {
-    auto& registry = Traits::registry();
-    Probe probe;
-    if constexpr (requires { registry.create(canon); }) {
-      probe.component = registry.create(canon);
+    Probe probe{nullptr, declared(canon)};
+    if constexpr (requires { registry().create(canon); }) {
+      probe.component = registry().create(canon);
     } else {
-      probe.component = registry.create(canon, ComponentSpec{canon, {}});
-    }
-    if constexpr (requires { Traits::common_params(); }) {
-      probe.params = Traits::common_params();
-    }
-    for (auto& p : probe.component->params()) {
-      probe.params.push_back(std::move(p));
+      probe.component = registry().create(canon, ComponentSpec{canon, {}});
     }
     it = cache->emplace(canon, std::move(probe)).first;
   }

@@ -22,27 +22,7 @@
 namespace whisk::workload {
 namespace {
 
-constexpr double kDefaultWindowS = 60.0;
-
 // --- shared parameter plumbing ---------------------------------------------
-
-sim::SimTime window_param(const ScenarioSpec& spec) {
-  const double window = spec.number("window", kDefaultWindowS);
-  WHISK_CHECK(window > 0.0, ("scenario \"" + spec.name +
-                             "\": window must be positive seconds")
-                                .c_str());
-  return window;
-}
-
-int effective_intensity(const ScenarioSpec& spec) {
-  const std::size_t raw = spec.count("intensity", kPaperIntensity);
-  WHISK_CHECK(raw > 0 && raw <= static_cast<std::size_t>(
-                                    std::numeric_limits<int>::max()),
-              ("scenario \"" + spec.name +
-               "\": intensity must be a positive (sane) integer")
-                  .c_str());
-  return static_cast<int>(raw);
-}
 
 // 1.1 * c * v requests for c total cores at intensity v (paper Sec. V-B).
 std::size_t paper_total(const ScenarioSpec& spec, const ScenarioContext& ctx) {
@@ -50,28 +30,37 @@ std::size_t paper_total(const ScenarioSpec& spec, const ScenarioContext& ctx) {
   WHISK_CHECK(cores > 0, ("scenario \"" + spec.name +
                           "\": deployment cores must be positive")
                              .c_str());
-  const int intensity = effective_intensity(spec);
+  const auto intensity = static_cast<int>(spec.count("intensity"));
   return static_cast<std::size_t>(1.1 * cores * intensity + 0.5);
 }
 
-const util::ParamDecl kWindowParam{"window", "60",
-                                  "burst duration in seconds"};
-const util::ParamDecl kIntensityParam{
-    "intensity", std::to_string(kPaperIntensity),
-    "load knob v: 1.1 * cores * v requests"};
-const util::ParamDecl kMixParam{
-    "mix", "round-robin", "function mix: round-robin | random | weighted"};
-const util::ParamDecl kWeightsParam{
-    "weights", "",
-    "per-function weights for mix=weighted, '+'- or ','-separated ('+' "
-    "inside a grid)"};
+using util::count_param;
+using util::number_param;
+using util::text_param;
+
+util::ParamDecl window_param() {
+  return number_param("window", 60, "> 0", "burst duration in seconds");
+}
+util::ParamDecl intensity_param() {
+  return count_param("intensity", kPaperIntensity, "[1, 2147483647]",
+                     "load knob v: 1.1 * cores * v requests");
+}
+util::ParamDecl mix_param() {
+  return text_param("mix", "round-robin",
+                    "function mix: round-robin | random | weighted");
+}
+util::ParamDecl weights_param() {
+  return text_param("weights", "",
+                    "per-function weights for mix=weighted, '+'- or "
+                    "','-separated ('+' inside a grid)");
+}
 
 // The `mix` / `weights` parameter pair shared by the rate-driven scenarios.
 // Weights separate with '+' (the grid-safe form, since ',' splits campaign
 // axis items) or ','.
 std::unique_ptr<FunctionMix> make_mix(const ScenarioSpec& spec,
                                       const FunctionCatalog& catalog) {
-  const std::string mix = util::ascii_lower(spec.text("mix", "round-robin"));
+  const std::string mix = util::ascii_lower(spec.text("mix"));
   if (mix == "round-robin") {
     return std::make_unique<RoundRobinMix>(catalog.size());
   }
@@ -116,7 +105,7 @@ class UniformScenario final : public ScenarioDef {
            "uniform over the window";
   }
   std::vector<util::ParamDecl> params() const override {
-    return {kIntensityParam, kWindowParam};
+    return {intensity_param(), window_param()};
   }
   Scenario generate(const ScenarioSpec& spec, const ScenarioContext& ctx,
                     sim::Rng& rng) const override {
@@ -127,7 +116,7 @@ class UniformScenario final : public ScenarioDef {
                 "intensity/core combination does not split evenly across "
                 "functions; use multiples of 10 as the paper does");
     return compose_scenario(UniformArrivals{}, EqualBlockMix{per_function},
-                            total, window_param(spec), rng);
+                            total, spec.number("window"), rng);
   }
 };
 
@@ -138,16 +127,14 @@ class FixedTotalScenario final : public ScenarioDef {
            "(the multi-node experiments' constant load, Sec. VIII)";
   }
   std::vector<util::ParamDecl> params() const override {
-    return {{"total", "1320", "exact number of requests"},
-            kWindowParam};
+    return {count_param("total", 1320, ">= 1", "exact number of requests"),
+            window_param()};
   }
   Scenario generate(const ScenarioSpec& spec, const ScenarioContext& ctx,
                     sim::Rng& rng) const override {
-    const std::size_t total = spec.count("total", 1320);
-    WHISK_CHECK(total > 0, "empty burst");
     return compose_scenario(UniformArrivals{},
-                            RoundRobinMix{ctx.catalog->size()}, total,
-                            window_param(spec), rng);
+                            RoundRobinMix{ctx.catalog->size()},
+                            spec.count("total"), spec.number("window"), rng);
   }
 };
 
@@ -158,18 +145,18 @@ class FairnessScenario final : public ScenarioDef {
            "rare-function, the rest uniform over the other functions";
   }
   std::vector<util::ParamDecl> params() const override {
-    return {kIntensityParam,
-            {"rare-function", "dna-visualisation",
-             "catalog name of the rare long function"},
-            {"rare-calls", "10", "exact calls of the rare function"},
-            kWindowParam};
+    return {intensity_param(),
+            text_param("rare-function", "dna-visualisation",
+                       "catalog name of the rare long function"),
+            count_param("rare-calls", 10, "",
+                        "exact calls of the rare function"),
+            window_param()};
   }
   Scenario generate(const ScenarioSpec& spec, const ScenarioContext& ctx,
                     sim::Rng& rng) const override {
     const std::size_t total = paper_total(spec, ctx);
-    const std::size_t rare_calls = spec.count("rare-calls", 10);
-    const std::string rare_name =
-        spec.text("rare-function", "dna-visualisation");
+    const std::size_t rare_calls = spec.count("rare-calls");
+    const std::string rare_name = spec.text("rare-function");
     const auto rare = ctx.catalog->find(rare_name);
     WHISK_CHECK(rare.has_value(),
                 ("scenario \"fairness\": unknown rare-function \"" +
@@ -190,7 +177,7 @@ class FairnessScenario final : public ScenarioDef {
     return compose_scenario(
         UniformArrivals{},
         RareFirstMix{*rare, rare_calls, ctx.catalog->size()}, total,
-        window_param(spec), rng);
+        spec.number("window"), rng);
   }
 };
 
@@ -203,15 +190,14 @@ class PoissonScenario final : public ScenarioDef {
            "configurable function mix";
   }
   std::vector<util::ParamDecl> params() const override {
-    return {{"rate", "30", "mean arrivals per second"}, kWindowParam,
-            kMixParam, kWeightsParam};
+    return {number_param("rate", 30, "> 0", "mean arrivals per second"),
+            window_param(), mix_param(), weights_param()};
   }
   Scenario generate(const ScenarioSpec& spec, const ScenarioContext& ctx,
                     sim::Rng& rng) const override {
-    const double rate = spec.number("rate", 30.0);
     const auto mix = make_mix(spec, *ctx.catalog);
-    return compose_scenario(PoissonArrivals{rate}, *mix, 0,
-                            window_param(spec), rng);
+    return compose_scenario(PoissonArrivals{spec.number("rate")}, *mix, 0,
+                            spec.number("window"), rng);
   }
 };
 
@@ -222,20 +208,23 @@ class BurstyScenario final : public ScenarioDef {
            "during exponential ON phases, a rate-off trickle in between";
   }
   std::vector<util::ParamDecl> params() const override {
-    return {{"rate-on", "120", "arrivals per second during ON phases"},
-            {"rate-off", "5", "arrivals per second during OFF phases (may "
-                              "be 0)"},
-            {"mean-on", "5", "mean ON-phase duration in seconds"},
-            {"mean-off", "10", "mean OFF-phase duration in seconds"},
-            kWindowParam, kMixParam, kWeightsParam};
+    return {number_param("rate-on", 120, "> 0",
+                         "arrivals per second during ON phases"),
+            number_param("rate-off", 5, ">= 0",
+                         "arrivals per second during OFF phases (may be 0)"),
+            number_param("mean-on", 5, "> 0",
+                         "mean ON-phase duration in seconds"),
+            number_param("mean-off", 10, "> 0",
+                         "mean OFF-phase duration in seconds"),
+            window_param(), mix_param(), weights_param()};
   }
   Scenario generate(const ScenarioSpec& spec, const ScenarioContext& ctx,
                     sim::Rng& rng) const override {
     const OnOffArrivals arrivals{
-        spec.number("rate-on", 120.0), spec.number("rate-off", 5.0),
-        spec.number("mean-on", 5.0), spec.number("mean-off", 10.0)};
+        spec.number("rate-on"), spec.number("rate-off"),
+        spec.number("mean-on"), spec.number("mean-off")};
     const auto mix = make_mix(spec, *ctx.catalog);
-    return compose_scenario(arrivals, *mix, 0, window_param(spec), rng);
+    return compose_scenario(arrivals, *mix, 0, spec.number("window"), rng);
   }
 };
 
@@ -247,16 +236,19 @@ class DiurnalScenario final : public ScenarioDef {
            "window)";
   }
   std::vector<util::ParamDecl> params() const override {
-    return {{"rate", "30", "mean arrivals per second over a full cycle"},
-            {"amplitude", "0.9", "peak-to-mean swing in [0, 1]"},
-            {"period", "window", "cycle length in seconds"},
-            kWindowParam, kMixParam, kWeightsParam};
+    return {number_param("rate", 30, "> 0",
+                         "mean arrivals per second over a full cycle"),
+            number_param("amplitude", 0.9, "[0, 1]",
+                         "peak-to-mean swing in [0, 1]"),
+            util::derived_param(util::ParamDecl::Type::kNumber, "period",
+                                "window", "> 0", "cycle length in seconds"),
+            window_param(), mix_param(), weights_param()};
   }
   Scenario generate(const ScenarioSpec& spec, const ScenarioContext& ctx,
                     sim::Rng& rng) const override {
-    const sim::SimTime window = window_param(spec);
-    const DiurnalArrivals arrivals{spec.number("rate", 30.0),
-                                   spec.number("amplitude", 0.9),
+    const sim::SimTime window = spec.number("window");
+    const DiurnalArrivals arrivals{spec.number("rate"),
+                                   spec.number("amplitude"),
                                    spec.number("period", window)};
     const auto mix = make_mix(spec, *ctx.catalog);
     return compose_scenario(arrivals, *mix, 0, window, rng);
@@ -272,10 +264,12 @@ class TraceScenario final : public ScenarioDef {
            "rows without a function name are assigned by the mix";
   }
   std::vector<util::ParamDecl> params() const override {
-    return {{"file", "", "path to the trace CSV"},
-            {"window", "last release", "burst duration; rows at or past it "
-                                       "are dropped"},
-            kMixParam, kWeightsParam};
+    return {text_param("file", "", "path to the trace CSV"),
+            util::derived_param(util::ParamDecl::Type::kNumber, "window",
+                                "last release", "> 0",
+                                "burst duration; rows at or past it are "
+                                "dropped"),
+            mix_param(), weights_param()};
   }
   Scenario generate(const ScenarioSpec& spec, const ScenarioContext& ctx,
                     sim::Rng& rng) const override {
@@ -295,11 +289,9 @@ class TraceScenario final : public ScenarioDef {
     }
     // Derived windows sit one ULP past the last release so the final row
     // survives the strict `release < window` clip.
-    const sim::SimTime window =
-        spec.has("window")
-            ? window_param(spec)
-            : std::nextafter(std::max(last, 1e-9),
-                             std::numeric_limits<double>::max());
+    const sim::SimTime window = spec.number(
+        "window", std::nextafter(std::max(last, 1e-9),
+                                 std::numeric_limits<double>::max()));
 
     const auto mix = make_mix(spec, *ctx.catalog);
     if (!any_named) {
@@ -349,27 +341,16 @@ class TraceScenario final : public ScenarioDef {
 
 }  // namespace
 
-namespace detail {
-
-void register_builtin_scenarios(ScenarioRegistry& registry) {
-  registry.register_factory(
-      "uniform", [] { return std::make_unique<UniformScenario>(); });
-  registry.register_factory(
-      "fixed-total", [] { return std::make_unique<FixedTotalScenario>(); });
-  registry.register_factory(
-      "fairness", [] { return std::make_unique<FairnessScenario>(); });
-  registry.register_factory(
-      "poisson", [] { return std::make_unique<PoissonScenario>(); });
-  registry.register_factory(
-      "bursty", [] { return std::make_unique<BurstyScenario>(); });
-  registry.register_factory(
-      "diurnal", [] { return std::make_unique<DiurnalScenario>(); });
-  registry.register_factory(
-      "trace", [] { return std::make_unique<TraceScenario>(); });
-  registry.register_alias("uniform-burst", "uniform");
-  registry.register_alias("fixed", "fixed-total");
-  registry.register_alias("mmpp", "bursty");
+ScenarioRegistry::ScenarioRegistry() : ComponentRegistry("scenario") {
+  add<UniformScenario>("uniform");
+  add<FixedTotalScenario>("fixed-total");
+  add<FairnessScenario>("fairness");
+  add<PoissonScenario>("poisson");
+  add<BurstyScenario>("bursty");
+  add<DiurnalScenario>("diurnal");
+  add<TraceScenario>("trace");
+  register_alias("uniform-burst", "uniform");
+  register_alias("fixed", "fixed-total");
+  register_alias("mmpp", "bursty");
 }
-
-}  // namespace detail
 }  // namespace whisk::workload

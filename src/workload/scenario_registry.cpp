@@ -5,11 +5,7 @@
 namespace whisk::workload {
 
 ScenarioRegistry& ScenarioRegistry::instance() {
-  static ScenarioRegistry* registry = [] {
-    auto* r = new ScenarioRegistry();
-    detail::register_builtin_scenarios(*r);
-    return r;
-  }();
+  static auto* registry = new ScenarioRegistry();
   return *registry;
 }
 
@@ -19,6 +15,7 @@ Scenario make_scenario(const ScenarioSpec& spec, const ScenarioContext& ctx,
               "ScenarioContext.catalog must point at a FunctionCatalog");
   WHISK_CHECK(ctx.catalog->size() > 0, "scenario needs a non-empty catalog");
   const ScenarioSpec normalized = spec.normalized();
+  normalized.check_values();
   const auto def = ScenarioRegistry::instance().create(normalized.name);
   return def->generate(normalized, ctx, rng);
 }

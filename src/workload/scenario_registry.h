@@ -36,6 +36,8 @@ class ScenarioDef {
   virtual ~ScenarioDef() = default;
 
   [[nodiscard]] virtual std::string help() const = 0;
+  // Every parameter, declared once with its type, default and range;
+  // make_scenario range-checks the values before generate() reads them.
   [[nodiscard]] virtual std::vector<util::ParamDecl> params() const = 0;
   [[nodiscard]] virtual Scenario generate(const ScenarioSpec& spec,
                                           const ScenarioContext& ctx,
@@ -46,17 +48,18 @@ class ScenarioDef {
 // The paper's three scenarios plus the synthetic arrival processes are
 // registered on first use; anything else can be added at runtime:
 //
-//   ScenarioRegistry::instance().register_factory(
-//       "my-scenario", [] { return std::make_unique<MyScenarioDef>(); });
+//   ScenarioRegistry::instance().add<MyScenarioDef>("my-scenario");
 //   auto s = make_scenario("my-scenario?knob=3", ctx, rng);
 //
 // Unknown names abort with a message listing every registered name.
-class ScenarioRegistry final : public util::FactoryRegistry<ScenarioDef> {
+class ScenarioRegistry final : public util::ComponentRegistry<ScenarioDef> {
  public:
   static ScenarioRegistry& instance();
 
  private:
-  ScenarioRegistry() : FactoryRegistry("scenario") {}
+  // Registers the built-ins (builtin_scenarios.cpp): uniform, fixed-total,
+  // fairness, poisson, bursty (alias mmpp), diurnal, trace.
+  ScenarioRegistry();
 };
 
 // Validate `spec` against the registry and run the registered generator —
@@ -67,12 +70,6 @@ class ScenarioRegistry final : public util::FactoryRegistry<ScenarioDef> {
 [[nodiscard]] Scenario make_scenario(std::string_view spec,
                                      const ScenarioContext& ctx,
                                      sim::Rng& rng);
-
-namespace detail {
-// Defined in builtin_scenarios.cpp: uniform, fixed-total, fairness,
-// poisson, bursty (alias mmpp), diurnal, trace.
-void register_builtin_scenarios(ScenarioRegistry& registry);
-}  // namespace detail
 
 }  // namespace whisk::workload
 

@@ -15,16 +15,16 @@ struct ScenarioTraits;
 //   auto spec = ScenarioSpec::parse("uniform?intensity=60");
 //   spec.to_string()  -> "uniform?intensity=60"
 //
-// See util::ComponentSpec for the grammar. Values are checked when the
-// scenario is generated, not at parse time.
+// See util::ComponentSpec for the grammar. Values are range-checked when the
+// scenario is generated (make_scenario), not at parse time.
 using ScenarioSpec = util::ComponentSpec<ScenarioTraits>;
 
 struct ScenarioTraits {
   static constexpr std::string_view kDefaultName = "uniform";
   static constexpr bool kNoneReserved = false;
   static constexpr std::string_view kExample = "\"uniform?intensity=60\"";
-  static ScenarioRegistry& registry();
-  static void validate(const ScenarioSpec&) {}
+  static constexpr bool kChecksValuesLate = true;
+  using Registry = ScenarioRegistry;
 };
 
 }  // namespace whisk::workload

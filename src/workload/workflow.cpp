@@ -13,14 +13,12 @@ namespace {
 // as the root call's function; rotate gives stage s function offset s, so
 // branches draw different service distributions (asymmetric DAGs).
 bool parse_rotate(const WorkflowSpec& spec) {
-  const std::string mode = util::ascii_lower(spec.text("functions", "root"));
-  if (mode == "root") return false;
-  if (mode == "rotate") return true;
-  WHISK_CHECK(false, ("workflow \"" + spec.name + "\" parameter functions=\"" +
-                      spec.text("functions") +
-                      "\" must be \"root\" or \"rotate\"")
-                         .c_str());
-  return false;
+  const std::string mode = util::ascii_lower(spec.text("functions"));
+  WHISK_CHECK(mode == "root" || mode == "rotate",
+              ("workflow \"" + spec.name + "\" parameter functions=\"" +
+               spec.text("functions") + "\" must be \"root\" or \"rotate\"")
+                  .c_str());
+  return mode == "rotate";
 }
 
 void apply_rotate(WorkflowDag* dag, bool rotate) {
@@ -29,10 +27,12 @@ void apply_rotate(WorkflowDag* dag, bool rotate) {
   }
 }
 
-const util::ParamDecl kFunctionsParam{
-    "functions", "root",
-    "stage functions: root (all run the root call's function) or rotate "
-    "(stage s runs root+s mod catalog)"};
+util::ParamDecl functions_param() {
+  return util::text_param(
+      "functions", "root",
+      "stage functions: root (all run the root call's function) or rotate "
+      "(stage s runs root+s mod catalog)");
+}
 
 // Linear pipeline: s0 -> s1 -> ... -> s{k-1}.
 class ChainWorkflow final : public WorkflowDef {
@@ -42,14 +42,12 @@ class ChainWorkflow final : public WorkflowDef {
     return "linear pipeline: each stage releases the next on completion";
   }
   std::vector<util::ParamDecl> params() const override {
-    return {{"stages", "4", "number of stages in the chain (>= 1)"},
-            kFunctionsParam};
+    return {util::count_param("stages", 4, ">= 1",
+                              "number of stages in the chain (>= 1)"),
+            functions_param()};
   }
   WorkflowDag build(const WorkflowSpec& spec) const override {
-    const std::size_t stages = spec.count("stages", 4);
-    WHISK_CHECK(stages >= 1, ("workflow \"chain\": stages = " +
-                              std::to_string(stages) + " must be >= 1")
-                                 .c_str());
+    const std::size_t stages = spec.count("stages");
     WorkflowDag dag;
     dag.stages.resize(stages);
     for (std::size_t s = 0; s < stages; ++s) {
@@ -78,16 +76,15 @@ class FanoutWorkflow final : public WorkflowDef {
            "waits for all (or k) of them";
   }
   std::vector<util::ParamDecl> params() const override {
-    return {{"width", "4", "parallel branches between source and join"},
-            {"join", "all",
-             "branches the join waits for: all, or an integer k (k-of-n)"},
-            kFunctionsParam};
+    return {util::count_param("width", 4, ">= 1",
+                              "parallel branches between source and join"),
+            util::text_param(
+                "join", "all",
+                "branches the join waits for: all, or an integer k (k-of-n)"),
+            functions_param()};
   }
   WorkflowDag build(const WorkflowSpec& spec) const override {
-    const std::size_t width = spec.count("width", 4);
-    WHISK_CHECK(width >= 1, ("workflow \"fanout\": width = " +
-                             std::to_string(width) + " must be >= 1")
-                                .c_str());
+    const std::size_t width = spec.count("width");
     std::size_t join_k = width;
     const std::string join = util::ascii_lower(spec.text("join"));
     if (!join.empty() && join != "all") {
@@ -131,16 +128,14 @@ class DiamondWorkflow final : public WorkflowDef {
            "rotate by default)";
   }
   std::vector<util::ParamDecl> params() const override {
-    return {{"width", "2", "middle stages between source and sink"},
-            {"functions", "rotate",
-             "stage functions: root or rotate (default rotate: asymmetric "
-             "branches)"}};
+    return {util::count_param("width", 2, ">= 1",
+                              "middle stages between source and sink"),
+            util::text_param("functions", "rotate",
+                             "stage functions: root or rotate (default "
+                             "rotate: asymmetric branches)")};
   }
   WorkflowDag build(const WorkflowSpec& spec) const override {
-    const std::size_t width = spec.count("width", 2);
-    WHISK_CHECK(width >= 1, ("workflow \"diamond\": width = " +
-                             std::to_string(width) + " must be >= 1")
-                                .c_str());
+    const std::size_t width = spec.count("width");
     WorkflowDag dag;
     dag.stages.resize(width + 2);
     const int sink = static_cast<int>(width + 1);
@@ -156,8 +151,7 @@ class DiamondWorkflow final : public WorkflowDef {
     dag.stages[sink].label = "sink";
     dag.stages[sink].preds = static_cast<int>(width);
     dag.stages[sink].join_k = static_cast<int>(width);
-    const bool rotate = spec.has("functions") ? parse_rotate(spec) : true;
-    apply_rotate(&dag, rotate);
+    apply_rotate(&dag, parse_rotate(spec));
     return dag;
   }
 };
@@ -175,13 +169,13 @@ class EdgeListWorkflow final : public WorkflowDef {
            "every predecessor)";
   }
   std::vector<util::ParamDecl> params() const override {
-    return {{"edges", "a>b",
-             "'+'- or ','-separated edges, each \"from>to\" (chains "
-             "\"a>b>c\" allowed)"},
-            kFunctionsParam};
+    return {util::text_param("edges", "a>b",
+                             "'+'- or ','-separated edges, each \"from>to\" "
+                             "(chains \"a>b>c\" allowed)"),
+            functions_param()};
   }
   WorkflowDag build(const WorkflowSpec& spec) const override {
-    const std::string edges = spec.text("edges", "a>b");
+    const std::string edges = spec.text("edges");
     std::vector<std::string> labels;  // first-appearance order
     std::vector<std::pair<int, int>> edge_list;
     const auto node_index = [&labels](std::string_view raw) {
@@ -269,37 +263,25 @@ class EdgeListWorkflow final : public WorkflowDef {
   }
 };
 
-void register_builtin_workflows(WorkflowRegistry& registry) {
-  registry.register_factory("chain",
-                            [] { return std::make_unique<ChainWorkflow>(); });
-  registry.register_factory("fanout",
-                            [] { return std::make_unique<FanoutWorkflow>(); });
-  registry.register_factory(
-      "diamond", [] { return std::make_unique<DiamondWorkflow>(); });
-  registry.register_factory(
-      "dag", [] { return std::make_unique<EdgeListWorkflow>(); });
-  registry.register_alias("scatter-gather", "fanout");
-  registry.register_alias("edges", "dag");
-}
-
 }  // namespace
 
-WorkflowRegistry& WorkflowTraits::registry() {
-  return WorkflowRegistry::instance();
+WorkflowRegistry::WorkflowRegistry() : ComponentRegistry("workflow") {
+  add<ChainWorkflow>("chain");
+  add<FanoutWorkflow>("fanout");
+  add<DiamondWorkflow>("diamond");
+  add<EdgeListWorkflow>("dag");
+  register_alias("scatter-gather", "fanout");
+  register_alias("edges", "dag");
 }
 
-// Building the DAG validates the parameter *values* too, so a bad width or
-// cyclic edge list dies at parse time, not mid-sweep.
+// Building the DAG checks the rules the declarations cannot (join <= width,
+// the edge list), so a cyclic edge list dies at parse time, not mid-sweep.
 void WorkflowTraits::validate(const WorkflowSpec& spec) {
   (void)make_workflow_dag(spec);
 }
 
 WorkflowRegistry& WorkflowRegistry::instance() {
-  static WorkflowRegistry* registry = [] {
-    auto* r = new WorkflowRegistry();
-    register_builtin_workflows(*r);
-    return r;
-  }();
+  static auto* registry = new WorkflowRegistry();
   return *registry;
 }
 
@@ -373,6 +355,7 @@ WorkflowDag make_workflow_dag(const WorkflowSpec& spec) {
   WHISK_CHECK(spec.enabled(),
               "make_workflow_dag on \"none\": check enabled() first");
   const WorkflowSpec folded = spec.folded();
+  folded.check_values();
   const auto def = WorkflowRegistry::instance().create(folded.name);
   WorkflowDag dag = def->build(folded);
   validate_workflow_dag(dag, "workflow \"" + folded.to_string() + "\"");

@@ -27,7 +27,7 @@ struct WorkflowTraits {
   static constexpr bool kNoneReserved = true;
   static constexpr std::string_view kExample =
       "\"chain?stages=4\" or \"fanout?width=8&join=all\"";
-  static WorkflowRegistry& registry();
+  using Registry = WorkflowRegistry;
   static void validate(const WorkflowSpec& spec);
 };
 
@@ -64,23 +64,24 @@ class WorkflowDef {
 
   [[nodiscard]] virtual std::string_view name() const = 0;
   [[nodiscard]] virtual std::string help() const = 0;
+  // Every parameter, declared once with its type, default and range; the
+  // spec code range-checks the values before build() reads them.
   [[nodiscard]] virtual std::vector<util::ParamDecl> params() const = 0;
 
-  // Build the DAG for `spec` (parameter values are validated here, so
-  // every parameter needs a usable default — the registry probes shapes
-  // with an empty parameter map).
+  // Build the DAG for a range-checked `spec`, checking the rules that span
+  // parameters or parse a text value.
   [[nodiscard]] virtual WorkflowDag build(const WorkflowSpec& spec) const = 0;
 };
 
 // The open extension surface for workflow shapes, mirroring the fault /
 // scenario / policy registries: register a WorkflowDef under a name and
 // `workflows=` campaign axes and whisk_sweep --list discover it.
-class WorkflowRegistry : public util::FactoryRegistry<WorkflowDef> {
+class WorkflowRegistry : public util::ComponentRegistry<WorkflowDef> {
  public:
   static WorkflowRegistry& instance();
 
  private:
-  WorkflowRegistry() : FactoryRegistry("workflow") {}
+  WorkflowRegistry();  // registers the built-ins
 };
 
 // Validate structural invariants (non-empty, single source at index 0,

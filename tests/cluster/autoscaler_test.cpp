@@ -50,6 +50,12 @@ TEST(AutoscalerSpec, AliasResolvesToCanonicalName) {
             "target-util");
 }
 
+TEST(AutoscalerSpec, AnAliasedSpecReadsTheCanonicalDeclarations) {
+  const AutoscalerSpec spec{"Utilization", {}};
+  EXPECT_DOUBLE_EQ(spec.number("low"), 0.3);
+  EXPECT_DOUBLE_EQ(spec.number("tick-s"), 5.0);
+}
+
 TEST(AutoscalerSpec, RegistryListsTheBuiltins) {
   const auto names = AutoscalerRegistry::instance().names();
   for (const char* want : {"predictive", "queue-depth", "target-util"}) {
@@ -88,6 +94,14 @@ TEST(AutoscalerSpecDeath, BadControllerValuesAbort) {
       "");
   EXPECT_DEATH(
       (void)AutoscalerSpec::parse("predictive?window-s=0").normalized(), "");
+}
+
+TEST(AutoscalerSpecDeath, OutOfRangeValuesQuoteTheInput) {
+  EXPECT_DEATH((void)AutoscalerSpec::parse("target-util?cooldown-s=-1e-8"),
+               "autoscaler \"target-util\": cooldown-s must be >= 0, got "
+               "\"-1e-8\"");
+  EXPECT_DEATH((void)AutoscalerSpec::parse("predictive?target=1.5"),
+               "target must be in \\(0, 1\\], got \"1.5\"");
 }
 
 // ---------------------------------------------------------------------------

@@ -289,6 +289,27 @@ TEST(ClusterSpecDeath, AutoscalerAndSloSectionsAreValidated) {
   EXPECT_DEATH((void)ClusterSpec::parse("node:2?cost-per-hour=-1"), "");
 }
 
+TEST(ClusterSpecDeath, OutOfRangeValuesQuoteTheInput) {
+  EXPECT_DEATH((void)ClusterSpec::parse("node:2?memory-mb=-1e-7"),
+               "cluster group \"node\": memory-mb must be > 0, got "
+               "\"-1e-7\"");
+  EXPECT_DEATH((void)ClusterSpec::parse("node:2?cores=0"),
+               "cores must be in \\[1, 100000\\], got \"0\"");
+  EXPECT_DEATH((void)ClusterSpec::parse("node:2; slo=p99<-1e-7"),
+               "slo threshold must be in \\(0, 1e9\\] seconds, got "
+               "\"-1e-7\"");
+}
+
+TEST(ClusterSpecDeath, MisspeltSectionsNameTheValidKeys) {
+  EXPECT_DEATH((void)ClusterSpec::parse("node:2|autoscalr=target-util"),
+               "unknown section \"autoscalr\"; sections: keep-alive, "
+               "autoscaler, faults, resilience, slo, events");
+  EXPECT_DEATH((void)ClusterSpec::parse("autoscalr=target-util"),
+               "unknown section \"autoscalr\"");
+  EXPECT_DEATH((void)ClusterSpec::parse("node:2; big:1"),
+               "two group-list sections.*sections: keep-alive, autoscaler");
+}
+
 TEST(ClusterSpecTest, ZeroCountGroupIsValidWithOtherNodes) {
   // An initially-empty group that only ever receives joins.
   const auto spec =

@@ -41,6 +41,14 @@ TEST(FaultSpecTest, UnknownNameAndKeyAbort) {
                "probability");
 }
 
+TEST(FaultSpecTest, OutOfRangeValuesQuoteTheInput) {
+  EXPECT_DEATH((void)FaultSpec::parse("crash-restart?mtbf-s=-1e-7"),
+               "fault \"crash-restart\": mtbf-s must be > 0, got \"-1e-7\"");
+  // A hand-built spec is checked on construction too.
+  EXPECT_DEATH((void)make_fault(FaultSpec{"slow-node", {{"factor", "0.5"}}}),
+               "factor must be >= 1, got \"0.5\"");
+}
+
 TEST(FaultSpecTest, ListParsingDropsNoneAndSplitsOnPlus) {
   EXPECT_TRUE(parse_fault_list("").empty());
   EXPECT_TRUE(parse_fault_list("none").empty());

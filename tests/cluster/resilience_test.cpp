@@ -45,6 +45,13 @@ TEST(ResilienceSpecTest, ValidationNamesTheKnob) {
                "not a finite number");
 }
 
+TEST(ResilienceSpecTest, OutOfRangeValuesQuoteTheInput) {
+  EXPECT_DEATH((void)ResilienceSpec::parse("timeout-s=-1e-7"),
+               "resilience: timeout-s must be >= 0, got \"-1e-7\"");
+  EXPECT_DEATH((void)ResilienceSpec::parse("hedge-p=1"),
+               "hedge-p must be in \\[0, 1\\), got \"1\"");
+}
+
 TEST(ResilienceSpecTest, EveryKnobIsDeclared) {
   // The catalog surface and the validator must agree on the knob set.
   std::set<std::string> declared;

@@ -52,6 +52,17 @@ TEST(KeepAliveSpecDeath, UnknownNamesAndKeysListAlternatives) {
   }
 }
 
+TEST(KeepAliveSpecDeath, OutOfRangeValuesQuoteTheInput) {
+  EXPECT_DEATH((void)KeepAliveSpec::parse("ttl?idle-s=-1e-9"),
+               "keep-alive policy \"ttl\": idle-s must be > 0, got "
+               "\"-1e-9\"");
+  {
+    // A hand-built spec is checked on construction too.
+    const KeepAliveSpec bad{"ttl", {{"idle-s", "0"}}};
+    EXPECT_DEATH((void)make_keep_alive(bad), "idle-s must be > 0, got \"0\"");
+  }
+}
+
 TEST(KeepAliveRegistry, BuiltinsRegisteredAndRuntimeExtensible) {
   const auto names = KeepAlivePolicyRegistry::instance().names();
   auto has = [&](std::string_view n) {

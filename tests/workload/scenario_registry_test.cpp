@@ -271,5 +271,13 @@ TEST_F(ScenarioRegistryTest, ContextlessCatalogDies) {
                "must point at a FunctionCatalog");
 }
 
+// Scenario values are range-checked when the scenario is generated.
+TEST_F(ScenarioRegistryTest, OutOfRangeValuesQuoteTheInput) {
+  EXPECT_DEATH((void)make("uniform?window=-1e-7", 1),
+               "scenario \"uniform\": window must be > 0, got \"-1e-7\"");
+  EXPECT_DEATH((void)make("diurnal?period=0", 1),
+               "scenario \"diurnal\": period must be > 0, got \"0\"");
+}
+
 }  // namespace
 }  // namespace whisk::workload

@@ -42,6 +42,11 @@ TEST(WorkflowSpecTest, BadSpecsAbort) {
                "functions");
 }
 
+TEST(WorkflowSpecTest, OutOfRangeValuesQuoteTheInput) {
+  EXPECT_DEATH((void)WorkflowSpec::parse("fanout?width=0"),
+               "workflow \"fanout\": width must be >= 1, got \"0\"");
+}
+
 TEST(WorkflowRegistryTest, ListsAllBuiltins) {
   const auto names = WorkflowRegistry::instance().names();
   const std::set<std::string> set(names.begin(), names.end());
